@@ -5,8 +5,9 @@ Runs the same sweep job three ways on pristine stores and caches:
 * **uninterrupted** — submit, lease, execute to completion; the
   baseline points/sec of checkpointed execution (checkpoint + SQLite
   heartbeat every chunk).
-* **engine direct** — the identical points through ``Engine.map``'s
-  serial path with no checkpoint/store machinery; the difference to
+* **engine direct** — the identical points through
+  ``Engine.sweep_block_field`` (the same point math the job planner
+  calls) with no checkpoint/store machinery; the difference to
   the uninterrupted run is the durability overhead.
 * **interrupted + resumed** — preempt the job at the halfway
   checkpoint (the SIGTERM path: checkpoint, release), then resume it

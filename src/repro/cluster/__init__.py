@@ -1,11 +1,10 @@
 """Sharded multi-worker execution — coordinator, fleet, fault tolerance.
 
 The cluster layer scales the service horizontally: a **coordinator**
-splits sweep, uncertainty, and batch-solve workloads into
-content-digest-keyed shards, fans them out over a fleet of ordinary
-:mod:`repro.service` **workers** via the existing HTTP API, and merges
-the shard results (and the workers' mergeable histograms) into one
-response.
+splits sweeps and study rounds into content-digest-keyed shards, fans
+them out over a fleet of ordinary :mod:`repro.service` **workers** via
+the existing HTTP API, and merges the shard results (and the workers'
+mergeable histograms) into one response.
 
 Design invariant: *placement never changes the answer*.  Solves are
 deterministic, shards tile the workload positionally, scheduling
@@ -54,16 +53,9 @@ from .sharding import (
     rendezvous_score,
     shard_id,
 )
-from .workloads import (
-    BatchSolveWorkload,
-    StudyWorkload,
-    SweepWorkload,
-    UncertaintyWorkload,
-    uncertainty_workload,
-)
+from .workloads import StudyWorkload, SweepWorkload
 
 __all__ = [
-    "BatchSolveWorkload",
     "ClusterConfig",
     "ClusterError",
     "Coordinator",
@@ -77,7 +69,6 @@ __all__ = [
     "ShardStore",
     "StudyWorkload",
     "SweepWorkload",
-    "UncertaintyWorkload",
     "WorkerCallError",
     "WorkerClient",
     "WorkerInfo",
@@ -91,7 +82,6 @@ __all__ = [
     "preferred_worker",
     "rendezvous_score",
     "shard_id",
-    "uncertainty_workload",
     "wait_until_healthy",
     "worker_id_for",
 ]

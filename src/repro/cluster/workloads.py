@@ -9,28 +9,21 @@ deterministic solve, a result assembled from any shard placement (or
 any interleaving of retries and steals) is bit-identical to the
 single-process run of the same workload.
 
-Three shapes:
+Two shapes, both pure transport — the math a point runs lives in
+:mod:`repro.engine`, reached through the worker's HTTP routes:
 
 * :class:`SweepWorkload` — one block/global field over many values;
   each shard is a single ``POST /v1/sweep`` covering its value range.
-* :class:`BatchSolveWorkload` — many independent spec documents; each
+* :class:`StudyWorkload` — one study round's candidate specs; each
   shard issues one ``POST /v1/solve`` per spec.
-* :class:`UncertaintyWorkload` — Monte-Carlo parameter uncertainty.
-  The coordinator draws every variant up front from one seeded
-  generator (the same sequential stream the jobs planner uses, so the
-  sample set is identical), ships variants as batch solves, and
-  aggregates with the jobs runner's exact formulas.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import SpecError
 from ..ident import digest_id
-from ..units import MINUTES_PER_YEAR
 
 #: One worker call: (path, JSON payload).
 Call = Tuple[str, Dict[str, object]]
@@ -116,18 +109,33 @@ class SweepWorkload:
         }
 
 
-class BatchSolveWorkload:
-    """Independent spec documents solved one ``/v1/solve`` each."""
+class StudyWorkload:
+    """One study *round* as a sharded batch of candidate solves.
 
-    kind = "batch"
+    A design-space study is adaptive — round N+1's candidates depend
+    on round N's availabilities — so the whole study cannot be one
+    fixed workload.  Instead the study runner fans each round out as
+    one of these: each candidate's spec document is one
+    ``POST /v1/solve``, the workload digest ties the batch to
+    ``(study id, round index)``, and ``aggregate`` folds the shard
+    points into the flat availability list the round generator is
+    waiting for.  Everything downstream (dedup, constraints, the Pareto
+    front) is recomputed from the complete trace by
+    :func:`repro.studies.aggregate_study`, so the merged front is
+    bit-identical to a single-process run.
+    """
 
-    #: Response fields carried into each batch point.
+    kind = "study"
+
+    #: Response fields carried into each point.
     POINT_FIELDS = (
         "model", "availability", "yearly_downtime_minutes", "mttf_hours",
     )
 
     def __init__(
         self,
+        study_id: str,
+        round_index: int,
         specs: Sequence[Mapping[str, object]],
         solver: Optional[Mapping[str, object]] = None,
     ) -> None:
@@ -135,8 +143,12 @@ class BatchSolveWorkload:
             raise SpecError("batch workload needs at least one spec")
         self.specs = [dict(spec) for spec in specs]
         self.solver = dict(solver) if solver else None
+        self.study_id = study_id
+        self.round_index = round_index
         self.digest = _canonical_digest({
             "kind": self.kind,
+            "study_id": study_id,
+            "round": round_index,
             "specs": self.specs,
             "solver": self.solver,
         })
@@ -171,97 +183,6 @@ class BatchSolveWorkload:
         self, points: List[Mapping[str, object]]
     ) -> Dict[str, object]:
         return {
-            "kind": "batch",
-            "count": len(points),
-            "results": [dict(point) for point in points],
-        }
-
-
-class UncertaintyWorkload(BatchSolveWorkload):
-    """Parameter-uncertainty propagation as a sharded variant batch.
-
-    Built by :func:`uncertainty_workload`, which owns the variant
-    drawing; this class only re-aggregates the batch availabilities
-    with the jobs runner's formulas so the summary statistics are
-    bit-identical to an offline ``uncertainty`` job over the same
-    samples.
-    """
-
-    kind = "uncertainty"
-
-    def __init__(
-        self,
-        specs: Sequence[Mapping[str, object]],
-        model_name: str,
-        solver: Optional[Mapping[str, object]] = None,
-    ) -> None:
-        super().__init__(specs, solver=solver)
-        self.model_name = model_name
-        self.digest = _canonical_digest({
-            "kind": self.kind,
-            "specs": self.specs,
-            "solver": self.solver,
-        })
-
-    def aggregate(
-        self, points: List[Mapping[str, object]]
-    ) -> Dict[str, object]:
-        arr = np.asarray(
-            [float(point["availability"]) for point in points], dtype=float
-        )
-        downtimes = (1.0 - arr) * MINUTES_PER_YEAR
-        p05, p50, p95 = np.percentile(downtimes, [5.0, 50.0, 95.0])
-        return {
-            "kind": "uncertainty",
-            "model": self.model_name,
-            "samples": len(points),
-            "mean_availability": float(arr.mean()),
-            "std_availability": float(arr.std(ddof=1)),
-            "downtime_p05": float(p05),
-            "downtime_p50": float(p50),
-            "downtime_p95": float(p95),
-        }
-
-
-class StudyWorkload(BatchSolveWorkload):
-    """One study *round* as a sharded batch of candidate solves.
-
-    A design-space study is adaptive — round N+1's candidates depend
-    on round N's availabilities — so the whole study cannot be one
-    fixed workload.  Instead the study runner fans each round out as
-    one of these: the candidates' spec documents become a batch solve
-    whose digest ties it to ``(study id, round index)``, and
-    ``aggregate`` folds the shard points into the flat availability
-    list the round generator is waiting for.  Everything downstream
-    (dedup, constraints, the Pareto front) is recomputed from the
-    complete trace by :func:`repro.studies.aggregate_study`, so the
-    merged front is bit-identical to a single-process run.
-    """
-
-    kind = "study"
-
-    def __init__(
-        self,
-        study_id: str,
-        round_index: int,
-        specs: Sequence[Mapping[str, object]],
-        solver: Optional[Mapping[str, object]] = None,
-    ) -> None:
-        super().__init__(specs, solver=solver)
-        self.study_id = study_id
-        self.round_index = round_index
-        self.digest = _canonical_digest({
-            "kind": self.kind,
-            "study_id": study_id,
-            "round": round_index,
-            "specs": self.specs,
-            "solver": self.solver,
-        })
-
-    def aggregate(
-        self, points: List[Mapping[str, object]]
-    ) -> Dict[str, object]:
-        return {
             "kind": "study_round",
             "study_id": self.study_id,
             "round": self.round_index,
@@ -270,52 +191,3 @@ class StudyWorkload(BatchSolveWorkload):
                 float(point["availability"]) for point in points
             ],
         }
-
-
-def uncertainty_workload(
-    spec: Mapping[str, object],
-    uncertain: Sequence[Mapping[str, object]],
-    samples: int,
-    seed: Optional[int] = None,
-    solver: Optional[Mapping[str, object]] = None,
-    database=None,
-) -> UncertaintyWorkload:
-    """Draw the variant set and wrap it as a shardable batch.
-
-    Draws are sequential from one seeded generator — byte-for-byte the
-    stream ``Engine.propagate_uncertainty`` and the jobs planner
-    consume — so the variant population (and hence every downstream
-    statistic) matches the single-process paths exactly.
-    """
-    from ..analysis.parametric import with_block_changes
-    from ..jobs.types import distribution_from_dict
-    from ..spec import model_to_spec, parse_spec
-
-    if samples < 2:
-        raise SpecError(f"need at least 2 samples, got {samples}")
-    if not uncertain:
-        raise SpecError("uncertainty workload needs uncertain entries")
-    model = parse_spec(dict(spec), database=database)
-    parsed = []
-    for entry in uncertain:
-        if not isinstance(entry, Mapping):
-            raise SpecError("each uncertain entry must be an object")
-        try:
-            path, field = str(entry["path"]), str(entry["field"])
-            distribution = distribution_from_dict(entry["distribution"])
-        except KeyError as exc:
-            raise SpecError(
-                f"uncertain entry is missing {exc.args[0]!r}"
-            ) from None
-        parsed.append((path, field, distribution))
-    rng = np.random.default_rng(seed)
-    variants = []
-    for _ in range(samples):
-        variant = model
-        for path, field, distribution in parsed:
-            value = distribution.sample(rng)
-            variant = with_block_changes(variant, path, **{field: value})
-        variants.append(model_to_spec(variant))
-    return UncertaintyWorkload(
-        variants, model_name=model.name, solver=solver
-    )

@@ -9,15 +9,26 @@ fans tasks out over worker processes, and meters everything it does.
 * :mod:`.cache` — the in-memory LRU solve cache with an optional
   persistent on-disk layer.
 * :mod:`.executor` — the process-pool/serial batch runner (per-task
-  timeout, bounded retry, deterministic per-task seeding).
+  timeout, bounded retry, crash recovery).
 * :mod:`.stats` — counters and timings, surfaced as
   :class:`EngineStats` snapshots and the ``rascad stats`` CLI view.
-* :mod:`.engine` — the :class:`Engine` facade tying them together.
+* :mod:`.engine` — the :class:`Engine` facade tying them together,
+  plus the one copy of each batch kind's math (sweep, uncertainty,
+  validate) that the jobs planners and service handlers call.
 """
 
 from .cache import SolveCache, default_cache_dir
-from .engine import Engine, get_default_engine, set_default_engine
-from .executor import run_batch, seeded_tasks
+from .engine import (
+    Engine,
+    draw_variants,
+    get_default_engine,
+    set_default_engine,
+    sweep_payload,
+    sweep_points,
+    uncertainty_summary,
+    validate_payload,
+)
+from .executor import run_batch
 from .keys import (
     block_digest,
     canonical_payload,
@@ -39,10 +50,14 @@ __all__ = [
     "Engine",
     "get_default_engine",
     "set_default_engine",
+    "draw_variants",
+    "sweep_payload",
+    "sweep_points",
+    "uncertainty_summary",
+    "validate_payload",
     "SolveCache",
     "default_cache_dir",
     "run_batch",
-    "seeded_tasks",
     "block_digest",
     "canonical_payload",
     "chain_digest",

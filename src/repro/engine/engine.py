@@ -20,8 +20,20 @@ meters everything through a :class:`~repro.engine.stats.StatsCollector`:
   deterministic per-replication seeding, so serial and parallel runs
   of the same seed agree exactly.
 
-Workers are separate processes; each lazily builds a process-local
-engine so consecutive tasks on one worker still share a block cache.
+Each batch kind's math lives here exactly once, and the jobs planners
+and service handlers call it rather than re-deriving it:
+
+* sweep — :meth:`Engine.sweep_availabilities`, :func:`sweep_points`,
+  :func:`sweep_payload`;
+* uncertainty — :func:`draw_variants`,
+  :meth:`Engine.variant_availabilities`, :func:`uncertainty_summary`;
+* validate — :func:`replication_tasks`,
+  :meth:`Engine.replication_samples`, :func:`validate_payload`.
+
+The point methods take any sub-range of a kind's points, which is how
+checkpointed jobs solve chunk by chunk.  Workers are separate
+processes; each lazily builds a process-local engine so consecutive
+tasks on one worker still share a block cache.
 """
 
 from __future__ import annotations
@@ -48,8 +60,8 @@ from ..num import SolverOptions, as_options
 from ..obs.trace import get_tracer
 from ..units import MINUTES_PER_YEAR, availability_to_yearly_downtime_minutes
 from .cache import SolveCache, default_cache_dir
-from .executor import run_batch, seeded_tasks
-from .keys import block_digest, chain_digest, model_digest
+from .executor import run_batch
+from .keys import block_digest, chain_digest, model_digest, task_seed
 from .stats import EngineStats, StatsCollector, save_stats
 
 #: Anything the engine accepts as a solve method: a legacy method name
@@ -290,19 +302,67 @@ class Engine:
     # ------------------------------------------------------------------
     # batch workloads
     # ------------------------------------------------------------------
-    def map(
-        self, fn, tasks: Sequence[Tuple], stage: str = "batch"
-    ) -> List:
-        """Run a raw task batch under this engine's executor policy."""
-        with self.stats.timer(stage):
-            return run_batch(
-                fn,
-                tasks,
-                jobs=self.jobs,
-                timeout=self.timeout,
-                retries=self.retries,
-                stats=self.stats,
-            )
+    def _map_points(self, task, items: Sequence[Tuple]) -> List:
+        """``task(*item, engine)`` for every item, in item order.
+
+        The one serial-or-pool fork for point tasks.  A serial engine
+        runs every task inline on itself, so its cache serves each
+        point; with ``jobs > 1`` the items fan out over the pool, where
+        each worker solves on its process-local engine mirroring this
+        engine's cache policy.  Callers own the stage timer.
+        """
+        if self.jobs == 1:
+            return [task(*item, self) for item in items]
+        cache_dir, use_cache = self._worker_cache_config
+        return run_batch(
+            task,
+            [tuple(item) + (None, cache_dir, use_cache) for item in items],
+            jobs=self.jobs,
+            timeout=self.timeout,
+            retries=self.retries,
+            stats=self.stats,
+        )
+
+    def sweep_availabilities(
+        self,
+        model: DiagramBlockModel,
+        path: Optional[str],
+        field: str,
+        values: Sequence[object],
+        method: MethodLike = "direct",
+    ) -> List[float]:
+        """Availability at each sweep value; ``path=None`` sweeps a
+        global field.  Sweeps and sweep jobs both solve through here."""
+        method = as_options(method)
+        return self._map_points(
+            _sweep_point_task,
+            [(model, path, field, value, method) for value in values],
+        )
+
+    def variant_availabilities(
+        self,
+        variants: Sequence[DiagramBlockModel],
+        method: MethodLike = "direct",
+    ) -> List[float]:
+        """Availability of each model variant (uncertainty samples)."""
+        method = as_options(method)
+        return self._map_points(
+            _availability_task, [(variant, method) for variant in variants]
+        )
+
+    def replication_samples(
+        self,
+        solution: SystemSolution,
+        horizon: float,
+        seed: Optional[int],
+        lo: int,
+        hi: int,
+    ) -> List[float]:
+        """Simulated availabilities of replications ``[lo, hi)``."""
+        return self._map_points(
+            _replication_task,
+            replication_tasks(solution, horizon, seed, lo, hi),
+        )
 
     def sweep_block_field(
         self,
@@ -333,42 +393,12 @@ class Engine:
         values: Sequence[object],
         method: MethodLike,
     ) -> List["SweepPoint"]:
-        from ..analysis.parametric import SweepPoint
-
         values = list(values)
-        method = as_options(method)
         with self.stats.timer("sweep"):
-            if self.jobs == 1:
-                availabilities = [
-                    _sweep_point_task(
-                        model, path, field, value, method, self
-                    )
-                    for value in values
-                ]
-            else:
-                cache_dir, use_cache = self._worker_cache_config
-                availabilities = run_batch(
-                    _sweep_point_task,
-                    [
-                        (model, path, field, value, method, None,
-                         cache_dir, use_cache)
-                        for value in values
-                    ],
-                    jobs=self.jobs,
-                    timeout=self.timeout,
-                    retries=self.retries,
-                    stats=self.stats,
-                )
-        return [
-            SweepPoint(
-                value=float(value),  # type: ignore[arg-type]
-                availability=availability,
-                yearly_downtime_minutes=(
-                    availability_to_yearly_downtime_minutes(availability)
-                ),
+            availabilities = self.sweep_availabilities(
+                model, path, field, values, method
             )
-            for value, availability in zip(values, availabilities)
-        ]
+        return sweep_points(values, availabilities)
 
     def propagate_uncertainty(
         self,
@@ -384,54 +414,22 @@ class Engine:
         results are bit-identical across ``jobs`` settings *and* with
         the pre-engine code; only the model solves fan out.
         """
-        from ..analysis.parametric import with_block_changes
         from ..analysis.uncertainty import UncertaintyResult
 
         if samples < 2:
             raise SolverError(f"need at least 2 samples, got {samples}")
         if not uncertain:
             raise SolverError("no uncertain fields given")
-        rng = np.random.default_rng(seed)
         with self.stats.timer("uncertainty"):
-            variants = []
-            for _ in range(samples):
-                variant = model
-                for entry in uncertain:
-                    value = entry.distribution.sample(rng)
-                    variant = with_block_changes(
-                        variant, entry.path, **{entry.field: value}
-                    )
-                variants.append(variant)
-            if self.jobs == 1:
-                availabilities = np.array([
-                    self._solve(variant, "direct").availability
-                    for variant in variants
-                ])
-            else:
-                cache_dir, use_cache = self._worker_cache_config
-                availabilities = np.array(
-                    run_batch(
-                        _solve_availability_task,
-                        [
-                            (variant, "direct", cache_dir, use_cache)
-                            for variant in variants
-                        ],
-                        jobs=self.jobs,
-                        timeout=self.timeout,
-                        retries=self.retries,
-                        stats=self.stats,
-                    )
-                )
-        downtimes = (1.0 - availabilities) * MINUTES_PER_YEAR
-        p05, p50, p95 = np.percentile(downtimes, [5.0, 50.0, 95.0])
+            availabilities = self.variant_availabilities(
+                draw_variants(model, uncertain, samples, seed), "direct"
+            )
         return UncertaintyResult(
             samples=samples,
-            mean_availability=float(availabilities.mean()),
-            std_availability=float(availabilities.std(ddof=1)),
-            downtime_p05=float(p05),
-            downtime_p50=float(p50),
-            downtime_p95=float(p95),
-            availability_samples=tuple(availabilities.tolist()),
+            **uncertainty_summary(availabilities),
+            availability_samples=tuple(
+                np.asarray(availabilities, dtype=float).tolist()
+            ),
         )
 
     def simulate_system(
@@ -450,18 +448,17 @@ class Engine:
         the historical single-generator implementation in
         :func:`repro.validation.simulate_system_availability`, which is
         preserved there for backwards compatibility.)
+
+        Unlike :meth:`replication_samples`, every ``jobs`` setting runs
+        through the batch executor, so a failing replication surfaces
+        as :class:`~repro.errors.EngineError` after its retries.
         """
         from ..semimarkov.simulation import _summarize
-        from ..validation.simulator import contributing_blocks
 
-        contributing = contributing_blocks(solution)
-        g = solution.model.global_parameters
         with self.stats.timer("simulate"):
             samples = run_batch(
                 _replication_task,
-                seeded_tasks(
-                    [(contributing, g, horizon)] * replications, seed
-                ),
+                replication_tasks(solution, horizon, seed, 0, replications),
                 jobs=self.jobs,
                 timeout=self.timeout,
                 retries=self.retries,
@@ -543,13 +540,15 @@ def _solve_model_task(
     return engine._solve(model, method)
 
 
-def _solve_availability_task(
+def _availability_task(
     model: DiagramBlockModel,
     method: MethodLike,
+    engine: Optional[Engine] = None,
     cache_dir: Optional[Path] = None,
     use_cache: bool = True,
 ) -> float:
-    engine = _process_engine(cache_dir, use_cache)
+    if engine is None:
+        engine = _process_engine(cache_dir, use_cache)
     return engine._solve(model, method).availability
 
 
@@ -558,7 +557,12 @@ def _replication_task(
     global_parameters: GlobalParameters,
     horizon: float,
     seed: Optional[int],
+    engine: Optional[Engine] = None,
+    cache_dir: Optional[Path] = None,
+    use_cache: bool = True,
 ) -> float:
+    """One simulation replication; it solves nothing, so the engine
+    arguments every point task receives go unused."""
     from ..validation.simulator import _run_redundant, _run_type0
 
     rng = np.random.default_rng(seed)
@@ -570,6 +574,136 @@ def _replication_task(
         for _copy in range(multiplicity):
             product *= runner(parameters, global_parameters, horizon, rng)
     return product
+
+
+# ----------------------------------------------------------------------
+# each batch kind's math, shared by the engine, the jobs planners and
+# the service handlers
+# ----------------------------------------------------------------------
+
+def replication_tasks(
+    solution: SystemSolution,
+    horizon: float,
+    seed: Optional[int],
+    lo: int,
+    hi: int,
+) -> List[Tuple]:
+    """Replication task tuples ``[lo, hi)`` of a seeded validation run.
+
+    Replication ``i`` is seeded with ``task_seed(seed, i)``, so any
+    split of the range (pool chunks, checkpointed job chunks) draws
+    the same samples as one uninterrupted run.
+    """
+    from ..validation.simulator import contributing_blocks
+
+    contributing = contributing_blocks(solution)
+    g = solution.model.global_parameters
+    return [
+        (contributing, g, horizon, task_seed(seed, index))
+        for index in range(lo, hi)
+    ]
+
+
+def draw_variants(
+    model: DiagramBlockModel,
+    uncertain: Sequence["UncertainField"],
+    samples: int,
+    seed: Optional[int],
+) -> List[DiagramBlockModel]:
+    """The seeded uncertainty draw: one model variant per sample.
+
+    Values come sequentially from one generator, field by field within
+    a sample, so a seed names one variant population everywhere.
+    """
+    from ..analysis.parametric import with_block_changes
+
+    rng = np.random.default_rng(seed)
+    variants = []
+    for _ in range(samples):
+        variant = model
+        for entry in uncertain:
+            value = entry.distribution.sample(rng)
+            variant = with_block_changes(
+                variant, entry.path, **{entry.field: value}
+            )
+        variants.append(variant)
+    return variants
+
+
+def uncertainty_summary(availabilities: Sequence[float]) -> Dict[str, float]:
+    """Mean/std availability and 5/50/95th percentile yearly downtime."""
+    arr = np.asarray(availabilities, dtype=float)
+    downtimes = (1.0 - arr) * MINUTES_PER_YEAR
+    p05, p50, p95 = np.percentile(downtimes, [5.0, 50.0, 95.0])
+    return {
+        "mean_availability": float(arr.mean()),
+        "std_availability": float(arr.std(ddof=1)),
+        "downtime_p05": float(p05),
+        "downtime_p50": float(p50),
+        "downtime_p95": float(p95),
+    }
+
+
+def sweep_points(
+    values: Sequence[object], availabilities: Sequence[float]
+) -> List["SweepPoint"]:
+    """Pair sweep values with their availabilities."""
+    from ..analysis.parametric import SweepPoint
+
+    return [
+        SweepPoint(
+            value=float(value),  # type: ignore[arg-type]
+            availability=availability,
+            yearly_downtime_minutes=(
+                availability_to_yearly_downtime_minutes(availability)
+            ),
+        )
+        for value, availability in zip(values, availabilities)
+    ]
+
+
+def sweep_payload(
+    model_name: str,
+    field: str,
+    block: Optional[str],
+    points: Sequence["SweepPoint"],
+) -> Dict[str, object]:
+    """The sweep result document (``POST /v1/sweep`` and sweep jobs)."""
+    return {
+        "model": model_name,
+        "field": field,
+        "block": block,
+        "points": [
+            {
+                "value": point.value,
+                "availability": point.availability,
+                "yearly_downtime_minutes": point.yearly_downtime_minutes,
+            }
+            for point in points
+        ],
+    }
+
+
+def validate_payload(
+    model_name: str,
+    analytic_availability: float,
+    result: "SimulationResult",
+    horizon: float,
+) -> Dict[str, object]:
+    """The validation result document (``/v1/validate``, validate jobs).
+
+    Compares the analytic availability against the simulated interval.
+    """
+    return {
+        "model": model_name,
+        "analytic_availability": analytic_availability,
+        "simulated_mean": result.mean,
+        "interval_low": result.low,
+        "interval_high": result.high,
+        "replications": result.replications,
+        "horizon_hours": horizon,
+        "agreement": result.contains(analytic_availability),
+    }
 
 
 # ----------------------------------------------------------------------

@@ -14,10 +14,10 @@ module runs such a batch with
   unfinished task, and charges an attempt only to the task that was
   being collected; exhausted budgets surface as typed
   :class:`~repro.errors.EngineError`, never a raw pool exception;
-* deterministic per-task seeding via :func:`repro.engine.keys.task_seed`
-  — seeds depend only on ``(base seed, task index)``, never on which
-  worker runs the task, so serial and parallel runs of a seeded batch
-  produce identical numbers.
+* results that never depend on placement — seeded callers derive each
+  task's seed from ``(base seed, task index)`` with
+  :func:`repro.engine.keys.task_seed`, so serial and parallel runs of
+  a seeded batch produce identical numbers.
 
 Task functions must be module-level (picklable) when ``jobs > 1``;
 results always come back in task order.
@@ -38,21 +38,9 @@ from ..obs.trace import (
     export_remote,
     get_tracer,
 )
-from .keys import task_seed
 from .stats import StatsCollector
 
-__all__ = ["run_batch", "seeded_tasks"]
-
-
-def seeded_tasks(
-    tasks: Sequence[Tuple],
-    base_seed: Optional[int],
-) -> List[Tuple]:
-    """Append a deterministic per-task seed to every task tuple."""
-    return [
-        tuple(task) + (task_seed(base_seed, index),)
-        for index, task in enumerate(tasks)
-    ]
+__all__ = ["run_batch"]
 
 
 def _timed_call(

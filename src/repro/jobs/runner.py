@@ -27,20 +27,20 @@ from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
-from ..analysis.parametric import with_block_changes
 from ..core.block import DiagramBlockModel
-from ..engine import Engine, task_seed
-from ..engine.engine import (
-    _replication_task,
-    _solve_availability_task,
-    _sweep_point_task,
+from ..engine import (
+    Engine,
+    draw_variants,
+    sweep_payload,
+    sweep_points,
+    uncertainty_summary,
+    validate_payload,
 )
 from ..errors import SolverError, SpecError, StoreBusyError
 from ..num import SolverOptions, as_options
 from ..obs import get_logger, get_tracer
 from ..spec import parse_spec
 from ..store import atomic_write_text
-from ..units import MINUTES_PER_YEAR, availability_to_yearly_downtime_minutes
 from .retry import backoff_delay, classify, is_permanent
 from .store import JobStore
 from .types import (
@@ -135,6 +135,18 @@ def _solver_options(params, kind_name: str) -> SolverOptions:
         ) from exc
 
 
+def _number(params, key: str, default, cast, kind_name: str):
+    """``cast(params[key])``; an unparseable value is a permanent
+    :class:`~repro.errors.SpecError`, not a retryable ``ValueError``."""
+    raw = params.get(key, default)
+    try:
+        return cast(raw)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(
+            f"{kind_name} job has invalid params.{key}: {raw!r}"
+        ) from exc
+
+
 def _float_list(raw: object, label: str) -> List[float]:
     if not isinstance(raw, (list, tuple)) or not raw:
         raise SpecError(f"{label} must be a non-empty list of numbers")
@@ -178,38 +190,17 @@ def _plan_sweep(
     method = _solver_options(params, "sweep")
 
     def solve_range(lo: int, hi: int) -> List[float]:
-        if engine.jobs == 1:
-            return [
-                _sweep_point_task(model, block, field, value, method, engine)
-                for value in values[lo:hi]
-            ]
-        cache_dir, use_cache = engine._worker_cache_config
-        return engine.map(
-            _sweep_point_task,
-            [
-                (model, block, field, value, method, None,
-                 cache_dir, use_cache)
-                for value in values[lo:hi]
-            ],
-            stage="jobs",
+        return engine.sweep_availabilities(
+            model, block, field, values[lo:hi], method
         )
 
     def aggregate(availabilities: List[float]) -> Dict[str, object]:
         return {
             "kind": "sweep",
-            "model": model.name,
-            "field": field,
-            "block": block,
-            "points": [
-                {
-                    "value": value,
-                    "availability": availability,
-                    "yearly_downtime_minutes": (
-                        availability_to_yearly_downtime_minutes(availability)
-                    ),
-                }
-                for value, availability in zip(values, availabilities)
-            ],
+            **sweep_payload(
+                model.name, field, block,
+                sweep_points(values, availabilities),
+            ),
         }
 
     return Plan(len(values), solve_range, aggregate)
@@ -218,68 +209,40 @@ def _plan_sweep(
 def _plan_uncertainty(
     spec: JobSpec, model: DiagramBlockModel, engine: Engine
 ) -> Plan:
+    from ..analysis.uncertainty import UncertainField
+
     params = spec.params
-    samples = int(params.get("samples", 100))
+    samples = _number(params, "samples", 100, int, "uncertainty")
     if samples < 2:
         raise SpecError(f"need at least 2 samples, got {samples}")
     method = _solver_options(params, "uncertainty")
-    seed = params.get("seed")
     entries = _require(params, "uncertain", "uncertainty")
     if not isinstance(entries, (list, tuple)) or not entries:
         raise SpecError("params.uncertain must be a non-empty list")
-    parsed = []
+    uncertain = []
     for entry in entries:
         if not isinstance(entry, dict):
             raise SpecError("each uncertain entry must be an object")
-        parsed.append((
+        uncertain.append(UncertainField(
             str(_require(entry, "path", "uncertainty")),
             str(_require(entry, "field", "uncertainty")),
             distribution_from_dict(
                 _require(entry, "distribution", "uncertainty")
             ),
         ))
-    # Draws are sequential from one generator — the exact stream of
-    # Engine.propagate_uncertainty — so the variants (and hence the
-    # results) match an online run of the same spec bit-for-bit.
-    rng = np.random.default_rng(seed)
-    variants = []
-    for _ in range(samples):
-        variant = model
-        for path, field, distribution in parsed:
-            value = distribution.sample(rng)
-            variant = with_block_changes(variant, path, **{field: value})
-        variants.append(variant)
+    # The draw of Engine.propagate_uncertainty, so the variants (and
+    # hence the results) match an online run of the same spec.
+    variants = draw_variants(model, uncertain, samples, params.get("seed"))
 
     def solve_range(lo: int, hi: int) -> List[float]:
-        if engine.jobs == 1:
-            return [
-                engine._solve(variant, method).availability
-                for variant in variants[lo:hi]
-            ]
-        cache_dir, use_cache = engine._worker_cache_config
-        return engine.map(
-            _solve_availability_task,
-            [
-                (variant, method, cache_dir, use_cache)
-                for variant in variants[lo:hi]
-            ],
-            stage="jobs",
-        )
+        return engine.variant_availabilities(variants[lo:hi], method)
 
     def aggregate(availabilities: List[float]) -> Dict[str, object]:
-        # Bit-identical to analysis.uncertainty.UncertaintyResult.
-        arr = np.asarray(availabilities, dtype=float)
-        downtimes = (1.0 - arr) * MINUTES_PER_YEAR
-        p05, p50, p95 = np.percentile(downtimes, [5.0, 50.0, 95.0])
         return {
             "kind": "uncertainty",
             "model": model.name,
             "samples": samples,
-            "mean_availability": float(arr.mean()),
-            "std_availability": float(arr.std(ddof=1)),
-            "downtime_p05": float(p05),
-            "downtime_p50": float(p50),
-            "downtime_p95": float(p95),
+            **uncertainty_summary(availabilities),
         }
 
     return Plan(samples, solve_range, aggregate)
@@ -289,43 +252,32 @@ def _plan_validate(
     spec: JobSpec, model: DiagramBlockModel, engine: Engine
 ) -> Plan:
     from ..semimarkov.simulation import _summarize
-    from ..validation.simulator import contributing_blocks
 
     params = spec.params
-    replications = int(params.get("replications", 40))
+    replications = _number(params, "replications", 40, int, "validate")
     if replications < 2:
         raise SpecError(
             f"need at least 2 replications, got {replications}"
         )
-    horizon = float(params.get("horizon", 30_000.0))
-    seed = params.get("seed", 0)
-    seed = 0 if seed is None else int(seed)  # resumes must be seeded
+    horizon = _number(params, "horizon", 30_000.0, float, "validate")
+    # Resumes must be seeded: a missing or null seed is seed 0.
+    seed = (
+        0 if params.get("seed") is None
+        else _number(params, "seed", 0, int, "validate")
+    )
     method = _solver_options(params, "validate")
     solution = engine.solve(model, method)
-    contributing = contributing_blocks(solution)
-    g = model.global_parameters
 
     def solve_range(lo: int, hi: int) -> List[float]:
-        tasks = [
-            (contributing, g, horizon, task_seed(seed, index))
-            for index in range(lo, hi)
-        ]
-        if engine.jobs == 1:
-            return [_replication_task(*task) for task in tasks]
-        return engine.map(_replication_task, tasks, stage="jobs")
+        return engine.replication_samples(solution, horizon, seed, lo, hi)
 
     def aggregate(samples: List[float]) -> Dict[str, object]:
         result = _summarize(np.asarray(samples, dtype=float), 0.95)
         return {
             "kind": "validate",
-            "model": model.name,
-            "analytic_availability": solution.availability,
-            "simulated_mean": result.mean,
-            "interval_low": result.low,
-            "interval_high": result.high,
-            "replications": replications,
-            "horizon_hours": horizon,
-            "agreement": result.contains(solution.availability),
+            **validate_payload(
+                model.name, solution.availability, result, horizon
+            ),
         }
 
     return Plan(replications, solve_range, aggregate)
@@ -417,13 +369,15 @@ def _plan_calibration(
         raise SpecError(
             "params.source must be an object with a 'kind' key"
         )
-    chunk_events = int(params.get("chunk_events", 256))
+    chunk_events = _number(params, "chunk_events", 256, int, "calibration")
     if chunk_events < 1:
         raise SpecError(
             f"chunk_events must be >= 1, got {chunk_events}"
         )
-    window_hours = float(params.get("window_hours", 168.0))
-    confidence = float(params.get("confidence", 0.95))
+    window_hours = _number(
+        params, "window_hours", 168.0, float, "calibration"
+    )
+    confidence = _number(params, "confidence", 0.95, float, "calibration")
     drift_raw = params.get("drift")
     if drift_raw is not None and not isinstance(drift_raw, dict):
         raise SpecError("params.drift must be an object")

@@ -93,7 +93,12 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 from ..core import compute_measures
 from ..core.translator import SystemSolution
 from ..database import PartsDatabase, builtin_database
-from ..engine import Engine, metrics_payload
+from ..engine import (
+    Engine,
+    metrics_payload,
+    sweep_payload,
+    validate_payload,
+)
 from ..errors import SolverError
 from ..library import datacenter_model, e10000_model, workgroup_model
 from ..num import SolverOptions
@@ -496,21 +501,9 @@ class App:
                 self.engine.sweep_block_field,
                 model, block, field_name, values, method,
             )
-        return json_response({
-            "model": model.name,
-            "field": field_name,
-            "block": block,
-            "points": [
-                {
-                    "value": point.value,
-                    "availability": point.availability,
-                    "yearly_downtime_minutes": (
-                        point.yearly_downtime_minutes
-                    ),
-                }
-                for point in points
-            ],
-        })
+        return json_response(
+            sweep_payload(model.name, field_name, block, points)
+        )
 
     async def _validate(self, request: Request) -> Response:
         payload = request.json()
@@ -537,17 +530,9 @@ class App:
             replications,
             seed,
         )
-        agree = result.contains(solution.availability)
-        return json_response({
-            "model": model.name,
-            "analytic_availability": solution.availability,
-            "simulated_mean": result.mean,
-            "interval_low": result.low,
-            "interval_high": result.high,
-            "replications": result.replications,
-            "horizon_hours": horizon,
-            "agreement": agree,
-        })
+        return json_response(validate_payload(
+            model.name, solution.availability, result, horizon
+        ))
 
     # ------------------------------------------------------------------
     # cluster endpoints

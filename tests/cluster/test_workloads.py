@@ -1,18 +1,9 @@
 """Workload shapes: digests, shard calls, extraction, aggregation."""
 
-import numpy as np
 import pytest
 
-from repro.cluster.workloads import (
-    BatchSolveWorkload,
-    SweepWorkload,
-    UncertaintyWorkload,
-    uncertainty_workload,
-)
+from repro.cluster.workloads import StudyWorkload, SweepWorkload
 from repro.errors import SpecError
-from repro.library import e10000_model
-from repro.spec import model_to_spec
-from repro.units import MINUTES_PER_YEAR
 
 SPEC = {"name": "m", "diagram": {"name": "m", "blocks": []}}
 
@@ -61,17 +52,19 @@ class TestSweepWorkload:
             SweepWorkload(SPEC, "mtbf_hours", [])
 
 
-class TestBatchSolveWorkload:
+class TestStudyWorkload:
     def test_one_solve_call_per_spec(self):
         specs = [dict(SPEC, name=f"m{i}") for i in range(5)]
-        workload = BatchSolveWorkload(specs, solver={"method": "direct"})
+        workload = StudyWorkload(
+            "study-x", 0, specs, solver={"method": "direct"}
+        )
         calls = workload.calls(2, 5)
         assert [path for path, _ in calls] == ["/v1/solve"] * 3
         assert [p["spec"]["name"] for _, p in calls] == ["m2", "m3", "m4"]
         assert all(p["solver"] == {"method": "direct"} for _, p in calls)
 
     def test_extract_projects_point_fields(self):
-        workload = BatchSolveWorkload([SPEC, SPEC])
+        workload = StudyWorkload("study-x", 0, [SPEC, SPEC])
         bodies = [
             {"model": "m", "availability": 0.9,
              "yearly_downtime_minutes": 5.0, "mttf_hours": 1.0,
@@ -84,54 +77,3 @@ class TestBatchSolveWorkload:
         assert [p["availability"] for p in points] == [0.9, 0.99]
         with pytest.raises(SpecError, match="1 results"):
             workload.extract(bodies[:1], 0, 2)
-
-
-class TestUncertaintyWorkload:
-    UNCERTAIN = [{
-        "path": "E10000 Server/Operating System",
-        "field": "mtbf_hours",
-        "distribution": {"type": "uniform", "low": 1e5, "high": 5e5},
-    }]
-
-    def test_same_seed_draws_the_same_variants(self):
-        spec = model_to_spec(e10000_model())
-        a = uncertainty_workload(spec, self.UNCERTAIN, samples=4, seed=7)
-        b = uncertainty_workload(spec, self.UNCERTAIN, samples=4, seed=7)
-        assert a.digest == b.digest
-        assert a.specs == b.specs
-        c = uncertainty_workload(spec, self.UNCERTAIN, samples=4, seed=8)
-        assert c.digest != a.digest
-
-    def test_variants_actually_vary_the_field(self):
-        spec = model_to_spec(e10000_model())
-        workload = uncertainty_workload(
-            spec, self.UNCERTAIN, samples=4, seed=7
-        )
-        assert workload.total == 4
-        assert len({str(variant) for variant in workload.specs}) == 4
-
-    def test_aggregate_uses_the_jobs_formulas(self):
-        workload = UncertaintyWorkload([SPEC, SPEC, SPEC], model_name="m")
-        availabilities = [0.9, 0.95, 0.99]
-        payload = workload.aggregate(
-            [{"availability": a} for a in availabilities]
-        )
-        arr = np.asarray(availabilities)
-        downtimes = (1.0 - arr) * MINUTES_PER_YEAR
-        assert payload["samples"] == 3
-        assert payload["mean_availability"] == float(arr.mean())
-        assert payload["std_availability"] == float(arr.std(ddof=1))
-        assert payload["downtime_p50"] == float(
-            np.percentile(downtimes, 50.0)
-        )
-
-    def test_guards(self):
-        spec = model_to_spec(e10000_model())
-        with pytest.raises(SpecError, match="at least 2 samples"):
-            uncertainty_workload(spec, self.UNCERTAIN, samples=1)
-        with pytest.raises(SpecError, match="uncertain"):
-            uncertainty_workload(spec, [], samples=4)
-        with pytest.raises(SpecError, match="missing"):
-            uncertainty_workload(
-                spec, [{"path": "x", "field": "y"}], samples=4
-            )

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro import compute_measures, translate
@@ -10,7 +11,12 @@ from repro.analysis import (
     propagate_uncertainty,
     sweep_block_field,
 )
-from repro.engine import Engine, SolveCache
+from repro.engine import (
+    Engine,
+    SolveCache,
+    draw_variants,
+    model_digest,
+)
 from repro.errors import SolverError
 from repro.library import (
     ClusterParameters,
@@ -171,6 +177,20 @@ class TestUncertainty:
         assert serial.availability_samples == parallel.availability_samples
         assert serial.mean_availability == parallel.mean_availability
 
+    def test_seed_names_one_variant_population(self):
+        model = workgroup_model()
+        uncertain = [
+            UncertainField(
+                OS, "mtbf_hours", Lognormal.from_mean_cv(30_000.0, 0.5)
+            )
+        ]
+        a = draw_variants(model, uncertain, 4, seed=7)
+        b = draw_variants(model, uncertain, 4, seed=7)
+        c = draw_variants(model, uncertain, 4, seed=8)
+        assert [model_digest(v) for v in a] == [model_digest(v) for v in b]
+        assert len({model_digest(v) for v in a}) == 4
+        assert model_digest(a[0]) != model_digest(c[0])
+
     def test_wrapper_routes_through_engine(self):
         engine = Engine()
         model = workgroup_model()
@@ -211,6 +231,23 @@ class TestSimulation:
         assert serial.mean == parallel.mean
         assert serial.low == parallel.low
         assert serial.high == parallel.high
+
+    def test_replication_ranges_share_one_seed_stream(self):
+        """Chunked ranges draw what one uninterrupted run draws."""
+        solution = translate(workgroup_model())
+        engine = Engine(jobs=1)
+        chunked = (
+            engine.replication_samples(solution, 4_000.0, 21, 0, 4)
+            + engine.replication_samples(solution, 4_000.0, 21, 4, 10)
+        )
+        whole = Engine(jobs=2).replication_samples(
+            solution, 4_000.0, 21, 0, 10
+        )
+        assert chunked == whole
+        result = engine.simulate_system(
+            solution, horizon=4_000.0, replications=10, seed=21
+        )
+        assert result.mean == float(np.mean(whole))
 
     def test_simulator_jobs_parameter_routes_through_engine(self):
         solution = translate(workgroup_model())

@@ -7,9 +7,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine import run_batch, seeded_tasks
+from repro import translate
+from repro.engine import run_batch, task_seed
+from repro.engine.engine import replication_tasks
 from repro.engine.stats import StatsCollector
 from repro.errors import EngineError
+from repro.library import workgroup_model
 
 
 def _square(value):
@@ -88,7 +91,7 @@ class TestParallel:
         )
 
     def test_seeded_tasks_are_jobs_invariant(self):
-        tasks = seeded_tasks([(0.0, 1.0)] * 16, base_seed=123)
+        tasks = [(0.0, 1.0, task_seed(123, index)) for index in range(16)]
         serial = run_batch(_draw, tasks, jobs=1)
         parallel = run_batch(_draw, tasks, jobs=4)
         assert serial == parallel
@@ -157,10 +160,17 @@ class TestTimeout:
 
 
 class TestSeededTasks:
+    """The seeded task lists the engine hands the executor."""
+
     def test_appends_one_seed_per_task(self):
-        tasks = seeded_tasks([("a",), ("b",)], base_seed=9)
-        assert [task[0] for task in tasks] == ["a", "b"]
-        assert tasks[0][1] != tasks[1][1]
+        solution = translate(workgroup_model())
+        tasks = replication_tasks(solution, 100.0, 9, 0, 2)
+        assert [task[-1] for task in tasks] == [
+            task_seed(9, 0), task_seed(9, 1)
+        ]
+        assert tasks[0][-1] != tasks[1][-1]
 
     def test_none_base_keeps_tasks_unseeded(self):
-        assert seeded_tasks([("a",)], base_seed=None) == [("a", None)]
+        solution = translate(workgroup_model())
+        tasks = replication_tasks(solution, 100.0, None, 0, 1)
+        assert tasks[0][-1] is None

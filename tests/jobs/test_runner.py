@@ -285,3 +285,66 @@ class TestPlans:
 
         with pytest.raises(SpecError, match="params.field"):
             plan_job(spec, model, engine)
+
+
+class TestMalformedParams:
+    """Unparseable numbers are the submitter's fault: permanent."""
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("uncertainty", {"samples": "many"}),
+            ("validate", {"replications": "forty"}),
+            ("validate", {"horizon": "long"}),
+            ("calibration", {"chunk_events": "x"}),
+            ("calibration", {"window_hours": "week"}),
+            ("calibration", {"confidence": "high"}),
+        ],
+    )
+    def test_bad_number_raises_spec_error(self, harness, kind, params):
+        from repro.errors import SpecError
+        from repro.jobs.retry import classify
+
+        base = {
+            "uncertainty": {
+                "uncertain": [{
+                    "path": "E10000 Server/Operating System",
+                    "field": "mtbf_hours",
+                    "distribution": {
+                        "type": "uniform", "low": 1e5, "high": 5e5,
+                    },
+                }],
+            },
+            "validate": {},
+            "calibration": {
+                "source": {"kind": "synthetic", "seed": 3},
+            },
+        }[kind]
+        spec = JobSpec(
+            kind=kind,
+            spec=model_to_spec(e10000_model()),
+            params={**base, **params},
+        )
+        _, _, engine = harness
+        with pytest.raises(SpecError, match=next(iter(params))) as info:
+            plan_job(spec, e10000_model(), engine)
+        assert classify(info.value) == "permanent"
+
+
+class TestStageTiming:
+    def test_pool_chunks_are_not_timed_twice(self, tmp_path):
+        """``stage_seconds["jobs"]`` is wall time, not summed chunks."""
+        import time
+
+        store = JobStore(tmp_path / "jobs.sqlite3")
+        checkpointer = Checkpointer(tmp_path / "checkpoints")
+        engine = Engine(jobs=2, cache=False)
+        record, _ = store.submit(sweep_spec(count=8))
+        leased = store.lease("w1")
+        start = time.perf_counter()
+        outcome = execute_job(
+            leased, store, engine, checkpointer, checkpoint_every=2
+        )
+        wall = time.perf_counter() - start
+        assert outcome == "succeeded"
+        assert engine.stats_snapshot().stage_seconds["jobs"] <= wall
