@@ -5,7 +5,8 @@ these states are all generated automatically in RAScad" and "if
 N-K > 1, states TF1, AR1, PF1 and Latent1 will be repeated in the
 model."  This benchmark sweeps the redundancy depth, reports the state
 and transition counts plus generation/solve time, and asserts the
-linear growth the repetition rule implies.
+linear growth the repetition rule implies — in states, and in
+generation time (doubling the depth may grow it at most 2.8x).
 """
 
 import time
@@ -14,10 +15,11 @@ import pytest
 
 from repro import BlockParameters, GlobalParameters, generate_block_chain
 from repro.markov import steady_state_availability
+from tests.markov.test_linear_time import MAX_DOUBLING_RATIO, best_seconds
 
 from ._report import emit, emit_table
 
-DEPTHS = [1, 2, 4, 8, 16, 32]
+DEPTHS = [1, 2, 4, 8, 16, 32, 64, 128, 256]
 
 
 def parameters(n, k):
@@ -46,9 +48,14 @@ def bench_e7_state_space_scaling(benchmark):
 
     chains = benchmark(generate_all)
 
+    generate_s = best_seconds([
+        lambda depth=depth: generate_block_chain(parameters(depth + 1, 1), g)
+        for depth in DEPTHS
+    ])
+
     rows = []
     counts = []
-    for depth in DEPTHS:
+    for depth, generation in zip(DEPTHS, generate_s):
         chain = chains[depth]
         start = time.perf_counter()
         availability = steady_state_availability(chain)
@@ -57,13 +64,15 @@ def bench_e7_state_space_scaling(benchmark):
         rows.append([
             depth + 1, 1, depth, chain.n_states,
             len(chain.transitions()),
+            f"{generation * 1e3:.2f}",
             f"{solve_ms:.2f}",
             f"{availability:.8f}",
         ])
 
     emit_table(
         "E7 (Section 4): generated state space vs redundancy depth N-K",
-        ["N", "K", "depth", "states", "arcs", "solve ms", "availability"],
+        ["N", "K", "depth", "states", "arcs", "generate ms", "solve ms",
+         "availability"],
         rows,
     )
 
@@ -75,6 +84,12 @@ def bench_e7_state_space_scaling(benchmark):
     emit("", f"states per additional redundancy level: {per_level}")
     assert len(set(per_level)) == 1, "growth must be exactly linear"
     assert counts[-1] < 8 * (DEPTHS[-1] + 2), "bounded by 7 states/level"
+
+    # Linear-time generation: the last doubling of the depth.
+    ratio = generate_s[-1] / generate_s[-2]
+    emit("", f"generation time x{ratio:.2f} from depth {DEPTHS[-2]} to "
+         f"{DEPTHS[-1]} (bound x{MAX_DOUBLING_RATIO})")
+    assert ratio <= MAX_DOUBLING_RATIO, "generation must scale linearly"
 
 
 def test_e7_wide_k_sweep():

@@ -17,7 +17,7 @@ annotated inline below.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Dict, List, Optional, Set
 
 from ..errors import ModelError
 from ..markov.chain import MarkovChain
@@ -391,15 +391,18 @@ def generate_redundant_chain(
 def _prune_unreachable(chain: MarkovChain, start: str) -> MarkovChain:
     """Drop states unreachable from ``start`` (defensive; generation
     above only creates reachable states for sane parameters)."""
+    arcs = chain.transitions()
+    successors: Dict[str, List[str]] = {}
+    for transition in arcs:
+        successors.setdefault(transition.source, []).append(transition.target)
     reachable: Set[str] = {start}
     frontier = [start]
-    arcs = chain.transitions()
     while frontier:
         node = frontier.pop()
-        for transition in arcs:
-            if transition.source == node and transition.target not in reachable:
-                reachable.add(transition.target)
-                frontier.append(transition.target)
+        for target in successors.get(node, ()):
+            if target not in reachable:
+                reachable.add(target)
+                frontier.append(target)
     if len(reachable) == chain.n_states:
         return chain
     pruned = MarkovChain(chain.name)

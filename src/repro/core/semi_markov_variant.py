@@ -23,6 +23,8 @@ only for mission-time measures.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import attrgetter
 from typing import Mapping, Optional
 
 from ..errors import ModelError
@@ -80,17 +82,14 @@ def semi_markov_variant(
     process = SemiMarkovProcess(name or f"{chain.name}#smp-variant")
     for state in chain:
         process.add_state(state.name, reward=state.reward, meta=state.meta)
-    for state in chain:
-        exit_rate = chain.exit_rate(state.name)
-        if exit_rate == 0.0:
-            continue
-        kind = str(state.meta.get("kind", ""))
+    exit_rates = chain.exit_rates()
+    for source, arcs in groupby(chain.transitions(), key=attrgetter("source")):
+        exit_rate = exit_rates[source]
+        kind = str(chain.state(source).meta.get("kind", ""))
         sojourn = _shaped_distribution(kind, 1.0 / exit_rate, repair_cv)
-        for transition in chain.transitions():
-            if transition.source != state.name:
-                continue
+        for transition in arcs:
             process.add_transition(
-                state.name,
+                source,
                 transition.target,
                 transition.rate / exit_rate,
                 sojourn,

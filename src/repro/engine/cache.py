@@ -23,7 +23,7 @@ import pickle
 from collections import OrderedDict
 from pathlib import Path
 from threading import Lock
-from typing import Iterator, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 from ..store import atomic_write_bytes
 
@@ -41,54 +41,88 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "rascad"
 
 
-class _LRU:
-    """A small thread-safe LRU mapping (digest -> object)."""
+def _unit_weight(value: object) -> int:
+    return 1
 
-    def __init__(self, max_entries: int) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
+
+def _state_weight(value: object) -> int:
+    """A block entry's weight: its chain's state count (at least 1)."""
+    return max(1, getattr(value, "n_states", 1))
+
+
+class _LRU:
+    """A small thread-safe LRU mapping (digest -> object).
+
+    Entries are evicted, least recently used first, until their total
+    ``weigh(value)`` is within ``capacity`` — but the entry just
+    inserted is always kept, even when it alone exceeds the budget.
+    """
+
+    def __init__(
+        self,
+        capacity: int,
+        weigh: Callable[[object], int] = _unit_weight,
+    ) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self._weigh = weigh
         self._lock = Lock()
-        self._entries: "OrderedDict[str, object]" = OrderedDict()
+        self._entries: "OrderedDict[str, Tuple[object, int]]" = OrderedDict()
+        self._weight = 0
 
     def get(self, key: str) -> Optional[object]:
         with self._lock:
             try:
-                value = self._entries.pop(key)
+                entry = self._entries.pop(key)
             except KeyError:
                 return None
-            self._entries[key] = value  # re-insert as most recent
-            return value
+            self._entries[key] = entry  # re-insert as most recent
+            return entry[0]
 
     def put(self, key: str, value: object) -> None:
+        weight = self._weigh(value)
         with self._lock:
-            self._entries.pop(key, None)
-            self._entries[key] = value
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+            self._discard(key)
+            self._entries[key] = (value, weight)
+            self._weight += weight
+            while self._weight > self.capacity and len(self._entries) > 1:
+                _key, (_value, evicted) = self._entries.popitem(last=False)
+                self._weight -= evicted
 
     def pop(self, key: str) -> None:
         with self._lock:
-            self._entries.pop(key, None)
+            self._discard(key)
+
+    def _discard(self, key: str) -> None:
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self._weight -= entry[1]
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._weight = 0
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    def keys(self) -> Iterator[str]:
+    @property
+    def weight(self) -> int:
         with self._lock:
-            return iter(list(self._entries))
+            return self._weight
 
 
 class SolveCache:
     """Block- and system-level solve cache with optional persistence.
 
     Args:
-        max_block_entries: LRU capacity for per-block chain solves.
+        max_block_states: Memory budget for per-block chain solves, in
+            total chain states.  A cached solve's size grows with its
+            chain, so counting states (not entries) bounds memory; least
+            recently used solves beyond it are dropped from memory but
+            stay readable from ``cache_dir``.
         max_system_entries: LRU capacity for whole-model solutions
             (solutions hold full chain hierarchies, so keep this small).
         cache_dir: Directory for the persistent block layer; ``None``
@@ -97,11 +131,11 @@ class SolveCache:
 
     def __init__(
         self,
-        max_block_entries: int = 4096,
+        max_block_states: int = 65536,
         max_system_entries: int = 64,
         cache_dir: Optional[Union[str, Path]] = None,
     ) -> None:
-        self._blocks = _LRU(max_block_entries)
+        self._blocks = _LRU(max_block_states, weigh=_state_weight)
         self._systems = _LRU(max_system_entries)
         self.cache_dir = (
             Path(cache_dir).expanduser() if cache_dir is not None else None
@@ -172,6 +206,11 @@ class SolveCache:
     @property
     def block_entries(self) -> int:
         return len(self._blocks)
+
+    @property
+    def block_states(self) -> int:
+        """Total chain states held by the in-memory block layer."""
+        return self._blocks.weight
 
     @property
     def system_entries(self) -> int:

@@ -71,6 +71,7 @@ class MarkovChain:
         self.name = name
         self._states: Dict[str, State] = {}
         self._order: List[str] = []
+        self._index: Dict[str, int] = {}
         self._rates: Dict[Tuple[str, str], float] = {}
         self._labels: Dict[Tuple[str, str], str] = {}
 
@@ -90,6 +91,7 @@ class MarkovChain:
             raise ModelError(f"state {name!r} has negative reward {reward}")
         state = State(name=name, reward=reward, meta=dict(meta or {}))
         self._states[name] = state
+        self._index[name] = len(self._order)
         self._order.append(name)
         return state
 
@@ -106,9 +108,11 @@ class MarkovChain:
         self, source: str, target: str, rate: float, label: str = ""
     ) -> None:
         """Add a rate transition; parallel arcs accumulate."""
-        if source not in self._states:
+        source_state = self._states.get(source)
+        if source_state is None:
             raise ModelError(f"unknown source state {source!r}")
-        if target not in self._states:
+        target_state = self._states.get(target)
+        if target_state is None:
             raise ModelError(f"unknown target state {target!r}")
         if source == target:
             raise ModelError(f"self-loop on {source!r} is meaningless in a CTMC")
@@ -118,7 +122,9 @@ class MarkovChain:
             )
         if rate == 0:
             return
-        key = (source, target)
+        # Keys reuse the chain's own name strings, so a generator that
+        # formats a fresh name per arc does not keep a copy per arc.
+        key = (source_state.name, target_state.name)
         self._rates[key] = self._rates.get(key, 0.0) + rate
         if label:
             existing = self._labels.get(key)
@@ -151,17 +157,18 @@ class MarkovChain:
 
     def index(self, name: str) -> int:
         try:
-            return self._order.index(name)
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise ModelError(
                 f"chain {self.name!r} has no state {name!r}"
             ) from None
 
     def transitions(self) -> List[Transition]:
         """All transitions in deterministic (source, target) order."""
+        index = self._index
         ordered = sorted(
             self._rates.items(),
-            key=lambda item: (self.index(item[0][0]), self.index(item[0][1])),
+            key=lambda item: (index[item[0][0]], index[item[0][1]]),
         )
         return [
             Transition(src, dst, rate, self._labels.get((src, dst), ""))
@@ -172,11 +179,27 @@ class MarkovChain:
         """Rate of the arc ``source -> target`` (0.0 when absent)."""
         return self._rates.get((source, target), 0.0)
 
+    @property
+    def n_transitions(self) -> int:
+        """Number of distinct ``(source, target)`` arcs."""
+        return len(self._rates)
+
     def exit_rate(self, name: str) -> float:
         """Total outgoing rate of a state."""
         return sum(
             rate for (src, _dst), rate in self._rates.items() if src == name
         )
+
+    def exit_rates(self) -> Dict[str, float]:
+        """Every state's :meth:`exit_rate`, from one pass over the arcs.
+
+        Each sum runs over the state's arcs in insertion order, exactly
+        as :meth:`exit_rate` does, so the values are bit-identical.
+        """
+        outgoing: Dict[str, List[float]] = {name: [] for name in self._order}
+        for (src, _dst), rate in self._rates.items():
+            outgoing[src].append(rate)
+        return {name: sum(rates) for name, rates in outgoing.items()}
 
     def up_states(self) -> List[str]:
         return [name for name in self._order if self._states[name].is_up]
@@ -233,7 +256,7 @@ class MarkovChain:
 
     def absorbing_states(self) -> List[str]:
         return [
-            name for name in self._order if self.exit_rate(name) == 0.0
+            name for name, rate in self.exit_rates().items() if rate == 0.0
         ]
 
     def is_irreducible(self) -> bool:
@@ -280,6 +303,18 @@ class MarkovChain:
         for (src, dst), rate in self._rates.items():
             clone.add_transition(src, dst, rate * factor)
         return clone
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The name -> position index is derived from ``_order``; leaving
+        # it out keeps pickles (and the engine's disk cache entries) in
+        # the layout older versions wrote and read.
+        state = dict(self.__dict__)
+        state.pop("_index", None)
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._index = {name: i for i, name in enumerate(self._order)}
 
     def __repr__(self) -> str:
         return (

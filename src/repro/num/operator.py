@@ -122,8 +122,7 @@ class GeneratorOperator:
                 "expected one of ['auto', 'dense', 'sparse']"
             )
         if representation == "auto":
-            transitions = chain.transitions()
-            representation = _auto_representation(n, len(transitions) + n)
+            representation = _auto_representation(n, chain.n_transitions + n)
         if representation == "dense":
             operator = cls(chain.generator_matrix())
         else:

@@ -8,6 +8,8 @@ semi-Markov form (GMB's semi-Markov chains map directly onto it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Dict, Iterator, List, Mapping, Optional
 
 import numpy as np
@@ -95,16 +97,17 @@ class SemiMarkovProcess:
         process = cls(f"{chain.name}#smp")
         for state in chain:
             process.add_state(state.name, reward=state.reward, meta=state.meta)
-        for state in chain:
-            exit_rate = chain.exit_rate(state.name)
-            if exit_rate == 0.0:
-                continue
+        # Sorted transitions arrive grouped by source; a state without
+        # arcs is absorbing and gets no kernel entries.
+        exit_rates = chain.exit_rates()
+        for source, arcs in groupby(
+            chain.transitions(), key=attrgetter("source")
+        ):
+            exit_rate = exit_rates[source]
             sojourn = Exponential(exit_rate)
-            for transition in chain.transitions():
-                if transition.source != state.name:
-                    continue
+            for transition in arcs:
                 process.add_transition(
-                    state.name,
+                    source,
                     transition.target,
                     transition.rate / exit_rate,
                     sojourn,

@@ -1,11 +1,19 @@
 """Solve-cache behaviour: LRU order, persistence, invalidation."""
 
 import pickle
+from dataclasses import dataclass
 
 import pytest
 
 from repro.engine import SolveCache
 from repro.engine.cache import CACHE_FORMAT_VERSION
+
+
+@dataclass(frozen=True)
+class Sized:
+    """A stand-in block solve: only its ``n_states`` matters here."""
+
+    n_states: int
 
 
 class TestMemoryLayer:
@@ -18,7 +26,7 @@ class TestMemoryLayer:
         assert value == {"x": 1} and layer == "memory"
 
     def test_lru_evicts_least_recently_used(self):
-        cache = SolveCache(max_block_entries=2)
+        cache = SolveCache(max_block_states=2)
         cache.put_block("a", 1)
         cache.put_block("b", 2)
         assert cache.get_block("a")[0] == 1  # refresh "a"
@@ -27,6 +35,58 @@ class TestMemoryLayer:
         assert cache.get_block("a")[0] == 1
         assert cache.get_block("c")[0] == 3
         assert cache.block_entries == 2
+
+    def test_eviction_is_by_chain_states(self):
+        cache = SolveCache(max_block_states=300)
+        cache.put_block("a", Sized(208))
+        cache.put_block("b", Sized(208))
+        assert cache.get_block("a") == (None, "miss")
+        assert cache.get_block("b")[0] == Sized(208)
+        assert cache.block_entries == 1
+        assert cache.block_states == 208
+
+    def test_light_entries_fill_the_budget(self):
+        cache = SolveCache(max_block_states=300)
+        cache.put_block("big", Sized(208))
+        for i in range(92):
+            cache.put_block(f"small{i}", Sized(i % 2))  # 0 weighs 1, too
+        assert cache.block_states == 300
+        assert cache.get_block("big")[0] == Sized(208)
+        cache.put_block("one-more", 1)  # no n_states: weighs 1
+        assert cache.get_block("small0") == (None, "miss")
+        assert cache.block_states == 300
+
+    def test_entry_heavier_than_the_budget_is_kept(self):
+        cache = SolveCache(max_block_states=100)
+        cache.put_block("small", Sized(50))
+        cache.put_block("huge", Sized(208))
+        assert cache.get_block("huge")[0] == Sized(208)
+        assert cache.get_block("small") == (None, "miss")
+        assert cache.block_states == 208
+
+    def test_evicted_entry_is_served_from_disk(self, tmp_path):
+        cache = SolveCache(max_block_states=300, cache_dir=tmp_path)
+        cache.put_block("a", Sized(208))
+        cache.put_block("b", Sized(208))
+        assert cache.get_block("a") == (Sized(208), "disk")
+
+    def test_weight_total_stays_exact(self):
+        cache = SolveCache(max_block_states=1000)
+        cache.put_block("a", Sized(208))
+        cache.put_block("a", Sized(100))  # re-put replaces the weight
+        assert cache.block_states == 100
+        cache.put_block("b", Sized(30))
+        cache.invalidate("a")
+        assert cache.block_states == 30
+        cache.invalidate("missing")
+        assert cache.block_states == 30
+        cache.invalidate("b")
+        assert cache.block_states == 0 and cache.block_entries == 0
+        cache.put_block("c", Sized(7))
+        cache.clear()
+        assert cache.block_states == 0 and cache.block_entries == 0
+        cache.put_block("d", Sized(5))
+        assert cache.block_states == 5
 
     def test_system_namespace_is_separate(self):
         cache = SolveCache()

@@ -1,8 +1,11 @@
 """Tests for the MarkovChain data structure."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.core import BlockParameters, GlobalParameters, generate_block_chain
 from repro.errors import ModelError
 from repro.markov import MarkovChain
 
@@ -199,3 +202,82 @@ class TestDerivedChains:
         np.testing.assert_allclose(
             chain.initial_distribution("C"), [0, 0, 1]
         )
+
+
+def transparent_spf_chain() -> MarkovChain:
+    """A generated chain with parallel arcs (``Ok -> SPF1`` twice)."""
+    parameters = BlockParameters(
+        name="unit",
+        quantity=4,
+        min_required=1,
+        mtbf_hours=20_000.0,
+        transient_fit=50_000.0,
+        p_latent_fault=0.05,
+        p_spf=0.02,
+        p_correct_diagnosis=0.95,
+        recovery="transparent",
+        repair="transparent",
+    )
+    return generate_block_chain(parameters, GlobalParameters())
+
+
+class TestIndexedInspection:
+    """The dict-backed lookups answer exactly as the scans they replace."""
+
+    def test_parallel_arcs_are_present(self):
+        chain = transparent_spf_chain()
+        (arc,) = [
+            t for t in chain.transitions()
+            if (t.source, t.target) == ("Ok", "SPF1")
+        ]
+        assert " + " in arc.label
+
+    def test_exit_rates_match_the_per_state_scan_bit_for_bit(self):
+        chain = transparent_spf_chain()
+        exit_rates = chain.exit_rates()
+        assert list(exit_rates) == chain.state_names
+        for name in chain.state_names:
+            scan = sum(
+                r for (s, _), r in chain._rates.items() if s == name
+            )
+            assert chain.exit_rate(name).hex() == float(scan).hex()
+            assert float(exit_rates[name]).hex() == float(scan).hex()
+
+    def test_index_matches_list_position(self):
+        chain = transparent_spf_chain()
+        names = chain.state_names
+        assert [chain.index(name) for name in names] == list(range(len(names)))
+        with pytest.raises(ModelError, match="no state"):
+            chain.index("PF999")
+
+    def test_transitions_sorted_by_state_positions(self):
+        chain = transparent_spf_chain()
+        names = chain.state_names
+        expected = sorted(
+            chain._rates,
+            key=lambda key: (names.index(key[0]), names.index(key[1])),
+        )
+        assert [(t.source, t.target) for t in chain.transitions()] == expected
+        assert chain.n_transitions == len(expected)
+
+    def test_arc_keys_share_the_state_name_strings(self):
+        chain = transparent_spf_chain()
+        for source, target in chain._rates:
+            assert source is chain.state(source).name
+            assert target is chain.state(target).name
+
+    def test_pickle_round_trip_keeps_the_index(self):
+        chain = transparent_spf_chain()
+        restored = pickle.loads(pickle.dumps(chain))
+        assert "_index" not in chain.__getstate__()
+        assert restored.index("PF2") == chain.index("PF2")
+        assert restored.transitions() == chain.transitions()
+
+    def test_pickle_without_index_still_loads(self):
+        # Disk-cache entries written before the index existed carry only
+        # the public fields; unpickling must rebuild the index.
+        chain = make_triangle()
+        legacy = {k: v for k, v in vars(chain).items() if k != "_index"}
+        restored = MarkovChain.__new__(MarkovChain)
+        restored.__setstate__(legacy)
+        assert restored.index("C") == 2
