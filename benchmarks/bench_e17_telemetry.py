@@ -8,7 +8,9 @@ them operationally:
   idempotent-replay rate (a full duplicate pass must be cheap and
   change nothing).
 * **Merge scaling** — the same trace split into per-unit shards and
-  merged back must cost little and land on the single-pass digest.
+  merged back must land on the single-pass digest, and folding the
+  shards may cost at most twice the batched ingest of the whole trace
+  (merges copy resting entries, not objects).
 * **Checkpoint-resume identity** — a ``kind="calibration"`` job is
   preempted mid-ingest and resumed by a fresh engine; the resumed
   proposal digest and state digest must equal the uninterrupted
@@ -46,6 +48,10 @@ RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_e17_telemetry.json"
 
 BOOT_DISK = "E10000 Server/Boot Disk"
 SEED = 3
+
+#: Largest allowed ratio of merging the per-unit shards to ingesting
+#: the whole trace in one batch.
+MAX_MERGE_TO_INGEST = 2.0
 
 
 def trace(quick):
@@ -150,6 +156,11 @@ def main():
         merged = merged.merge(estimator)
     merge_seconds = time.perf_counter() - start
     assert merged.state_digest() == single.state_digest()
+    assert merge_seconds <= MAX_MERGE_TO_INGEST * batched_seconds, (
+        f"merging {len(shard_estimators)} shards took "
+        f"{merge_seconds:.4f} s, over {MAX_MERGE_TO_INGEST}x the "
+        f"{batched_seconds:.4f} s batched ingest"
+    )
 
     with tempfile.TemporaryDirectory(prefix="bench-e17-") as tmp:
         reference, resumed, killed_after, resume_seconds = (
@@ -179,6 +190,9 @@ def main():
         "merge": {
             "shards": len(shard_estimators),
             "merge_seconds": round(merge_seconds, 4),
+            "merge_to_batched_ingest": round(
+                merge_seconds / batched_seconds, 2
+            ),
             "digest_matches_single_pass": True,  # asserted above
         },
         "resume": {

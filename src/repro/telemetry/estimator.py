@@ -12,6 +12,15 @@ and maintains, entirely in integers on the tick grid:
 * the set of accepted event ids, so replays dedup instead of
   double-counting.
 
+**Resting form.**  A unit the stream has not touched since the last
+:meth:`RateEstimator.state_digest` (or :meth:`RateEstimator.rest`)
+is held as its canonical JSON entry, ``"unit":{...}``: exactly the
+bytes ``canonical_json(to_dict())`` holds for it.  An event decodes
+only its own unit, the digest re-encodes only the units touched since
+the last one and hashes the resting entries in canonical order, and a
+merge copies entries instead of objects — so a batch costs work in
+proportion to the units it touches, not to the state ingested so far.
+
 **Merge discipline.**  Exactly like the obs histograms: two estimator
 states merge iff their configuration (observation start, window
 ladder) matches, by summing integer accumulators — associative and
@@ -31,11 +40,12 @@ chi-square (Garwood) bound from the *shared* implementation in
 
 from __future__ import annotations
 
-import copy
+import hashlib
+import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from ..ident import content_digest
+from ..ident import canonical_json, content_digest
 from ..validation.intervals import poisson_rate_interval
 from .events import (
     TICKS_PER_HOUR,
@@ -109,6 +119,25 @@ class UnitState:
             },
             seen=set(payload["seen"]),  # type: ignore[arg-type]
         )
+
+
+#: A unit in the estimator: live, or at rest as its canonical entry.
+_Unit = Union[UnitState, bytes]
+
+
+def _entry_key(unit: str) -> bytes:
+    """The ``"unit":`` prefix of a unit's resting entry."""
+    return canonical_json(unit) + b":"
+
+
+def _decode(unit: str, entry: bytes) -> UnitState:
+    """A resting entry's unit state, decoded."""
+    return UnitState.from_dict(json.loads(entry[len(_entry_key(unit)):]))
+
+
+def _peek(unit: str, value: _Unit) -> UnitState:
+    """A unit's state for reading: live as is, resting decoded anew."""
+    return _decode(unit, value) if isinstance(value, bytes) else value
 
 
 @dataclass(frozen=True)
@@ -198,7 +227,15 @@ class RateEstimator:
             raise TelemetryError(
                 f"drift window quantizes to zero ticks: {window_hours}"
             )
-        self._units: Dict[str, Dict[str, UnitState]] = {}
+        self._reset()
+
+    def _reset(self) -> None:
+        #: part -> unit -> live state or resting entry.
+        self._units: Dict[str, Dict[str, _Unit]] = {}
+        #: ``(part, unit)`` keys of the live units.
+        self._live: Set[Tuple[str, str]] = set()
+        #: Accepted events; ``None`` until counted after a load.
+        self._events: Optional[int] = 0
 
     # ------------------------------------------------------------------
     # introspection
@@ -225,22 +262,32 @@ class RateEstimator:
 
     @property
     def events_total(self) -> int:
-        return sum(
-            len(state.seen)
-            for units in self._units.values()
-            for state in units.values()
-        )
+        if self._events is None:
+            self._events = sum(
+                len(_peek(unit, value).seen)
+                for units in self._units.values()
+                for unit, value in units.items()
+            )
+        return self._events
 
     def unit_state(self, part: str, unit: str) -> Optional[UnitState]:
-        return self._units.get(part, {}).get(unit)
+        """One unit's live state, woken from rest if needed (it stays
+        live until the next :meth:`rest`)."""
+        units = self._units.get(part)
+        value = units.get(unit) if units is not None else None
+        if isinstance(value, bytes):
+            value = units[unit] = _decode(unit, value)  # type: ignore
+            self._live.add((part, unit))
+        return value
 
     def part_windows(self, part: str) -> List[Tuple[int, int, int]]:
         """Sorted ``(window_index, up_ticks, failures)`` rows for one
         part, summed over its units — the drift detector's input."""
         up: Dict[int, int] = {}
         failures: Dict[int, int] = {}
-        for unit in sorted(self._units.get(part, {})):
-            state = self._units[part][unit]
+        units = self._units.get(part, {})
+        for unit in sorted(units):
+            state = _peek(unit, units[unit])
             for index, ticks in state.window_up_ticks.items():
                 up[index] = up.get(index, 0) + ticks
             for index, count in state.window_failures.items():
@@ -256,7 +303,8 @@ class RateEstimator:
         first: Optional[int] = None
         last: Optional[int] = None
         for units in self._units.values():
-            for state in units.values():
+            for unit, value in units.items():
+                state = _peek(unit, value)
                 if first is None or state.first_tick < first:
                     first = state.first_tick
                 if last is None or state.last_tick > last:
@@ -279,8 +327,7 @@ class RateEstimator:
         unit's last accepted tick that is *not* a replay of an already
         accepted event.
         """
-        units = self._units.get(event.part)
-        state = units.get(event.unit) if units is not None else None
+        state = self.unit_state(event.part, event.unit)
         if state is None:
             state = UnitState(
                 first_tick=event.ticks,
@@ -308,6 +355,7 @@ class RateEstimator:
             )
         if created:
             self._units.setdefault(event.part, {})[event.unit] = state
+            self._live.add((event.part, event.unit))
         self._accumulate(state, event.ticks)
         if event.kind == "failure":
             state.failures += 1
@@ -325,6 +373,8 @@ class RateEstimator:
         if event.ticks < state.first_tick:  # pragma: no cover - guarded
             state.first_tick = event.ticks
         state.seen.add(event_id)
+        if self._events is not None:
+            self._events += 1
         return True
 
     def ingest_many(
@@ -370,7 +420,8 @@ class RateEstimator:
         ladder) — like histogram bucket ladders — and *disjoint units*:
         one unit's monotonic stream must live wholly in one shard.
         Associative and commutative: everything is integer addition
-        over disjoint keys.
+        over disjoint keys.  Both inputs are put to rest first, so the
+        merge copies resting entries, not objects.
         """
         if not isinstance(other, RateEstimator):
             raise ValueError(
@@ -385,40 +436,55 @@ class RateEstimator:
                 f"start {self.start_tick} vs {other.start_tick} ticks, "
                 f"window {self.window_ticks} vs {other.window_ticks} ticks"
             )
+        self.rest()
+        other.rest()
         merged = RateEstimator(
             start_hours=self.start_hours, window_hours=self.window_hours
         )
-        merged._units = copy.deepcopy(self._units)
+        merged._units = {
+            part: dict(units) for part, units in self._units.items()
+        }
         for part, units in other._units.items():
             target = merged._units.setdefault(part, {})
-            for unit, state in units.items():
+            for unit in units:
                 if unit in target:
                     raise ValueError(
                         f"unit {part!r}/{unit!r} is present in both "
                         "estimators; shard event streams by unit"
                     )
-                target[unit] = copy.deepcopy(state)
+            target.update(units)
+        if self._events is None or other._events is None:
+            merged._events = None
+        else:
+            merged._events = self._events + other._events
         return merged
 
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
+    def config(self) -> Dict[str, object]:
+        """The state's configuration: everything but the units."""
         return {
             "format": STATE_FORMAT,
             "start_tick": self.start_tick,
             "window_ticks": self.window_ticks,
+        }
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            **self.config(),
             "units": {
                 part: {
-                    unit: state.to_dict()
-                    for unit, state in sorted(units.items())
+                    unit: _peek(unit, value).to_dict()
+                    for unit, value in sorted(units.items())
                 }
                 for part, units in sorted(self._units.items())
             },
         }
 
     @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "RateEstimator":
+    def _configured(cls, payload: object) -> "RateEstimator":
+        """An empty estimator with a state document's configuration."""
         if not isinstance(payload, dict):
             raise TelemetryError("estimator state must be a JSON object")
         if payload.get("format") != STATE_FORMAT:
@@ -429,18 +495,72 @@ class RateEstimator:
         estimator = cls.__new__(cls)
         estimator.start_tick = int(payload["start_tick"])
         estimator.window_ticks = int(payload["window_ticks"])
-        estimator._units = {
-            part: {
-                unit: UnitState.from_dict(state)
-                for unit, state in units.items()
-            }
-            for part, units in payload["units"].items()  # type: ignore
-        }
+        estimator._reset()
         return estimator
 
+    @classmethod
+    def from_dict(cls, payload: Dict[str, object]) -> "RateEstimator":
+        estimator = cls._configured(payload)
+        for part, units in payload["units"].items():  # type: ignore
+            target = estimator._units.setdefault(part, {})
+            for unit, state in units.items():
+                live = target[unit] = UnitState.from_dict(state)
+                estimator._live.add((part, unit))
+                estimator._events += len(live.seen)  # type: ignore
+        return estimator
+
+    @classmethod
+    def from_rows(
+        cls, config: object, rows: Iterable[Tuple[str, str, str]]
+    ) -> "RateEstimator":
+        """An estimator resting as :meth:`config` plus per-unit
+        ``(part, unit, state)`` rows, as :meth:`rest` returned them."""
+        estimator = cls._configured(config)
+        for part, unit, state in rows:
+            estimator._units.setdefault(part, {})[unit] = (
+                _entry_key(unit) + state.encode("utf-8")
+            )
+        estimator._events = None
+        return estimator
+
+    def rest(self) -> List[Tuple[str, str, bytes]]:
+        """Put every live unit back to rest.
+
+        Returns the re-encoded units as sorted ``(part, unit, state)``
+        rows, ``state`` being ``canonical_json`` of the unit's
+        ``to_dict()``.
+        """
+        rows = []
+        for part, unit in sorted(self._live):
+            units = self._units[part]
+            state = canonical_json(units[unit].to_dict())  # type: ignore
+            units[unit] = _entry_key(unit) + state
+            rows.append((part, unit, state))
+        self._live.clear()
+        return rows
+
     def state_digest(self) -> str:
-        """Content digest of the full state (canonical JSON)."""
-        return content_digest(self.to_dict())
+        """Content digest of the full state (canonical JSON).
+
+        Equal to the content digest of :meth:`to_dict`, by
+        construction: the resting entries are hashed in canonical
+        order between the document's own keys, with parts and units
+        in ``str`` order as ``sort_keys`` has them.
+        """
+        self.rest()
+        sha = hashlib.sha256(
+            b'{"format":%s,"start_tick":%s,"units":{'
+            % (canonical_json(STATE_FORMAT), canonical_json(self.start_tick))
+        )
+        separator = b""
+        for part in sorted(self._units):
+            units = self._units[part]
+            sha.update(separator + canonical_json(part) + b":{")
+            sha.update(b",".join([units[u] for u in sorted(units)]))
+            sha.update(b"}")
+            separator = b","
+        sha.update(b'},"window_ticks":%s}' % canonical_json(self.window_ticks))
+        return sha.hexdigest()
 
     # ------------------------------------------------------------------
     # fitting
@@ -468,7 +588,7 @@ class RateEstimator:
             up_ticks = down_ticks = 0
             units = self._units[part]
             for unit in sorted(units):
-                state = units[unit]
+                state = _peek(unit, units[unit])
                 failures += state.failures
                 repairs += state.repairs
                 latent += state.latent_detects

@@ -7,11 +7,16 @@ but not yet folded into state — beyond it ingest answers
 :class:`~repro.telemetry.events.BacklogFullError`, the service's 429),
 validates whole batches *before* applying them (a 400 rejects the
 batch atomically — no half-ingested payloads), persists state through
-:class:`repro.store.SqliteStore` (one ``telemetry.sqlite3`` holding
-the estimator state and the latest proposal as JSON documents,
-written transactionally), and keeps the latest calibration proposal.
+:class:`repro.store.SqliteStore`, and keeps the latest calibration
+proposal.  One ``telemetry.sqlite3`` holds each unit's estimator state
+as a ``telemetry_units`` row (its canonical JSON, the estimator's
+resting form) plus the estimator configuration and the latest
+proposal as ``telemetry_kv`` documents; a batch upserts only the rows
+of the units it touched, with the configuration, in one transaction.
 Directories written by earlier releases (``state.json`` /
-``proposal.json``) are read as a fallback when the database is empty.
+``proposal.json``) are read as a fallback when the database is empty,
+and a version-1 database's whole-state ``state`` document is split
+into rows by the version-2 migration.
 
 Batch validation + per-event dedup give the ingest path its replay
 idempotency: re-POSTing a delivered batch reports every event as a
@@ -21,9 +26,10 @@ duplicate and changes nothing, bit-for-bit.
 from __future__ import annotations
 
 import json
+import sqlite3
 import threading
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..core.block import DiagramBlockModel
 from ..engine import Engine
@@ -55,8 +61,66 @@ PROPOSAL_FILENAME = "proposal.json"
 #: Database file name inside the hub's state directory.
 TELEMETRY_DB_FILENAME = "telemetry.sqlite3"
 
-#: The telemetry schema: one key/value table of JSON documents
-#: (``state``, ``proposal``), versioned via ``PRAGMA user_version``.
+#: What a stored state that cannot be decoded raises.
+_UNREADABLE = (
+    ValueError, KeyError, TypeError, AttributeError, TelemetryError
+)
+
+_UPSERT_UNIT = (
+    "INSERT INTO telemetry_units (part, unit, state) VALUES (?, ?, ?) "
+    "ON CONFLICT (part, unit) DO UPDATE SET state = excluded.state"
+)
+_UPSERT_KV = (
+    "INSERT INTO telemetry_kv (key, value) VALUES (?, ?) "
+    "ON CONFLICT (key) DO UPDATE SET value = excluded.value"
+)
+
+
+def _write_state(
+    conn: sqlite3.Connection,
+    config: Dict[str, object],
+    rows: Iterable[Tuple[str, str, bytes]],
+) -> None:
+    """Upsert unit rows and the estimator configuration."""
+    conn.executemany(
+        _UPSERT_UNIT,
+        [(part, unit, state.decode("utf-8")) for part, unit, state in rows],
+    )
+    conn.execute(_UPSERT_KV, ("config", json.dumps(config, sort_keys=True)))
+
+
+def _split_state_document(conn: sqlite3.Connection) -> None:
+    """Migration 2: per-unit rows, importing a v1 ``state`` document."""
+    conn.execute(
+        """
+        CREATE TABLE IF NOT EXISTS telemetry_units (
+            part  TEXT,
+            unit  TEXT,
+            state TEXT NOT NULL,
+            PRIMARY KEY (part, unit)
+        )
+        """
+    )
+    row = conn.execute(
+        "SELECT value FROM telemetry_kv WHERE key = 'state'"
+    ).fetchone()
+    if row is None:
+        return
+    conn.execute("DELETE FROM telemetry_kv WHERE key = 'state'")
+    try:
+        estimator = RateEstimator.from_dict(json.loads(row[0]))
+    except _UNREADABLE:
+        get_logger("telemetry").warning(
+            "discarding unreadable telemetry state during migration"
+        )
+        return
+    _write_state(conn, estimator.config(), estimator.rest())
+
+
+#: The telemetry schema, versioned via ``PRAGMA user_version``: v1 is a
+#: key/value table of JSON documents (``state``, ``proposal``); v2
+#: moves the estimator state into one row per unit and keeps its
+#: configuration under the ``config`` key.
 TELEMETRY_SCHEMA = Schema(
     "telemetry",
     [
@@ -69,7 +133,12 @@ TELEMETRY_SCHEMA = Schema(
                 value TEXT NOT NULL
             )
             """,
-        )
+        ),
+        Migration(
+            2,
+            "per-unit estimator rows; import the v1 state document",
+            _split_state_document,
+        ),
     ],
 )
 
@@ -110,6 +179,8 @@ class TelemetryHub:
         self._duplicates = 0
         self._rejected = 0
         self._proposals = 0
+        #: Rows put to rest but not yet committed (a failed save).
+        self._unsaved: Dict[Tuple[str, str], bytes] = {}
         self._estimator = self._load_state(window_hours, start_hours)
         self._proposal = self._load_proposal()
 
@@ -132,9 +203,7 @@ class TelemetryHub:
     def _kv_set(self, key: str, payload: Dict[str, object]) -> None:
         with self.db.transaction() as conn:
             conn.execute(
-                "INSERT INTO telemetry_kv (key, value) VALUES (?, ?) "
-                "ON CONFLICT (key) DO UPDATE SET value = excluded.value",
-                (key, json.dumps(payload, sort_keys=True)),
+                _UPSERT_KV, (key, json.dumps(payload, sort_keys=True))
             )
 
     def _legacy_document(
@@ -155,17 +224,25 @@ class TelemetryHub:
     def _load_state(
         self, window_hours: float, start_hours: float
     ) -> RateEstimator:
-        payload = self._kv_get("state")
-        if payload is None:
-            payload = self._legacy_document(STATE_FILENAME)
-        if payload is not None:
-            try:
-                return RateEstimator.from_dict(payload)
-            except (ValueError, KeyError, TelemetryError):
-                get_logger("telemetry").warning(
-                    "discarding unreadable telemetry state",
-                    extra={"path": str(self.db.path)},
-                )
+        config = self._kv_get("config")
+        try:
+            if config is not None:
+                with self.db.connection() as conn:
+                    rows = conn.execute(
+                        "SELECT part, unit, state FROM telemetry_units"
+                    ).fetchall()
+                return RateEstimator.from_rows(config, rows)
+            legacy = self._legacy_document(STATE_FILENAME)
+            if legacy is not None:
+                estimator = RateEstimator.from_dict(legacy)
+                with self.db.transaction() as conn:  # imported once
+                    _write_state(conn, estimator.config(), estimator.rest())
+                return estimator
+        except _UNREADABLE:
+            get_logger("telemetry").warning(
+                "discarding unreadable telemetry state",
+                extra={"path": str(self.db.path)},
+            )
         return RateEstimator(
             start_hours=start_hours, window_hours=window_hours
         )
@@ -177,8 +254,18 @@ class TelemetryHub:
         return payload
 
     def save(self) -> None:
-        """Persist estimator state transactionally."""
-        self._kv_set("state", self._estimator.to_dict())
+        """Persist the units touched since the last save, with the
+        estimator configuration, in one transaction."""
+        for part, unit, state in self._estimator.rest():
+            self._unsaved[(part, unit)] = state
+        with self.db.transaction() as conn:
+            _write_state(
+                conn,
+                self._estimator.config(),
+                [(part, unit, state)
+                 for (part, unit), state in self._unsaved.items()],
+            )
+        self._unsaved.clear()
 
     # ------------------------------------------------------------------
     # ingest
@@ -235,6 +322,14 @@ class TelemetryHub:
                     self._batches += 1
                     self._duplicates += duplicates
                     self.save()
+                    result = {
+                        "accepted": accepted,
+                        "duplicates": duplicates,
+                        "events_total": self._estimator.events_total,
+                        "parts": self._estimator.parts,
+                        "units": self._estimator.units,
+                        "state_digest": self._estimator.state_digest(),
+                    }
                 span.set_attr("accepted", accepted)
                 span.set_attr("duplicates", duplicates)
         finally:
@@ -250,20 +345,9 @@ class TelemetryHub:
                 self.stats.increment(
                     "telemetry_events_duplicate", duplicates
                 )
-            self.stats.set_gauge(
-                "telemetry_parts", self._estimator.parts
-            )
-            self.stats.set_gauge(
-                "telemetry_units", self._estimator.units
-            )
-        return {
-            "accepted": accepted,
-            "duplicates": duplicates,
-            "events_total": self._estimator.events_total,
-            "parts": self._estimator.parts,
-            "units": self._estimator.units,
-            "state_digest": self._estimator.state_digest(),
-        }
+            self.stats.set_gauge("telemetry_parts", result["parts"])
+            self.stats.set_gauge("telemetry_units", result["units"])
+        return result
 
     def _validate_batch(self, events: List[FieldEvent]) -> None:
         """Dry-run per-unit monotonicity so application cannot fail."""
@@ -300,6 +384,8 @@ class TelemetryHub:
     # ------------------------------------------------------------------
     @property
     def estimator(self) -> RateEstimator:
+        """The live estimator, for reading; ingest through the hub so
+        every batch is saved."""
         return self._estimator
 
     def counts(self) -> Dict[str, object]:

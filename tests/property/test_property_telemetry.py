@@ -5,11 +5,16 @@ fitted rates are a pure function of the event *set*, not of the order
 events arrive or the tree shape merges take.  These properties drive
 randomized per-unit event streams through permuted interleavings and
 arbitrary merge trees and require bit-identical state and fit digests.
+A last property runs random programs over the estimator's API, so
+units move between live objects and resting bytes in every order, and
+checks each observation against ``content_digest(to_dict())`` of an
+estimator that only ever ingested.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ident import content_digest
 from repro.telemetry import FieldEvent, RateEstimator
 
 PARTS = ("Sys/Disk", "Sys/CPU", "Sys/PSU")
@@ -149,3 +154,70 @@ class TestOverlapRefusal:
         twin = ingest(interleave(streams, 0))
         with pytest.raises(ValueError):
             estimator.merge(twin)
+
+
+#: Operations of a random estimator program.
+OPERATIONS = (
+    "ingest", "ingest", "digest", "merge", "round_trip", "fit", "wake",
+    "replay", "events_total",
+)
+
+
+class TestRestingFormOracle:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        streams=unit_streams(max_units=6, max_events=5),
+        merged_units=st.integers(min_value=0, max_value=3),
+        program=st.lists(
+            st.tuples(
+                st.sampled_from(OPERATIONS),
+                st.integers(min_value=1, max_value=4),
+            ),
+            min_size=1,
+            max_size=14,
+        ),
+    )
+    def test_every_observation_matches_the_canonical_document(
+        self, streams, merged_units, program
+    ):
+        units = sorted(streams)
+        shards = [streams[u] for u in units[:merged_units]]
+        events = interleave(
+            {u: streams[u] for u in units[merged_units:]}, 0
+        )
+        estimator = RateEstimator(window_hours=168.0)
+        applied, last = [], []
+
+        def oracle():
+            reference = ingest(applied)
+            return reference, content_digest(reference.to_dict())
+
+        for operation, size in program + [("ingest", len(events))] + [
+            ("merge", 0)
+        ] * len(shards):
+            if operation == "ingest":
+                last = events[:size]
+                del events[:size]
+                estimator.ingest_many(last)
+                applied.extend(last)
+            elif operation == "replay":
+                assert estimator.ingest_many(last) == (0, len(last))
+            elif operation == "merge" and shards:
+                shard = shards.pop()
+                estimator = estimator.merge(ingest(shard))
+                applied.extend(shard)
+            elif operation == "round_trip":
+                estimator = RateEstimator.from_dict(estimator.to_dict())
+            elif operation == "wake" and applied:
+                event = applied[size % len(applied)]
+                assert estimator.unit_state(event.part, event.unit)
+            reference, expected = oracle()
+            if operation == "digest":
+                assert estimator.state_digest() == expected
+            elif operation == "fit":
+                assert estimator.fit().digest() == reference.fit().digest()
+            elif operation == "events_total":
+                assert estimator.events_total == len(applied)
+            assert content_digest(estimator.to_dict()) == expected
+        assert estimator.state_digest() == oracle()[1]
+        assert estimator.events_total == len(applied)

@@ -101,7 +101,13 @@ from repro.telemetry.hub import TelemetryHub
 hub = TelemetryHub(sys.argv[1] + "/telemetry")
 index = 0
 while True:
-    hub.save()
+    # Each batch saves its touched units' rows and the config.
+    hub.ingest([
+        {"part": part, "unit": f"u#{(index + k) % 7}",
+         "kind": ("failure", "repair")[index // 7 % 2],
+         "time_hours": float(index + 1)}
+        for k, part in enumerate(("Sys/Disk", "Sys/CPU", "Sys/PSU"))
+    ])
     if index == 0:
         print("ready", flush=True)
     index += 1
@@ -220,15 +226,30 @@ class TestCrashSafety:
     def test_telemetry_store_survives_sigkill(self, tmp_path):
         from repro.telemetry.hub import TELEMETRY_SCHEMA, TelemetryHub
 
+        from repro.telemetry import RateEstimator
+
         run_writer_and_kill(tmp_path, "telemetry")
-        hub = TelemetryHub(tmp_path / "telemetry")  # reload parses kv
+        hub = TelemetryHub(tmp_path / "telemetry")  # reload parses rows
         with hub.db.connection() as conn:
             rows = conn.execute(
-                "SELECT value FROM telemetry_kv"
+                "SELECT key, value FROM telemetry_kv"
             ).fetchall()
             assert rows, "at least the first save must survive"
-            for row in rows:
-                json.loads(row["value"])
+            documents = {
+                row["key"]: json.loads(row["value"]) for row in rows
+            }
+            units = conn.execute(
+                "SELECT part, unit, state FROM telemetry_units"
+            ).fetchall()
+        assert units, "at least the first batch's rows must survive"
+        state = dict(documents["config"], units={})
+        for row in units:
+            state["units"].setdefault(row["part"], {})[row["unit"]] = (
+                json.loads(row["state"])
+            )
+        expected = RateEstimator.from_dict(state)
+        assert hub.estimator.state_digest() == expected.state_digest()
+        assert hub.estimator.events_total == expected.events_total > 0
         assert hub.db.user_version() == TELEMETRY_SCHEMA.version
         hub.close()
         assert db_check(

@@ -4,7 +4,10 @@
 1. Render a deterministic field trace with ``rascad events replay``
    (Boot Disk at 1 % of its datasheet MTBF) and ingest it over HTTP
    into a live ``rascad serve`` — twice, asserting the replay is fully
-   deduplicated.
+   deduplicated.  Then SIGTERM the server and start a new one on the
+   same ``--cache-dir``: its ``state_digest`` must equal the one before
+   the restart and the in-process reference, and a third ingest must
+   again be fully deduplicated.
 2. Run an uninterrupted ``kind="calibration"`` job on a much longer
    trace as the reference, then SIGKILL a real ``rascad jobs worker``
    subprocess mid-ingest and resume it with a fresh worker: the
@@ -152,6 +155,19 @@ def crash_and_resume(base: Path, spec: dict, reference: dict) -> None:
     )
 
 
+def ingest_output(trace_path: Path, url: str) -> str:
+    """``rascad events ingest`` over HTTP; its stdout."""
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "repro", "events", "ingest",
+            str(trace_path), "--url", url, "--batch-size", "7",
+        ],
+        env=subprocess_env(), capture_output=True, text=True,
+    )
+    assert done.returncode == 0, (done.returncode, done.stderr)
+    return done.stdout
+
+
 def main() -> int:
     base = Path(tempfile.mkdtemp(prefix="rascad-telemetry-smoke-"))
     print(f"workdir: {base}")
@@ -181,14 +197,12 @@ def main() -> int:
 
     with Fleet(base) as fleet:
         try:
-            url = fleet.spawn_server(
-                "server",
-                [
-                    "serve", "--jobs", "1",
-                    "--cache-dir", str(base / "server-cache"),
-                    "--registry-db", str(registry_db),
-                ],
-            )
+            server_argv = [
+                "serve", "--jobs", "1",
+                "--cache-dir", str(base / "server-cache"),
+                "--registry-db", str(registry_db),
+            ]
+            url = fleet.spawn_server("server", server_argv)
 
             # 1. Replay a trace to a file, ingest it over HTTP, twice.
             trace_path = base / "trace.json"
@@ -210,6 +224,28 @@ def main() -> int:
             print(
                 f"HTTP ingest: {status_doc['events_total']} events, "
                 "replay fully deduplicated"
+            )
+
+            # 1b. Restart on the same cache dir: the state survives.
+            server = fleet.processes[-1][1]
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=30) == 0, server.returncode
+            url = fleet.spawn_server("server-restarted", server_argv)
+            restarted = get_json(f"{url}/v1/calibration")
+            assert restarted["state_digest"] == status_doc["state_digest"], (
+                restarted["state_digest"], status_doc["state_digest"]
+            )
+            assert restarted["state_digest"] == estimator.state_digest()
+            assert restarted["events_total"] == len(events), restarted
+            output = ingest_output(trace_path, url)
+            assert (
+                f"ingested 0 event(s) into {url} "
+                f"({len(events)} duplicate(s) skipped)"
+            ) in output, output
+            print(
+                "restart: state digest "
+                f"{restarted['state_digest'][:16]}... survives, "
+                "re-ingest fully deduplicated"
             )
 
             # 2. The crash test on the long trace.
