@@ -15,11 +15,15 @@ and maintains, entirely in integers on the tick grid:
 **Resting form.**  A unit the stream has not touched since the last
 :meth:`RateEstimator.state_digest` (or :meth:`RateEstimator.rest`)
 is held as its canonical JSON entry, ``"unit":{...}``: exactly the
-bytes ``canonical_json(to_dict())`` holds for it.  An event decodes
-only its own unit, the digest re-encodes only the units touched since
-the last one and hashes the resting entries in canonical order, and a
-merge copies entries instead of objects — so a batch costs work in
-proportion to the units it touches, not to the state ingested so far.
+bytes ``canonical_json(to_dict())`` holds for it, next to its scalar
+counters.  An accepted event decodes only its own unit, the digest
+re-encodes only the units touched since the last one and hashes the
+resting entries in canonical order, and a merge copies entries instead
+of objects — so a batch costs work in proportion to the units it
+touches, not to the state ingested so far.  The fit and the event
+window read the resting counters and decode nothing; the drift
+ladders (:meth:`RateEstimator.part_windows`) decode each unit of the
+part once per call.
 
 **Merge discipline.**  Exactly like the obs histograms: two estimator
 states merge iff their configuration (observation start, window
@@ -43,7 +47,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import (
+    Dict, Iterable, List, NamedTuple, Optional, Set, Tuple, Union,
+)
 
 from ..ident import canonical_json, content_digest
 from ..validation.intervals import poisson_rate_interval
@@ -121,23 +127,54 @@ class UnitState:
         )
 
 
-#: A unit in the estimator: live, or at rest as its canonical entry.
-_Unit = Union[UnitState, bytes]
-
-
 def _entry_key(unit: str) -> bytes:
     """The ``"unit":`` prefix of a unit's resting entry."""
     return canonical_json(unit) + b":"
 
 
-def _decode(unit: str, entry: bytes) -> UnitState:
-    """A resting entry's unit state, decoded."""
-    return UnitState.from_dict(json.loads(entry[len(_entry_key(unit)):]))
+class _Resting(NamedTuple):
+    """A unit at rest: its canonical entry plus the scalar counters the
+    fit and the event window read, so neither decodes the entry."""
+
+    entry: bytes
+    first_tick: int
+    last_tick: int
+    status: str
+    up_ticks: int
+    down_ticks: int
+    failures: int
+    repairs: int
+    latent_detects: int
+
+    @classmethod
+    def of(cls, unit: str, state: UnitState) -> "_Resting":
+        return cls(
+            _entry_key(unit) + canonical_json(state.to_dict()),
+            state.first_tick,
+            state.last_tick,
+            state.status,
+            state.up_ticks,
+            state.down_ticks,
+            state.failures,
+            state.repairs,
+            state.latent_detects,
+        )
+
+    def row(self, unit: str) -> bytes:
+        """The entry's value: ``canonical_json`` of the unit's
+        ``to_dict()``."""
+        return self.entry[len(_entry_key(unit)):]
+
+
+#: A unit in the estimator: live, or at rest.
+_Unit = Union[UnitState, _Resting]
 
 
 def _peek(unit: str, value: _Unit) -> UnitState:
     """A unit's state for reading: live as is, resting decoded anew."""
-    return _decode(unit, value) if isinstance(value, bytes) else value
+    if isinstance(value, _Resting):
+        return UnitState.from_dict(json.loads(value.row(unit)))
+    return value
 
 
 @dataclass(frozen=True)
@@ -230,12 +267,12 @@ class RateEstimator:
         self._reset()
 
     def _reset(self) -> None:
-        #: part -> unit -> live state or resting entry.
+        #: part -> unit -> live or resting state.
         self._units: Dict[str, Dict[str, _Unit]] = {}
         #: ``(part, unit)`` keys of the live units.
         self._live: Set[Tuple[str, str]] = set()
-        #: Accepted events; ``None`` until counted after a load.
-        self._events: Optional[int] = 0
+        #: Accepted events.
+        self._events = 0
 
     # ------------------------------------------------------------------
     # introspection
@@ -262,23 +299,22 @@ class RateEstimator:
 
     @property
     def events_total(self) -> int:
-        if self._events is None:
-            self._events = sum(
-                len(_peek(unit, value).seen)
-                for units in self._units.values()
-                for unit, value in units.items()
-            )
         return self._events
 
-    def unit_state(self, part: str, unit: str) -> Optional[UnitState]:
-        """One unit's live state, woken from rest if needed (it stays
-        live until the next :meth:`rest`)."""
+    def _value(self, part: str, unit: str) -> Optional[_Unit]:
         units = self._units.get(part)
-        value = units.get(unit) if units is not None else None
-        if isinstance(value, bytes):
-            value = units[unit] = _decode(unit, value)  # type: ignore
-            self._live.add((part, unit))
-        return value
+        return None if units is None else units.get(unit)
+
+    def unit_state(self, part: str, unit: str) -> Optional[UnitState]:
+        """One unit's state, for reading; a resting unit is decoded
+        anew and stays at rest."""
+        value = self._value(part, unit)
+        return None if value is None else _peek(unit, value)
+
+    def last_tick(self, part: str, unit: str) -> Optional[int]:
+        """One unit's last accepted tick, without decoding it."""
+        value = self._value(part, unit)
+        return None if value is None else value.last_tick
 
     def part_windows(self, part: str) -> List[Tuple[int, int, int]]:
         """Sorted ``(window_index, up_ticks, failures)`` rows for one
@@ -303,8 +339,7 @@ class RateEstimator:
         first: Optional[int] = None
         last: Optional[int] = None
         for units in self._units.values():
-            for unit, value in units.items():
-                state = _peek(unit, value)
+            for state in units.values():
                 if first is None or state.first_tick < first:
                     first = state.first_tick
                 if last is None or state.last_tick > last:
@@ -327,16 +362,43 @@ class RateEstimator:
         unit's last accepted tick that is *not* a replay of an already
         accepted event.
         """
-        state = self.unit_state(event.part, event.unit)
-        if state is None:
+        return self._apply(event, {})
+
+    def ingest_many(
+        self, events: Iterable[FieldEvent]
+    ) -> Tuple[int, int]:
+        """Apply events in order; ``(accepted, duplicates)``."""
+        accepted = duplicates = 0
+        peeked: Dict[Tuple[str, str], UnitState] = {}
+        for event in events:
+            if self._apply(event, peeked):
+                accepted += 1
+            else:
+                duplicates += 1
+        return accepted, duplicates
+
+    def _apply(
+        self,
+        event: FieldEvent,
+        peeked: Dict[Tuple[str, str], UnitState],
+    ) -> bool:
+        """:meth:`ingest`, decoding a resting unit at most once per
+        ``peeked``: a replay reads the unit and leaves it at rest, an
+        accepted event makes it live."""
+        key = (event.part, event.unit)
+        value = self._value(*key)
+        if value is None:
             state = UnitState(
                 first_tick=event.ticks,
                 last_tick=self.start_tick,
                 status=_UP,
             )
-            created = True
+        elif isinstance(value, _Resting):
+            state = peeked.get(key)  # type: ignore[assignment]
+            if state is None:
+                state = peeked[key] = _peek(event.unit, value)
         else:
-            created = False
+            state = value
         event_id = event.event_id
         if event.ticks <= state.last_tick:
             if event_id in state.seen:
@@ -353,9 +415,9 @@ class RateEstimator:
                     "last_hours": from_ticks(state.last_tick),
                 },
             )
-        if created:
+        if value is not state:  # new or resting: live from here on
             self._units.setdefault(event.part, {})[event.unit] = state
-            self._live.add((event.part, event.unit))
+            self._live.add(key)
         self._accumulate(state, event.ticks)
         if event.kind == "failure":
             state.failures += 1
@@ -373,21 +435,8 @@ class RateEstimator:
         if event.ticks < state.first_tick:  # pragma: no cover - guarded
             state.first_tick = event.ticks
         state.seen.add(event_id)
-        if self._events is not None:
-            self._events += 1
+        self._events += 1
         return True
-
-    def ingest_many(
-        self, events: Iterable[FieldEvent]
-    ) -> Tuple[int, int]:
-        """Apply events in order; ``(accepted, duplicates)``."""
-        accepted = duplicates = 0
-        for event in events:
-            if self.ingest(event):
-                accepted += 1
-            else:
-                duplicates += 1
-        return accepted, duplicates
 
     def _accumulate(self, state: UnitState, tick: int) -> None:
         """Charge the interval since the last event to the current
@@ -453,10 +502,7 @@ class RateEstimator:
                         "estimators; shard event streams by unit"
                     )
             target.update(units)
-        if self._events is None or other._events is None:
-            merged._events = None
-        else:
-            merged._events = self._events + other._events
+        merged._events = self._events + other._events
         return merged
 
     # ------------------------------------------------------------------
@@ -514,13 +560,22 @@ class RateEstimator:
         cls, config: object, rows: Iterable[Tuple[str, str, str]]
     ) -> "RateEstimator":
         """An estimator resting as :meth:`config` plus per-unit
-        ``(part, unit, state)`` rows, as :meth:`rest` returned them."""
+        ``(part, unit, state)`` rows, as :meth:`rest` returned them.
+
+        Every row is decoded once and put to rest re-encoded, so a row
+        that is not a unit state raises here (``ValueError``,
+        ``KeyError``, ``TypeError`` or ``AttributeError``) and the
+        digest hashes canonical bytes whatever the row's text.
+        """
         estimator = cls._configured(config)
         for part, unit, state in rows:
-            estimator._units.setdefault(part, {})[unit] = (
-                _entry_key(unit) + state.encode("utf-8")
+            if not isinstance(part, str) or not isinstance(unit, str):
+                raise TypeError(f"unit row key {part!r}/{unit!r}")
+            live = UnitState.from_dict(json.loads(state))
+            estimator._units.setdefault(part, {})[unit] = _Resting.of(
+                unit, live
             )
-        estimator._events = None
+            estimator._events += len(live.seen)
         return estimator
 
     def rest(self) -> List[Tuple[str, str, bytes]]:
@@ -533,9 +588,10 @@ class RateEstimator:
         rows = []
         for part, unit in sorted(self._live):
             units = self._units[part]
-            state = canonical_json(units[unit].to_dict())  # type: ignore
-            units[unit] = _entry_key(unit) + state
-            rows.append((part, unit, state))
+            resting = units[unit] = _Resting.of(
+                unit, units[unit]  # type: ignore[arg-type]
+            )
+            rows.append((part, unit, resting.row(unit)))
         self._live.clear()
         return rows
 
@@ -556,7 +612,9 @@ class RateEstimator:
         for part in sorted(self._units):
             units = self._units[part]
             sha.update(separator + canonical_json(part) + b":{")
-            sha.update(b",".join([units[u] for u in sorted(units)]))
+            sha.update(b",".join([
+                units[u].entry for u in sorted(units)  # type: ignore
+            ]))
             sha.update(b"}")
             separator = b","
         sha.update(b'},"window_ticks":%s}' % canonical_json(self.window_ticks))
@@ -588,7 +646,7 @@ class RateEstimator:
             up_ticks = down_ticks = 0
             units = self._units[part]
             for unit in sorted(units):
-                state = _peek(unit, units[unit])
+                state = units[unit]
                 failures += state.failures
                 repairs += state.repairs
                 latent += state.latent_detects

@@ -37,7 +37,7 @@ from ..obs import get_logger, get_tracer
 from ..store import Migration, Schema, SqliteStore
 from .calibrate import build_proposal, publish_proposal
 from .drift import DriftConfig
-from .estimator import RateEstimator
+from .estimator import RateEstimator, UnitState
 from .events import (
     BacklogFullError,
     FieldEvent,
@@ -243,6 +243,9 @@ class TelemetryHub:
                 "discarding unreadable telemetry state",
                 extra={"path": str(self.db.path)},
             )
+            with self.db.transaction() as conn:  # the fresh state's rows
+                conn.execute("DELETE FROM telemetry_units")
+                conn.execute("DELETE FROM telemetry_kv WHERE key = 'config'")
         return RateEstimator(
             start_hours=start_hours, window_hours=window_hours
         )
@@ -352,17 +355,18 @@ class TelemetryHub:
     def _validate_batch(self, events: List[FieldEvent]) -> None:
         """Dry-run per-unit monotonicity so application cannot fail."""
         cursors: Dict[tuple, int] = {}
+        states: Dict[tuple, Optional[UnitState]] = {}
         for event in events:
             key = (event.part, event.unit)
             if key not in cursors:
-                state = self._estimator.unit_state(event.part, event.unit)
+                last = self._estimator.last_tick(event.part, event.unit)
                 cursors[key] = (
-                    state.last_tick
-                    if state is not None
-                    else self._estimator.start_tick
+                    last if last is not None else self._estimator.start_tick
                 )
             if event.ticks <= cursors[key]:
-                state = self._estimator.unit_state(event.part, event.unit)
+                if key not in states:  # decoded only to check a replay
+                    states[key] = self._estimator.unit_state(*key)
+                state = states[key]
                 if state is not None and event.event_id in state.seen:
                     continue  # replay: skipped at apply time
                 raise OutOfOrderError(

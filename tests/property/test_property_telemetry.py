@@ -14,7 +14,7 @@ estimator that only ever ingested.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ident import content_digest
+from repro.ident import canonical_json, content_digest
 from repro.telemetry import FieldEvent, RateEstimator
 
 PARTS = ("Sys/Disk", "Sys/CPU", "Sys/PSU")
@@ -158,9 +158,20 @@ class TestOverlapRefusal:
 
 #: Operations of a random estimator program.
 OPERATIONS = (
-    "ingest", "ingest", "digest", "merge", "round_trip", "fit", "wake",
-    "replay", "events_total",
+    "ingest", "ingest", "digest", "merge", "round_trip", "reload", "fit",
+    "windows", "peek", "replay", "events_total",
 )
+
+
+def reload(estimator):
+    """The estimator rebuilt from per-unit rows, as a hub restart does."""
+    document = estimator.to_dict()
+    rows = [
+        (part, unit, canonical_json(state).decode("utf-8"))
+        for part, units in document["units"].items()
+        for unit, state in units.items()
+    ]
+    return RateEstimator.from_rows(estimator.config(), rows)
 
 
 class TestRestingFormOracle:
@@ -208,14 +219,24 @@ class TestRestingFormOracle:
                 applied.extend(shard)
             elif operation == "round_trip":
                 estimator = RateEstimator.from_dict(estimator.to_dict())
-            elif operation == "wake" and applied:
+            elif operation == "reload":
+                estimator = reload(estimator)
+            elif operation == "peek" and applied:
                 event = applied[size % len(applied)]
+                estimator.rest()
                 assert estimator.unit_state(event.part, event.unit)
+                assert estimator.rest() == []  # reading wakes nothing
             reference, expected = oracle()
             if operation == "digest":
                 assert estimator.state_digest() == expected
             elif operation == "fit":
                 assert estimator.fit().digest() == reference.fit().digest()
+            elif operation == "windows":
+                assert estimator.event_window() == reference.event_window()
+                for part in reference.part_names:
+                    assert estimator.part_windows(part) == (
+                        reference.part_windows(part)
+                    )
             elif operation == "events_total":
                 assert estimator.events_total == len(applied)
             assert content_digest(estimator.to_dict()) == expected

@@ -131,6 +131,65 @@ class TestRows:
         assert kv_keys(tmp_path) == {"config"}
 
 
+def rewrite_row(directory, part, unit, text):
+    with sqlite3.connect(directory / TELEMETRY_DB_FILENAME) as conn:
+        conn.execute(
+            "UPDATE telemetry_units SET state = ? "
+            "WHERE part = ? AND unit = ?",
+            (text, part, unit),
+        )
+
+
+class TestUnreadableRows:
+    @pytest.mark.parametrize("text", [
+        "{not json", "[]", "{}", '{"seen": 5}',
+    ])
+    def test_a_corrupted_row_discards_the_state_at_load(
+        self, tmp_path, text
+    ):
+        batches = trace_batches()
+        hub = TelemetryHub(tmp_path)
+        for batch in batches:
+            hub.ingest(batch)
+        hub.close()
+        part, unit, _ = unit_rows(tmp_path)[0]
+        rewrite_row(tmp_path, part, unit, text)
+
+        reopened = TelemetryHub(tmp_path)  # no error at load ...
+        empty = RateEstimator(window_hours=168.0)
+        assert reopened.estimator.units == 0
+        assert reopened.estimator.events_total == 0
+        assert reopened.summary()["state_digest"] == empty.state_digest()
+        # ... nor after: the feed starts over on a fresh state.
+        answer = reopened.ingest(batches[0])
+        assert answer["accepted"] == len(batches[0])
+        assert answer["state_digest"] == reference(batches[:1]).state_digest()
+        reopened.close()
+        # The discarded rows are gone, so a restart cannot revive them.
+        assert len(unit_rows(tmp_path)) == reference(batches[:1]).units
+        again = TelemetryHub(tmp_path)
+        assert again.estimator.state_digest() == answer["state_digest"]
+        again.close()
+
+    def test_a_non_canonical_row_digests_canonically(self, tmp_path):
+        batches = trace_batches()
+        hub = TelemetryHub(tmp_path)
+        for batch in batches:
+            hub.ingest(batch)
+        digest = hub.estimator.state_digest()
+        hub.close()
+        part, unit, state = unit_rows(tmp_path)[0]
+        payload = json.loads(state)
+        rewrite_row(tmp_path, part, unit, json.dumps(payload, indent=2))
+
+        reopened = TelemetryHub(tmp_path)
+        assert reopened.estimator.state_digest() == digest
+        assert reopened.estimator.state_digest() == content_digest(
+            reopened.estimator.to_dict()
+        )
+        reopened.close()
+
+
 class TestFailedSave:
     def test_rows_of_a_failed_save_go_out_with_the_next(
         self, tmp_path, monkeypatch

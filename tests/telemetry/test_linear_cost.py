@@ -15,8 +15,16 @@ import sqlite3
 import statistics
 import time
 
+import pytest
+
+from repro.engine import Engine
 from repro.library import e10000_model
-from repro.telemetry import TelemetryHub, synthetic_field_events
+from repro.telemetry import (
+    FieldEvent,
+    OutOfOrderError,
+    TelemetryHub,
+    synthetic_field_events,
+)
 from repro.telemetry.estimator import UnitState
 from repro.telemetry.hub import TELEMETRY_DB_FILENAME
 from repro.telemetry.source import reference_rates
@@ -68,9 +76,8 @@ def upserts(directory):
         return conn.execute("SELECT n FROM upserts").fetchone()[0]
 
 
-def test_batch_work_is_bounded_by_the_units_it_touches(
-    tmp_path, monkeypatch
-):
+def count_encodes(monkeypatch):
+    """Count ``UnitState.to_dict`` calls (one per unit encoded)."""
     encodes = [0]
     to_dict = UnitState.to_dict
 
@@ -79,6 +86,26 @@ def test_batch_work_is_bounded_by_the_units_it_touches(
         return to_dict(self)
 
     monkeypatch.setattr(UnitState, "to_dict", counted)
+    return encodes
+
+
+def count_decodes(monkeypatch):
+    """Count ``UnitState.from_dict`` calls (one per unit decoded)."""
+    decodes = [0]
+    from_dict = UnitState.from_dict
+
+    def counted(payload):
+        decodes[0] += 1
+        return from_dict(payload)
+
+    monkeypatch.setattr(UnitState, "from_dict", staticmethod(counted))
+    return decodes
+
+
+def test_batch_work_is_bounded_by_the_units_it_touches(
+    tmp_path, monkeypatch
+):
+    encodes = count_encodes(monkeypatch)
     hub = TelemetryHub(tmp_path)
     count_upserts(tmp_path)
     for index, batch in enumerate(fleet_batches(60)):
@@ -89,6 +116,47 @@ def test_batch_work_is_bounded_by_the_units_it_touches(
         assert encodes[0] <= touched, index
         assert upserts(tmp_path) - before <= touched, index
     assert hub.estimator.units > 5 * touched  # the state outgrew a batch
+    hub.close()
+
+
+def test_batches_that_change_nothing_write_nothing(tmp_path, monkeypatch):
+    batches = fleet_batches(22)
+    hub = TelemetryHub(tmp_path)
+    for batch in batches[:20]:
+        hub.ingest(batch)
+    count_upserts(tmp_path)
+    encodes = count_encodes(monkeypatch)
+
+    replay = hub.ingest(batches[5])  # a client retry: all duplicates
+    assert replay["accepted"] == 0
+    assert encodes[0] == 0
+    assert upserts(tmp_path) == 0
+
+    first = batches[0][0]
+    behind = FieldEvent(first["part"], first["unit"], "repair", 1e-3)
+    with pytest.raises(OutOfOrderError):  # a 400: the batch is rejected
+        hub.ingest(batches[20] + [behind.to_dict()])
+    hub.ingest(batches[21])
+    touched = {(event["part"], event["unit"]) for event in batches[21]}
+    assert encodes[0] <= len(touched)
+    assert upserts(tmp_path) <= len(touched)
+    hub.close()
+
+
+def test_reads_decode_each_resting_unit_at_most_once(
+    tmp_path, monkeypatch
+):
+    hub = TelemetryHub(tmp_path)
+    for batch in fleet_batches(60):
+        hub.ingest(batch)
+    units = hub.estimator.units
+    decodes = count_decodes(monkeypatch)
+    summary = hub.summary()  # GET /v1/calibration
+    assert summary["units"] == units
+    assert decodes[0] == 0
+    proposal = hub.propose(e10000_model(), Engine())
+    assert proposal["drift"]["drifted_parts"]
+    assert decodes[0] <= units
     hub.close()
 
 
