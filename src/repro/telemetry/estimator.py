@@ -21,9 +21,9 @@ re-encodes only the units touched since the last one and hashes the
 resting entries in canonical order, and a merge copies entries instead
 of objects — so a batch costs work in proportion to the units it
 touches, not to the state ingested so far.  The fit and the event
-window read the resting counters and decode nothing; the drift
-ladders (:meth:`RateEstimator.part_windows`) decode each unit of the
-part once per call.
+window read the resting counters, and the drift ladders are kept
+summed per part as events arrive, so no read decodes a unit — except
+the first drift read after a merge, which rebuilds the sums.
 
 **Merge discipline.**  Exactly like the obs histograms: two estimator
 states merge iff their configuration (observation start, window
@@ -271,6 +271,13 @@ class RateEstimator:
         self._units: Dict[str, Dict[str, _Unit]] = {}
         #: ``(part, unit)`` keys of the live units.
         self._live: Set[Tuple[str, str]] = set()
+        #: part -> (window -> up ticks, window -> failures), summed
+        #: over the part's units so :meth:`part_windows` decodes
+        #: nothing; ``None`` after a merge, until the first read
+        #: rebuilds it from the units.
+        self._ladders: Optional[
+            Dict[str, Tuple[Dict[int, int], Dict[int, int]]]
+        ] = {}
         #: Accepted events.
         self._events = 0
 
@@ -319,15 +326,15 @@ class RateEstimator:
     def part_windows(self, part: str) -> List[Tuple[int, int, int]]:
         """Sorted ``(window_index, up_ticks, failures)`` rows for one
         part, summed over its units — the drift detector's input."""
-        up: Dict[int, int] = {}
-        failures: Dict[int, int] = {}
-        units = self._units.get(part, {})
-        for unit in sorted(units):
-            state = _peek(unit, units[unit])
-            for index, ticks in state.window_up_ticks.items():
-                up[index] = up.get(index, 0) + ticks
-            for index, count in state.window_failures.items():
-                failures[index] = failures.get(index, 0) + count
+        if self._ladders is None:
+            self._ladders = {}
+            for name, units in self._units.items():
+                for unit, value in units.items():
+                    state = _peek(unit, value)
+                    self._add_ladders(
+                        name, state.window_up_ticks, state.window_failures
+                    )
+        up, failures = self._ladders.get(part, ({}, {}))
         return [
             (index, up.get(index, 0), failures.get(index, 0))
             for index in sorted(set(up) | set(failures))
@@ -418,13 +425,20 @@ class RateEstimator:
         if value is not state:  # new or resting: live from here on
             self._units.setdefault(event.part, {})[event.unit] = state
             self._live.add(key)
-        self._accumulate(state, event.ticks)
+        if self._ladders is None:  # rebuilt from the units when read
+            up_sums, failure_sums = {}, {}
+        else:
+            up_sums, failure_sums = self._ladders.setdefault(
+                event.part, ({}, {})
+            )
+        self._accumulate(state, event.ticks, up_sums)
         if event.kind == "failure":
             state.failures += 1
             window = event.ticks // self.window_ticks
             state.window_failures[window] = (
                 state.window_failures.get(window, 0) + 1
             )
+            failure_sums[window] = failure_sums.get(window, 0) + 1
             state.status = _DOWN
         elif event.kind == "repair":
             state.repairs += 1
@@ -438,9 +452,12 @@ class RateEstimator:
         self._events += 1
         return True
 
-    def _accumulate(self, state: UnitState, tick: int) -> None:
+    def _accumulate(
+        self, state: UnitState, tick: int, up_sums: Dict[int, int]
+    ) -> None:
         """Charge the interval since the last event to the current
-        status, splitting up-exposure across the window ladder."""
+        status, splitting up-exposure across the window ladder (the
+        unit's and its part's ``up_sums``)."""
         start, end = state.last_tick, tick
         if end <= start:
             return
@@ -456,6 +473,7 @@ class RateEstimator:
             state.window_up_ticks[window] = (
                 state.window_up_ticks.get(window, 0) + (stop - cursor)
             )
+            up_sums[window] = up_sums.get(window, 0) + (stop - cursor)
             cursor = stop
             window += 1
 
@@ -502,8 +520,21 @@ class RateEstimator:
                         "estimators; shard event streams by unit"
                     )
             target.update(units)
+        merged._ladders = None
         merged._events = self._events + other._events
         return merged
+
+    def _add_ladders(
+        self, part: str, up: Dict[int, int], failures: Dict[int, int]
+    ) -> None:
+        """Add window ladders to ``part``'s sums."""
+        up_sums, failure_sums = self._ladders.setdefault(  # type: ignore
+            part, ({}, {})
+        )
+        for index, ticks in up.items():
+            up_sums[index] = up_sums.get(index, 0) + ticks
+        for index, count in failures.items():
+            failure_sums[index] = failure_sums.get(index, 0) + count
 
     # ------------------------------------------------------------------
     # serialization
@@ -553,6 +584,9 @@ class RateEstimator:
                 live = target[unit] = UnitState.from_dict(state)
                 estimator._live.add((part, unit))
                 estimator._events += len(live.seen)  # type: ignore
+                estimator._add_ladders(
+                    part, live.window_up_ticks, live.window_failures
+                )
         return estimator
 
     @classmethod
@@ -576,6 +610,9 @@ class RateEstimator:
                 unit, live
             )
             estimator._events += len(live.seen)
+            estimator._add_ladders(
+                part, live.window_up_ticks, live.window_failures
+            )
         return estimator
 
     def rest(self) -> List[Tuple[str, str, bytes]]:

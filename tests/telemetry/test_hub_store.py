@@ -91,6 +91,12 @@ class TestRestart:
         assert reopened.estimator.state_digest() == digest
         assert reopened.estimator.fit().digest() == fit
         assert reopened.estimator.events_total == total
+        expected = reference(batches)
+        assert reopened.estimator.event_window() == expected.event_window()
+        for part in expected.part_names:
+            assert reopened.estimator.part_windows(part) == (
+                expected.part_windows(part)
+            )
         again = reopened.ingest(batches[-1])
         assert again["accepted"] == 0
         assert again["duplicates"] == len(batches[-1])
