@@ -19,11 +19,13 @@ repository root so the serving numbers travel with the code.
 import asyncio
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.core import translate
 from repro.library import e10000_model
 from repro.service import Server, ServiceConfig
+from repro.service.client import call
 
 from ._report import emit_table
 
@@ -33,33 +35,11 @@ CLIENTS = 8
 REQUESTS_PER_CLIENT = 16
 
 
-async def _request(host, port, method, path, payload=None):
-    """One request on a fresh connection; returns (status, json_body)."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        body = json.dumps(payload).encode() if payload is not None else b""
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: bench\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"\r\n"
-        ).encode()
-        writer.write(head + body)
-        await writer.drain()
-        raw = await reader.readuntil(b"\r\n\r\n")
-        status = int(raw.split(b" ", 2)[1])
-        length = 0
-        for line in raw.decode().split("\r\n")[1:]:
-            if line.lower().startswith("content-length:"):
-                length = int(line.split(":", 1)[1])
-        data = await reader.readexactly(length) if length else b""
-        return status, json.loads(data) if data else None
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+def _get(url):
+    """A ``GET`` that must answer 200; its JSON body."""
+    reply = call("GET", url, timeout=None)
+    assert reply.status == 200
+    return reply.json()
 
 
 def _variant(spec, client):
@@ -69,7 +49,7 @@ def _variant(spec, client):
     return changed
 
 
-async def _closed_loop(host, port, spec, client, latencies):
+def _closed_loop(url, spec, client, latencies):
     """One client: alternate identical and distinct specs, serially."""
     statuses = []
     for index in range(REQUESTS_PER_CLIENT):
@@ -79,13 +59,11 @@ async def _closed_loop(host, port, spec, client, latencies):
             else {"spec": _variant(spec, client)}
         )
         start = time.perf_counter()
-        status, body = await _request(
-            host, port, "POST", "/v1/solve", payload
-        )
+        reply = call("POST", f"{url}/v1/solve", payload, timeout=None)
         latencies.append(time.perf_counter() - start)
-        statuses.append(status)
-        if index % 2 == 0 and status == 200:
-            assert body["availability"] == EXPECTED_AVAILABILITY
+        statuses.append(reply.status)
+        if index % 2 == 0 and reply.status == 200:
+            assert reply.json()["availability"] == EXPECTED_AVAILABILITY
     return statuses
 
 
@@ -95,23 +73,34 @@ def _run_load():
             ServiceConfig(port=0, batch_window=0.005, max_queue=256)
         )
         host, port = await server.start()
+        url = f"http://{host}:{port}"
+        loop = asyncio.get_running_loop()
+        # One thread per closed-loop client: the default executor holds
+        # min(32, cpus + 4) threads, which would cap the load on small
+        # machines.
+        pool = ThreadPoolExecutor(max_workers=CLIENTS)
         try:
-            status, spec = await _request(
-                host, port, "GET", "/v1/library/e10000"
+            spec = await loop.run_in_executor(
+                pool, _get, f"{url}/v1/library/e10000"
             )
-            assert status == 200
             latencies = []
             start = time.perf_counter()
             statuses = await asyncio.gather(*(
-                _closed_loop(host, port, spec, client, latencies)
+                loop.run_in_executor(
+                    pool, _closed_loop, url, spec, client, latencies
+                )
                 for client in range(CLIENTS)
             ))
             wall = time.perf_counter() - start
-            status, metrics = await _request(host, port, "GET", "/metrics")
-            assert status == 200
+            metrics = await loop.run_in_executor(
+                pool, _get, f"{url}/metrics"
+            )
             return statuses, latencies, wall, metrics
         finally:
+            # Shut the server first, so a client thread still waiting on
+            # an answer sees its connection close instead of hanging.
             await server.shutdown()
+            pool.shutdown()
 
     return asyncio.run(go())
 

@@ -23,13 +23,14 @@ benchmarks/bench_e14_cluster.py --quick`` runs a reduced sweep for CI.
 import argparse
 import json
 import os
-import socket
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+from _smoke_common import free_port, subprocess_env  # noqa: E402
 
 from repro.cluster import (  # noqa: E402
     ClusterConfig,
@@ -61,12 +62,6 @@ def _values(points):
     return [start + step * i for i in range(points)]
 
 
-def _free_port():
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
 def _reference_digest(spec, values):
     """The single-process engine run's digest-stamped payload."""
     model = datacenter_model()
@@ -88,11 +83,10 @@ def _reference_digest(spec, values):
 
 def _start_workers(count):
     """``count`` pristine no-cache worker processes, ready to serve."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    env = subprocess_env()
     workers = []
     for _ in range(count):
-        port = _free_port()
+        port = free_port()
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",

@@ -21,19 +21,19 @@ iteration count for CI.
 
 import argparse
 import json
-import os
-import socket
 import statistics
 import subprocess
 import sys
 import time
-import urllib.request
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+from _smoke_common import free_port, subprocess_env  # noqa: E402
 
 from repro.cluster import wait_until_healthy  # noqa: E402
 from repro.library import e10000_model  # noqa: E402
+from repro.service.client import call  # noqa: E402
 from repro.spec import model_to_spec  # noqa: E402
 
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_e15_registry.json"
@@ -47,21 +47,13 @@ QUICK_ITERATIONS = 15
 REDUCTION_FLOOR = 0.90
 
 
-def _free_port():
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
 def _post(url, body):
     """POST pre-encoded ``body`` bytes; returns (elapsed_s, raw_reply)."""
-    request = urllib.request.Request(
-        url, data=body, headers={"Content-Type": "application/json"}
-    )
     start = time.perf_counter()
-    with urllib.request.urlopen(request, timeout=120) as response:
-        raw = response.read()
-    return time.perf_counter() - start, raw
+    reply = call("POST", url, data=body, timeout=120)
+    elapsed = time.perf_counter() - start
+    assert reply.status == 200, (reply.status, reply.body)
+    return elapsed, reply.body
 
 
 def _latency(url, body, iterations):
@@ -109,9 +101,7 @@ def main():
         len(solve_inline) - len(solve_ref)
     )
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    port = _free_port()
+    port = free_port()
     url = f"http://127.0.0.1:{port}"
     server = subprocess.Popen(
         [
@@ -119,7 +109,7 @@ def main():
             "--host", "127.0.0.1", "--port", str(port),
             "--no-cache",
         ],
-        env=env,
+        env=subprocess_env(),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.STDOUT,
     )

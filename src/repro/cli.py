@@ -1124,43 +1124,27 @@ def parse_spec_document(base, database):
     return parse_spec(dict(base), database=database)
 
 
-def _http_json(url: str, payload=None, timeout: float = 60.0):
-    """One JSON request/response against a running rascad server."""
-    import json
-    import urllib.error
-    import urllib.request
+def _http_json(url: str, path: str, payload=None):
+    """One JSON call to ``path`` on the rascad server at ``url``.
 
-    data = None
-    headers = {}
-    if payload is not None:
-        data = json.dumps(payload).encode("utf-8")
-        headers["Content-Type"] = "application/json"
-    request = urllib.request.Request(url, data=data, headers=headers)
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            body = response.read()
-            return response.status, json.loads(body or b"{}"), {}
-    except urllib.error.HTTPError as exc:
-        body = exc.read()
-        try:
-            document = json.loads(body)
-        except ValueError:
-            document = {
-                "error": {
-                    "code": "http_error",
-                    "message": body.decode("utf-8", errors="replace"),
-                }
-            }
-        return exc.code, document, dict(exc.headers or {})
+    Returns ``(status, document, headers)``; an unreachable server or
+    a non-JSON body raises :class:`ClientError`.
+    """
+    from .service.client import call
+
+    reply = call(
+        "GET" if payload is None else "POST", url.rstrip("/") + path, payload
+    )
+    return reply.status, reply.json(), reply.headers
 
 
-def _http_expect(url: str, payload=None, ok=(200, 201)):
+def _http_expect(url: str, path: str, payload=None):
     """A JSON call that turns error envelopes into CLI errors."""
-    status, document, _headers = _http_json(url, payload)
-    if status not in ok:
+    status, document, _headers = _http_json(url, path, payload)
+    if status not in (200, 201):
         error = document.get("error", {})
         raise RascadError(
-            f"{url} answered {status} "
+            f"{url.rstrip('/')}{path} answered {status} "
             f"{error.get('code', '?')}: {error.get('message', '')}"
         )
     return document
@@ -1203,17 +1187,24 @@ def _telemetry_hub_open(args: argparse.Namespace):
     )
 
 
+def _drift_overrides(args: argparse.Namespace) -> dict:
+    """The drift flags given on the command line, by config field."""
+    flags = {
+        "shift": "drift_shift",
+        "threshold": "drift_threshold",
+        "min_events": "min_events",
+    }
+    return {
+        field: getattr(args, flag)
+        for field, flag in flags.items()
+        if getattr(args, flag, None) is not None
+    }
+
+
 def _drift_config_from_args(args: argparse.Namespace, window_hours):
     from .telemetry import DriftConfig
 
-    changes = {"window_hours": window_hours}
-    if getattr(args, "drift_shift", None) is not None:
-        changes["shift"] = args.drift_shift
-    if getattr(args, "drift_threshold", None) is not None:
-        changes["threshold"] = args.drift_threshold
-    if getattr(args, "min_events", None) is not None:
-        changes["min_events"] = args.min_events
-    return DriftConfig(**changes)
+    return DriftConfig(window_hours=window_hours, **_drift_overrides(args))
 
 
 def _cmd_events_replay(args: argparse.Namespace) -> int:
@@ -1258,13 +1249,12 @@ def _post_events(url: str, events, batch_size: int):
     """POST events in batches, honouring 429 Retry-After backpressure."""
     import time as _time
 
-    endpoint = url.rstrip("/") + "/v1/events"
     accepted = duplicates = 0
     for lo in range(0, len(events), max(1, batch_size)):
         batch = events[lo:lo + max(1, batch_size)]
         for _attempt in range(10):
             status, document, headers = _http_json(
-                endpoint, {"events": batch}
+                url, "/v1/events", {"events": batch}
             )
             if status != 429:
                 break
@@ -1355,9 +1345,7 @@ def _print_calibration_summary(summary: dict) -> None:
 
 def _cmd_calibrate_status(args: argparse.Namespace) -> int:
     if args.url:
-        summary = _http_expect(
-            args.url.rstrip("/") + "/v1/calibration"
-        )
+        summary = _http_expect(args.url, "/v1/calibration")
     else:
         summary = _telemetry_hub_open(args).summary()
     import json
@@ -1397,13 +1385,7 @@ def _cmd_calibrate_run(args: argparse.Namespace) -> int:
         "chunk_events": args.chunk_events,
         "window_hours": args.window,
     }
-    drift: dict = {}
-    if args.drift_shift is not None:
-        drift["shift"] = args.drift_shift
-    if args.drift_threshold is not None:
-        drift["threshold"] = args.drift_threshold
-    if args.min_events is not None:
-        drift["min_events"] = args.min_events
+    drift = _drift_overrides(args)
     if drift:
         params["drift"] = drift
     job = JobSpec(kind="calibration", spec=spec_doc, params=params)
@@ -1426,17 +1408,11 @@ def _cmd_calibrate_propose(args: argparse.Namespace) -> int:
         payload: dict = {
             "spec": json.loads(Path(args.spec).read_text())
         }
-        drift: dict = {}
-        if args.drift_shift is not None:
-            drift["shift"] = args.drift_shift
-        if args.drift_threshold is not None:
-            drift["threshold"] = args.drift_threshold
-        if args.min_events is not None:
-            drift["min_events"] = args.min_events
+        drift = _drift_overrides(args)
         if drift:
             payload["drift"] = drift
         document = _http_expect(
-            args.url.rstrip("/") + "/v1/calibration/propose", payload
+            args.url, "/v1/calibration/propose", payload
         )
         proposal = document["proposal"]
     else:
@@ -1482,7 +1458,7 @@ def _cmd_calibrate_publish(args: argparse.Namespace) -> int:
         if args.threshold is not None:
             payload["threshold"] = args.threshold
         document = _http_expect(
-            args.url.rstrip("/") + "/v1/calibration/publish", payload
+            args.url, "/v1/calibration/publish", payload
         )
         version = document.get("version", {})
         verb = (

@@ -1,10 +1,9 @@
 """HTTP clients for the cluster: coordinator->worker and worker->coordinator.
 
 Workers are plain :mod:`repro.service` processes — the coordinator
-drives them with the same JSON API any user would, one short-lived
-``http.client`` connection per call (connections are cheap next to a
-shard's solve time, and per-call connections make worker death visible
-as an immediate socket error instead of a hung keep-alive).
+drives them with the same JSON API any user would, through
+:func:`repro.service.client.call` (one short-lived connection per
+call, so worker death shows as an immediate socket error).
 
 Failure classification mirrors the jobs retry policy: transport errors
 and 5xx/backpressure statuses are *retryable* (the shard re-queues and
@@ -15,15 +14,12 @@ fails the whole workload.
 
 from __future__ import annotations
 
-import http.client
-import json
-import socket
 import threading
 import time
-from typing import Dict, List, Mapping, Optional, Tuple
-from urllib.parse import urlsplit
+from typing import Dict, List, Mapping, Optional
 
 from ..obs import TRACE_PARENT_HEADER, get_logger
+from ..service.client import ClientError, call as http_call, server_address
 from .config import ClusterError
 from .membership import worker_id_for
 
@@ -45,80 +41,55 @@ class WorkerCallError(ClusterError):
         self.status = status
 
 
-def _split_base_url(url: str) -> Tuple[str, int]:
-    split = urlsplit(url if "//" in url else f"http://{url}")
-    if split.scheme not in ("", "http"):
-        raise ClusterError(
-            f"cluster URLs must be http://, got {url!r}"
-        )
-    if not split.hostname:
-        raise ClusterError(f"malformed cluster URL {url!r}")
-    return split.hostname, split.port or 80
-
-
-class _JsonHttpClient:
-    """Minimal JSON-over-HTTP: one connection per call, hard timeout."""
+class _Peer:
+    """A cluster peer's base URL and default timeout."""
 
     def __init__(self, url: str, timeout: float = 60.0) -> None:
+        server_address(url)  # fail fast on a URL no call could reach
         self.url = url
-        self.host, self.port = _split_base_url(url)
         self.timeout = timeout
 
-    def request(
+    def _call(
         self,
         method: str,
         path: str,
         payload: Optional[Mapping[str, object]] = None,
         headers: Optional[Mapping[str, str]] = None,
         timeout: Optional[float] = None,
-    ) -> Tuple[int, Dict[str, object]]:
-        """One call; returns ``(status, body)`` or raises
-        :class:`WorkerCallError` on transport problems."""
-        body = b""
-        send_headers = {"Content-Type": "application/json"}
-        if headers:
-            send_headers.update(headers)
-        if payload is not None:
-            body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=timeout or self.timeout
+    ) -> Dict[str, object]:
+        """One call that must answer 200; returns its JSON body.
+
+        No answer or an undecodable one raises a retryable
+        :class:`WorkerCallError`; another status raises one classified
+        by :data:`_RETRYABLE_STATUSES`.
+        """
+        try:
+            reply = http_call(
+                method, self.url.rstrip("/") + path, payload,
+                headers=headers, timeout=timeout or self.timeout,
+            )
+            body = reply.json()
+        except ClientError as exc:
+            raise WorkerCallError(str(exc), retryable=True) from exc
+        if not isinstance(body, dict):
+            body = {"body": body}
+        if reply.status == 200:
+            return body
+        error = body.get("error")
+        detail = error.get("message") if isinstance(error, Mapping) else body
+        raise WorkerCallError(
+            f"{self.url} answered {reply.status} on {path}: {detail}",
+            retryable=reply.status in _RETRYABLE_STATUSES,
+            status=reply.status,
         )
-        try:
-            connection.request(method, path, body=body, headers=send_headers)
-            response = connection.getresponse()
-            raw = response.read()
-        except (OSError, socket.timeout, http.client.HTTPException) as exc:
-            raise WorkerCallError(
-                f"{method} {self.url}{path} failed: "
-                f"{type(exc).__name__}: {exc}",
-                retryable=True,
-            ) from exc
-        finally:
-            connection.close()
-        try:
-            parsed = json.loads(raw) if raw else {}
-        except ValueError as exc:
-            raise WorkerCallError(
-                f"{method} {self.url}{path} returned undecodable JSON: "
-                f"{exc}",
-                retryable=True,
-                status=response.status,
-            ) from exc
-        if not isinstance(parsed, dict):
-            parsed = {"body": parsed}
-        return response.status, parsed
 
 
-class WorkerClient:
+class WorkerClient(_Peer):
     """The coordinator's handle on one worker process."""
 
     def __init__(self, url: str, timeout: float = 60.0) -> None:
+        super().__init__(url, timeout)
         self.worker_id = worker_id_for(url)
-        self._http = _JsonHttpClient(url, timeout=timeout)
-
-    @property
-    def url(self) -> str:
-        return self._http.url
 
     def call(
         self,
@@ -130,21 +101,7 @@ class WorkerClient:
         headers: Dict[str, str] = {}
         if trace_header:
             headers[TRACE_PARENT_HEADER] = trace_header
-        status, body = self._http.request(
-            "POST", path, payload=payload, headers=headers
-        )
-        if status == 200:
-            return body
-        error = body.get("error")
-        detail = (
-            error.get("message") if isinstance(error, Mapping) else body
-        )
-        raise WorkerCallError(
-            f"worker {self.worker_id} answered {status} on {path}: "
-            f"{detail}",
-            retryable=status in _RETRYABLE_STATUSES,
-            status=status,
-        )
+        return self._call("POST", path, payload, headers)
 
     def execute_shard(
         self,
@@ -162,67 +119,27 @@ class WorkerClient:
 
     def healthy(self) -> bool:
         try:
-            status, _ = self._http.request(
-                "GET", "/healthz", timeout=min(self._http.timeout, 5.0)
-            )
+            self._call("GET", "/healthz", timeout=min(self.timeout, 5.0))
         except WorkerCallError:
             return False
-        return status == 200
-
-    def metrics(self) -> Optional[Dict[str, object]]:
-        """The worker's ``/metrics`` document, or ``None`` if down."""
-        try:
-            status, body = self._http.request("GET", "/metrics")
-        except WorkerCallError:
-            return None
-        return body if status == 200 else None
+        return True
 
 
-class CoordinatorClient:
+class CoordinatorClient(_Peer):
     """What workers and the CLI use to talk *to* a coordinator."""
 
-    def __init__(self, url: str, timeout: float = 60.0) -> None:
-        self._http = _JsonHttpClient(url, timeout=timeout)
-
-    @property
-    def url(self) -> str:
-        return self._http.url
-
     def register_worker(self, worker_url: str) -> Dict[str, object]:
-        status, body = self._http.request(
-            "POST", "/v1/cluster/workers", payload={"url": worker_url}
+        return self._call(
+            "POST", "/v1/cluster/workers", {"url": worker_url}
         )
-        if status != 200:
-            raise ClusterError(
-                f"coordinator {self.url} refused registration "
-                f"({status}): {body}"
-            )
-        return body
 
     def status(self) -> Dict[str, object]:
-        status, body = self._http.request("GET", "/v1/cluster/status")
-        if status != 200:
-            raise ClusterError(
-                f"coordinator {self.url} answered {status} on "
-                f"/v1/cluster/status: {body}"
-            )
-        return body
+        return self._call("GET", "/v1/cluster/status")
 
     def sweep(
         self, payload: Mapping[str, object], timeout: Optional[float] = None
     ) -> Dict[str, object]:
-        status, body = self._http.request(
-            "POST", "/v1/sweep", payload=payload, timeout=timeout
-        )
-        if status != 200:
-            error = body.get("error")
-            detail = (
-                error.get("message") if isinstance(error, Mapping) else body
-            )
-            raise ClusterError(
-                f"cluster sweep failed ({status}): {detail}"
-            )
-        return body
+        return self._call("POST", "/v1/sweep", payload, timeout=timeout)
 
 
 class HeartbeatPusher:

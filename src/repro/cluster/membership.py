@@ -23,8 +23,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
-from urllib.parse import urlsplit
 
+from ..service.client import split_url
 from .config import ClusterError
 
 #: Liveness states a worker can be in.
@@ -34,7 +34,7 @@ DEAD = "dead"
 
 def worker_id_for(url: str) -> str:
     """The canonical worker id of a base URL (its host:port)."""
-    split = urlsplit(url if "//" in url else f"http://{url}")
+    split = split_url(url)
     if not split.netloc:
         raise ClusterError(f"malformed worker URL {url!r}")
     return split.netloc

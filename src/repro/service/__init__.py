@@ -14,9 +14,11 @@ the stdlib (asyncio HTTP/1.1) in front of the PR-1 evaluation engine:
   ``/v1/validate``, ``/v1/library``, ``/healthz``, ``/metrics``.
 * :mod:`.lifecycle` — graceful startup/shutdown, signal handling,
   warm start, stats persistence; the ``rascad serve`` entry point.
+* :mod:`.client` — the client half: one JSON call to a server.
 """
 
 from .app import App, LIBRARY_MODELS, render_prometheus, solution_payload
+from .client import ClientError, Reply, call
 from .lifecycle import Server, ServiceConfig, serve
 from .protocol import (
     ProtocolError,
@@ -39,6 +41,9 @@ __all__ = [
     "LIBRARY_MODELS",
     "render_prometheus",
     "solution_payload",
+    "ClientError",
+    "Reply",
+    "call",
     "Server",
     "ServiceConfig",
     "serve",

@@ -12,16 +12,7 @@ from repro.service.protocol import Request
 from repro.service.queue import SolveQueue
 from repro.spec import model_to_spec
 
-
-def _request(method, path, payload=None, query=None, headers=None):
-    body = json.dumps(payload).encode() if payload is not None else b""
-    return Request(
-        method=method,
-        path=path,
-        query=dict(query or {}),
-        headers=dict(headers or {}),
-        body=body,
-    )
+from . import make_request
 
 
 def call(app_requests, engine=None, **queue_kwargs):
@@ -50,7 +41,9 @@ def call(app_requests, engine=None, **queue_kwargs):
 class TestSolve:
     def test_solve_matches_the_cli_path_bit_for_bit(self):
         spec = model_to_spec(e10000_model())
-        responses, _ = call([_request("POST", "/v1/solve", {"spec": spec})])
+        responses, _ = call(
+            [make_request("POST", "/v1/solve", {"spec": spec})]
+        )
         status, payload, _ = responses[0]
         assert status == 200
         expected = translate(e10000_model()).availability
@@ -59,14 +52,14 @@ class TestSolve:
         assert payload["yearly_downtime_minutes"] > 0
 
     def test_solve_without_spec_is_400(self):
-        responses, _ = call([_request("POST", "/v1/solve", {})])
+        responses, _ = call([make_request("POST", "/v1/solve", {})])
         status, payload, _ = responses[0]
         assert status == 400
         assert payload["error"]["code"] == "invalid_request"
 
     def test_malformed_spec_is_400_with_spec_code(self):
         responses, _ = call([
-            _request("POST", "/v1/solve", {"spec": {"diagram": {}}})
+            make_request("POST", "/v1/solve", {"spec": {"diagram": {}}})
         ])
         status, payload, _ = responses[0]
         assert status == 400
@@ -75,7 +68,7 @@ class TestSolve:
     def test_unknown_method_is_400(self):
         spec = model_to_spec(workgroup_model())
         responses, _ = call([
-            _request(
+            make_request(
                 "POST", "/v1/solve", {"spec": spec, "method": "magic"}
             )
         ])
@@ -100,7 +93,7 @@ class TestSolve:
         engine.solve = slow_solve
         spec = model_to_spec(workgroup_model())
         responses, _ = call(
-            [_request(
+            [make_request(
                 "POST", "/v1/solve",
                 {"spec": spec, "timeout_seconds": 0.01},
             )],
@@ -119,7 +112,7 @@ class TestSolve:
             app = App(engine, queue)
             spec = model_to_spec(workgroup_model())
             return await app.handle(
-                _request("POST", "/v1/solve", {"spec": spec})
+                make_request("POST", "/v1/solve", {"spec": spec})
             )
 
         response = asyncio.run(go())
@@ -133,7 +126,7 @@ class TestSweepAndValidate:
         spec = model_to_spec(workgroup_model())
         block = f"{spec['name']}/{spec['diagram']['blocks'][0]['name']}"
         responses, _ = call([
-            _request("POST", "/v1/sweep", {
+            make_request("POST", "/v1/sweep", {
                 "spec": spec,
                 "block": block,
                 "field": "mtbf_hours",
@@ -149,7 +142,7 @@ class TestSweepAndValidate:
     def test_sweep_rejects_non_numeric_values(self):
         spec = model_to_spec(workgroup_model())
         responses, _ = call([
-            _request("POST", "/v1/sweep", {
+            make_request("POST", "/v1/sweep", {
                 "spec": spec,
                 "field": "mtbf_hours",
                 "values": ["many"],
@@ -160,7 +153,7 @@ class TestSweepAndValidate:
     def test_validate_agrees_with_analytic(self):
         spec = model_to_spec(workgroup_model())
         responses, _ = call([
-            _request("POST", "/v1/validate", {
+            make_request("POST", "/v1/validate", {
                 "spec": spec, "replications": 8, "horizon": 2_000.0,
                 "seed": 7,
             })
@@ -174,36 +167,38 @@ class TestSweepAndValidate:
 
 class TestLibraryAndRouting:
     def test_library_index_lists_models(self):
-        responses, _ = call([_request("GET", "/v1/library")])
+        responses, _ = call([make_request("GET", "/v1/library")])
         status, payload, _ = responses[0]
         assert status == 200
         assert payload["models"] == ["datacenter", "e10000", "workgroup"]
 
     def test_library_spec_round_trips_through_solve(self):
-        responses, _ = call([_request("GET", "/v1/library/workgroup")])
+        responses, _ = call([make_request("GET", "/v1/library/workgroup")])
         status, spec, _ = responses[0]
         assert status == 200
-        responses, _ = call([_request("POST", "/v1/solve", {"spec": spec})])
+        responses, _ = call(
+            [make_request("POST", "/v1/solve", {"spec": spec})]
+        )
         assert responses[0][0] == 200
 
     def test_unknown_library_model_is_404(self):
-        responses, _ = call([_request("GET", "/v1/library/vax")])
+        responses, _ = call([make_request("GET", "/v1/library/vax")])
         assert responses[0][0] == 404
 
     def test_unknown_route_is_404(self):
-        responses, _ = call([_request("GET", "/v2/solve")])
+        responses, _ = call([make_request("GET", "/v2/solve")])
         status, payload, _ = responses[0]
         assert status == 404
         assert payload["error"]["code"] == "not_found"
 
     def test_wrong_method_is_405(self):
-        responses, _ = call([_request("GET", "/v1/solve")])
+        responses, _ = call([make_request("GET", "/v1/solve")])
         assert responses[0][0] == 405
 
 
 class TestObservability:
     def test_healthz_reports_ok(self):
-        responses, _ = call([_request("GET", "/healthz")])
+        responses, _ = call([make_request("GET", "/healthz")])
         status, payload, _ = responses[0]
         assert status == 200
         assert payload["status"] == "ok"
@@ -212,8 +207,8 @@ class TestObservability:
     def test_metrics_reflect_served_requests(self):
         spec = model_to_spec(workgroup_model())
         responses, engine = call([
-            _request("POST", "/v1/solve", {"spec": spec}),
-            _request("GET", "/metrics"),
+            make_request("POST", "/v1/solve", {"spec": spec}),
+            make_request("GET", "/metrics"),
         ])
         status, payload, _ = responses[1]
         assert status == 200
@@ -227,7 +222,7 @@ class TestObservability:
         assert payload["derived"]["cache_hit_rate"] >= 0
 
     def test_metrics_report_store_health(self):
-        responses, _ = call([_request("GET", "/metrics")])
+        responses, _ = call([make_request("GET", "/metrics")])
         status, payload, _ = responses[0]
         assert status == 200
         storage = payload["storage"]
@@ -243,7 +238,7 @@ class TestObservability:
 
     def test_prometheus_exposes_store_series(self):
         responses, _ = call([
-            _request(
+            make_request(
                 "GET", "/metrics", query={"format": "prometheus"}
             ),
         ])
@@ -257,8 +252,8 @@ class TestObservability:
     def test_metrics_prometheus_format(self):
         spec = model_to_spec(workgroup_model())
         responses, _ = call([
-            _request("POST", "/v1/solve", {"spec": spec}),
-            _request(
+            make_request("POST", "/v1/solve", {"spec": spec}),
+            make_request(
                 "GET", "/metrics", query={"format": "prometheus"}
             ),
         ])

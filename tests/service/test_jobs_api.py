@@ -7,17 +7,10 @@ from repro.engine import Engine
 from repro.jobs import JobStore, open_store
 from repro.library import e10000_model
 from repro.service.app import App, render_prometheus
-from repro.service.protocol import Request
 from repro.service.queue import SolveQueue
 from repro.spec import model_to_spec
 
-
-def _request(method, path, payload=None, query=None):
-    body = json.dumps(payload).encode() if payload is not None else b""
-    return Request(
-        method=method, path=path, query=dict(query or {}),
-        headers={}, body=body,
-    )
+from . import make_request
 
 
 def call(requests, tmp_path, with_store=True):
@@ -63,7 +56,7 @@ def submit_payload(**overrides):
 class TestSubmit:
     def test_new_job_is_202_queued(self, tmp_path):
         responses, _, store = call(
-            [_request("POST", "/v1/jobs", submit_payload())], tmp_path
+            [make_request("POST", "/v1/jobs", submit_payload())], tmp_path
         )
         status, payload = responses[0]
         assert status == 202
@@ -74,8 +67,8 @@ class TestSubmit:
     def test_resubmission_is_200_deduped(self, tmp_path):
         responses, engine, _ = call(
             [
-                _request("POST", "/v1/jobs", submit_payload()),
-                _request("POST", "/v1/jobs", submit_payload()),
+                make_request("POST", "/v1/jobs", submit_payload()),
+                make_request("POST", "/v1/jobs", submit_payload()),
             ],
             tmp_path,
         )
@@ -91,7 +84,7 @@ class TestSubmit:
         payload = submit_payload()
         payload["params"]["values"] = "1e5:3e5:3"
         responses, _, store = call(
-            [_request("POST", "/v1/jobs", payload)], tmp_path
+            [make_request("POST", "/v1/jobs", payload)], tmp_path
         )
         status, body = responses[0]
         assert status == 202
@@ -102,7 +95,7 @@ class TestSubmit:
         payload = submit_payload()
         payload["params"]["values"] = "1e5:3e5"
         responses, _, _ = call(
-            [_request("POST", "/v1/jobs", payload)], tmp_path
+            [make_request("POST", "/v1/jobs", payload)], tmp_path
         )
         status, body = responses[0]
         assert status == 400
@@ -110,7 +103,7 @@ class TestSubmit:
 
     def test_unknown_kind_is_400(self, tmp_path):
         responses, _, _ = call(
-            [_request("POST", "/v1/jobs", submit_payload(kind="magic"))],
+            [make_request("POST", "/v1/jobs", submit_payload(kind="magic"))],
             tmp_path,
         )
         status, body = responses[0]
@@ -118,7 +111,7 @@ class TestSubmit:
 
     def test_malformed_spec_is_400(self, tmp_path):
         responses, _, _ = call(
-            [_request(
+            [make_request(
                 "POST", "/v1/jobs",
                 submit_payload(spec={"diagram": {}}),
             )],
@@ -133,8 +126,8 @@ class TestInspect:
     def test_list_reports_jobs_and_counts(self, tmp_path):
         responses, _, _ = call(
             [
-                _request("POST", "/v1/jobs", submit_payload()),
-                _request("GET", "/v1/jobs"),
+                make_request("POST", "/v1/jobs", submit_payload()),
+                make_request("GET", "/v1/jobs"),
             ],
             tmp_path,
         )
@@ -145,13 +138,13 @@ class TestInspect:
 
     def test_get_returns_the_job(self, tmp_path):
         responses, _, _ = call(
-            [_request("POST", "/v1/jobs", submit_payload())], tmp_path
+            [make_request("POST", "/v1/jobs", submit_payload())], tmp_path
         )
         job_id = responses[0][1]["job"]["id"]
         responses, _, _ = call(
             [
-                _request("POST", "/v1/jobs", submit_payload()),
-                _request("GET", f"/v1/jobs/{job_id}"),
+                make_request("POST", "/v1/jobs", submit_payload()),
+                make_request("GET", f"/v1/jobs/{job_id}"),
             ],
             tmp_path,
         )
@@ -161,7 +154,7 @@ class TestInspect:
 
     def test_unknown_id_is_404(self, tmp_path):
         responses, _, _ = call(
-            [_request("GET", "/v1/jobs/job-missing")], tmp_path
+            [make_request("GET", "/v1/jobs/job-missing")], tmp_path
         )
         status, body = responses[0]
         assert status == 404
@@ -169,7 +162,7 @@ class TestInspect:
 
     def test_jobs_disabled_without_a_store(self, tmp_path):
         responses, _, _ = call(
-            [_request("GET", "/v1/jobs")], tmp_path, with_store=False
+            [make_request("GET", "/v1/jobs")], tmp_path, with_store=False
         )
         status, body = responses[0]
         assert status == 503
@@ -179,13 +172,13 @@ class TestInspect:
 class TestCancel:
     def test_cancel_queued_job(self, tmp_path):
         responses, _, _ = call(
-            [_request("POST", "/v1/jobs", submit_payload())], tmp_path
+            [make_request("POST", "/v1/jobs", submit_payload())], tmp_path
         )
         job_id = responses[0][1]["job"]["id"]
         responses, _, _ = call(
             [
-                _request("POST", "/v1/jobs", submit_payload()),
-                _request("POST", f"/v1/jobs/{job_id}/cancel"),
+                make_request("POST", "/v1/jobs", submit_payload()),
+                make_request("POST", f"/v1/jobs/{job_id}/cancel"),
             ],
             tmp_path,
         )
@@ -198,8 +191,8 @@ class TestMetrics:
     def test_job_gauges_in_json_metrics(self, tmp_path):
         responses, _, _ = call(
             [
-                _request("POST", "/v1/jobs", submit_payload()),
-                _request("GET", "/metrics"),
+                make_request("POST", "/v1/jobs", submit_payload()),
+                make_request("GET", "/metrics"),
             ],
             tmp_path,
         )
@@ -215,8 +208,8 @@ class TestMetrics:
     def test_job_gauges_in_prometheus(self, tmp_path):
         responses, _, _ = call(
             [
-                _request("POST", "/v1/jobs", submit_payload()),
-                _request(
+                make_request("POST", "/v1/jobs", submit_payload()),
+                make_request(
                     "GET", "/metrics", query={"format": "prometheus"}
                 ),
             ],
@@ -234,8 +227,8 @@ class TestMetrics:
         spec = model_to_spec(e10000_model())
         responses, engine, _ = call(
             [
-                _request("POST", "/v1/solve", {"spec": spec}),
-                _request("GET", "/metrics"),
+                make_request("POST", "/v1/solve", {"spec": spec}),
+                make_request("GET", "/metrics"),
             ],
             tmp_path,
         )

@@ -14,8 +14,9 @@ from repro.library import workgroup_model
 from repro.service import Server, ServiceConfig
 from repro.spec import model_to_spec
 
-from .test_app import _request, call
-from .test_server import http_request, run_with_server
+from . import make_request
+from .test_app import call
+from .test_server import http_request, raw_request, run_with_server
 
 OS = "Operating System"
 BLOCK = "Workgroup Server/Operating System"
@@ -31,37 +32,6 @@ def degraded_spec():
         if block["name"] == OS:
             block["mtbf_hours"] = 3_000.0
     return spec
-
-
-async def raw_request(host, port, method, path, payload=None):
-    """Like ``http_request`` but returns the raw body bytes."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        body = json.dumps(payload).encode() if payload is not None else b""
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: test\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"\r\n"
-        ).encode()
-        writer.write(head + body)
-        await writer.drain()
-        raw = await reader.readuntil(b"\r\n\r\n")
-        status = int(raw.split(b" ", 2)[1])
-        headers = {}
-        for line in raw.decode().split("\r\n")[1:]:
-            if ":" in line:
-                name, value = line.split(":", 1)
-                headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0"))
-        data = await reader.readexactly(length) if length else b""
-        return status, data
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
 
 
 class TestSeededRegistry:
@@ -239,7 +209,7 @@ class TestPublishLifecycle:
             status, metrics, _ = await http_request(
                 host, port, "GET", "/metrics"
             )
-            _, prometheus = await raw_request(
+            _, prometheus, _ = await raw_request(
                 host, port, "GET", "/metrics?format=prometheus"
             )
             return metrics, prometheus.decode()
@@ -258,14 +228,14 @@ class TestRefResolution:
             _, spec, _ = await http_request(
                 host, port, "GET", "/v1/library/workgroup"
             )
-            status_inline, inline = await raw_request(
+            status_inline, inline, _ = await raw_request(
                 host, port, "POST", "/v1/solve", {"spec": spec}
             )
-            status_ref, ref = await raw_request(
+            status_ref, ref, _ = await raw_request(
                 host, port, "POST", "/v1/solve",
                 {"model_ref": "workgroup@latest"},
             )
-            status_bare, bare = await raw_request(
+            status_bare, bare, _ = await raw_request(
                 host, port, "POST", "/v1/solve",
                 {"model_ref": "workgroup"},
             )
@@ -287,11 +257,11 @@ class TestRefResolution:
             base = {
                 "field": "mtbf_hours", "block": BLOCK, "values": values,
             }
-            status_inline, inline = await raw_request(
+            status_inline, inline, _ = await raw_request(
                 host, port, "POST", "/v1/sweep",
                 {**base, "spec": spec},
             )
-            status_ref, ref = await raw_request(
+            status_ref, ref, _ = await raw_request(
                 host, port, "POST", "/v1/sweep",
                 {**base, "model_ref": "workgroup@latest"},
             )
@@ -387,11 +357,11 @@ class TestClusterRefIdentity:
                     "field": "mtbf_hours", "block": BLOCK,
                     "values": values,
                 }
-                status_inline, inline = await raw_request(
+                status_inline, inline, _ = await raw_request(
                     host, port, "POST", "/v1/sweep",
                     {**base, "spec": spec},
                 )
-                status_ref, ref = await raw_request(
+                status_ref, ref, _ = await raw_request(
                     host, port, "POST", "/v1/sweep",
                     {**base, "model_ref": "workgroup@latest"},
                 )
@@ -414,10 +384,10 @@ class TestClusterRefIdentity:
 class TestDisabledRegistry:
     def test_bare_app_answers_503_registry_disabled(self):
         requests = [
-            _request("GET", "/v1/models"),
-            _request("POST", "/v1/models", {"name": "x", "spec": {}}),
-            _request("GET", "/v1/models/wg"),
-            _request(
+            make_request("GET", "/v1/models"),
+            make_request("POST", "/v1/models", {"name": "x", "spec": {}}),
+            make_request("GET", "/v1/models/wg"),
+            make_request(
                 "POST", "/v1/solve", {"model_ref": "workgroup"}
             ),
         ]
@@ -428,8 +398,8 @@ class TestDisabledRegistry:
 
     def test_bare_app_library_falls_back_to_factories(self):
         responses, _ = call([
-            _request("GET", "/v1/library"),
-            _request("GET", "/v1/library/ghost"),
+            make_request("GET", "/v1/library"),
+            make_request("GET", "/v1/library/ghost"),
         ])
         status, payload, _ = responses[0]
         assert status == 200

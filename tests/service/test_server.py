@@ -17,13 +17,15 @@ from repro.library import datacenter_model, e10000_model, workgroup_model
 from repro.service import Server, ServiceConfig
 
 
-async def http_request(host, port, method, path, payload=None):
-    """One request on a fresh connection; returns (status, json_body)."""
+async def raw_request(host, port, method, path, payload=None):
+    """One request on a fresh connection; returns (status, body, headers).
+
+    Raw sockets on purpose: these tests exercise the server's own HTTP
+    parsing, so the client side stays hand-written.
+    """
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        body = b""
-        if payload is not None:
-            body = json.dumps(payload).encode()
+        body = json.dumps(payload).encode() if payload is not None else b""
         head = (
             f"{method} {path} HTTP/1.1\r\n"
             f"Host: test\r\n"
@@ -41,14 +43,21 @@ async def http_request(host, port, method, path, payload=None):
                 headers[name.strip().lower()] = value.strip()
         length = int(headers.get("content-length", "0"))
         data = await reader.readexactly(length) if length else b""
-        parsed = json.loads(data) if data else None
-        return status, parsed, headers
+        return status, data, headers
     finally:
         writer.close()
         try:
             await writer.wait_closed()
         except (ConnectionResetError, BrokenPipeError):
             pass
+
+
+async def http_request(host, port, method, path, payload=None):
+    """Like :func:`raw_request`, with the body parsed as JSON."""
+    status, data, headers = await raw_request(
+        host, port, method, path, payload
+    )
+    return status, json.loads(data) if data else None, headers
 
 
 def run_with_server(scenario, config=None):

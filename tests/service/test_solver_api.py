@@ -8,17 +8,10 @@ from repro.jobs import JobStore
 from repro.library import e10000_model, workgroup_model
 from repro.num import SolverOptions
 from repro.service.app import App, render_prometheus
-from repro.service.protocol import Request
 from repro.service.queue import SolveQueue
 from repro.spec import model_to_spec
 
-
-def _request(method, path, payload=None, query=None):
-    body = json.dumps(payload).encode() if payload is not None else b""
-    return Request(
-        method=method, path=path, query=dict(query or {}),
-        headers={}, body=body,
-    )
+from . import make_request
 
 
 def call(requests, default_solver=None, jobs=None):
@@ -50,7 +43,7 @@ class TestSolveAcceptsSolverObject:
     def test_solver_object_selects_the_backend(self):
         spec = model_to_spec(workgroup_model())
         responses, engine = call([
-            _request(
+            make_request(
                 "POST", "/v1/solve",
                 {"spec": spec, "solver": {"steady_method": "gth"}},
             ),
@@ -63,8 +56,8 @@ class TestSolveAcceptsSolverObject:
     def test_solver_object_agrees_with_legacy_method_string(self):
         spec = model_to_spec(workgroup_model())
         responses, _ = call([
-            _request("POST", "/v1/solve", {"spec": spec, "method": "gth"}),
-            _request(
+            make_request("POST", "/v1/solve", {"spec": spec, "method": "gth"}),
+            make_request(
                 "POST", "/v1/solve",
                 {"spec": spec, "solver": {"steady_method": "gth"}},
             ),
@@ -76,7 +69,7 @@ class TestSolveAcceptsSolverObject:
     def test_unknown_backend_in_solver_object_is_400(self):
         spec = model_to_spec(workgroup_model())
         responses, _ = call([
-            _request(
+            make_request(
                 "POST", "/v1/solve",
                 {"spec": spec, "solver": {"steady_method": "magic"}},
             ),
@@ -89,7 +82,7 @@ class TestSolveAcceptsSolverObject:
     def test_unknown_solver_option_key_is_400(self):
         spec = model_to_spec(workgroup_model())
         responses, _ = call([
-            _request(
+            make_request(
                 "POST", "/v1/solve",
                 {"spec": spec, "solver": {"steady": "gth"}},
             ),
@@ -101,7 +94,7 @@ class TestSolveAcceptsSolverObject:
     def test_non_object_solver_field_is_400(self):
         spec = model_to_spec(workgroup_model())
         responses, _ = call([
-            _request(
+            make_request(
                 "POST", "/v1/solve", {"spec": spec, "solver": "gth"}
             ),
         ])
@@ -112,7 +105,7 @@ class TestSolveAcceptsSolverObject:
     def test_sweep_accepts_solver_object(self):
         spec = model_to_spec(workgroup_model())
         responses, engine = call([
-            _request(
+            make_request(
                 "POST", "/v1/sweep",
                 {
                     "spec": spec,
@@ -131,7 +124,7 @@ class TestSolveAcceptsSolverObject:
     def test_server_default_solver_applies_without_request_fields(self):
         spec = model_to_spec(workgroup_model())
         responses, engine = call(
-            [_request("POST", "/v1/solve", {"spec": spec})],
+            [make_request("POST", "/v1/solve", {"spec": spec})],
             default_solver=SolverOptions(steady_method="gth"),
         )
         status, _ = responses[0]
@@ -145,7 +138,7 @@ class TestJobsValidateSolver:
         store = JobStore(tmp_path / "jobs.sqlite3")
         responses, _ = call(
             [
-                _request(
+                make_request(
                     "POST", "/v1/jobs",
                     {
                         "kind": "sweep",
@@ -170,7 +163,7 @@ class TestJobsValidateSolver:
         store = JobStore(tmp_path / "jobs.sqlite3")
         responses, _ = call(
             [
-                _request(
+                make_request(
                     "POST", "/v1/jobs",
                     {
                         "kind": "sweep",
@@ -196,12 +189,12 @@ class TestSolverMetrics:
         spec = model_to_spec(workgroup_model())
         query = {"format": fmt} if fmt else None
         responses, _ = call([
-            _request("POST", "/v1/solve", {"spec": spec}),
-            _request(
+            make_request("POST", "/v1/solve", {"spec": spec}),
+            make_request(
                 "POST", "/v1/solve",
                 {"spec": spec, "solver": {"steady_method": "gth"}},
             ),
-            _request("GET", "/metrics", query=query),
+            make_request("GET", "/metrics", query=query),
         ])
         return responses[-1]
 

@@ -8,19 +8,15 @@ from repro.errors import BracketError
 from repro.library import workgroup_model
 from repro.registry import ModelRegistry, RegistryStore
 from repro.service.app import App
-from repro.service.protocol import Request, error_for_exception
+from repro.service.protocol import error_for_exception
 from repro.service.queue import SolveQueue
 from repro.spec import model_to_spec
 
+from . import make_request
+
+
 FAN = "Workgroup Server/Fan"
 PSU = "Workgroup Server/Power Supply"
-
-
-def _request(method, path, payload=None):
-    body = json.dumps(payload).encode() if payload is not None else b""
-    return Request(
-        method=method, path=path, query={}, headers={}, body=body,
-    )
 
 
 def study_payload(**overrides):
@@ -58,7 +54,7 @@ def call(requests, registry=None):
 class TestSubmit:
     def test_new_study_is_201_succeeded(self):
         responses, _, _ = call(
-            [_request("POST", "/v1/studies", study_payload())]
+            [make_request("POST", "/v1/studies", study_payload())]
         )
         status, payload = responses[0]
         assert status == 201
@@ -70,8 +66,8 @@ class TestSubmit:
 
     def test_resubmission_returns_the_cached_record(self):
         responses, engine, _ = call([
-            _request("POST", "/v1/studies", study_payload()),
-            _request("POST", "/v1/studies", study_payload()),
+            make_request("POST", "/v1/studies", study_payload()),
+            make_request("POST", "/v1/studies", study_payload()),
         ])
         (first_status, first), (second_status, second) = responses
         assert (first_status, second_status) == (201, 200)
@@ -83,9 +79,9 @@ class TestSubmit:
 
     def test_base_and_model_ref_are_exclusive(self):
         responses, _, _ = call([
-            _request("POST", "/v1/studies",
+            make_request("POST", "/v1/studies",
                      study_payload(model_ref="wg@latest")),
-            _request("POST", "/v1/studies", {"variables": []}),
+            make_request("POST", "/v1/studies", {"variables": []}),
         ])
         for status, payload in responses:
             assert status == 400
@@ -102,8 +98,8 @@ class TestSubmit:
         del ref_payload["base"]
         responses, _, _ = call(
             [
-                _request("POST", "/v1/studies", study_payload()),
-                _request("POST", "/v1/studies", ref_payload),
+                make_request("POST", "/v1/studies", study_payload()),
+                make_request("POST", "/v1/studies", ref_payload),
             ],
             registry=registry,
         )
@@ -115,7 +111,7 @@ class TestSubmit:
 
     def test_invalid_study_is_400(self):
         responses, _, _ = call([
-            _request("POST", "/v1/studies", study_payload(variables=[
+            make_request("POST", "/v1/studies", study_payload(variables=[
                 {"path": FAN, "field": "warp", "values": [1]},
             ])),
         ])
@@ -127,7 +123,7 @@ class TestSubmit:
 class TestInspection:
     def submit_and(self, *extra_requests):
         responses, engine, app = call(
-            [_request("POST", "/v1/studies", study_payload())]
+            [make_request("POST", "/v1/studies", study_payload())]
             + list(extra_requests)
         )
         study_id = responses[0][1]["study"]["study_id"]
@@ -135,7 +131,7 @@ class TestInspection:
 
     def test_index_lists_and_counts(self):
         _, responses, _ = self.submit_and(
-            _request("GET", "/v1/studies")
+            make_request("GET", "/v1/studies")
         )
         status, payload = responses[1]
         assert status == 200
@@ -144,12 +140,12 @@ class TestInspection:
 
     def test_front_route(self):
         responses, _, _ = call(
-            [_request("POST", "/v1/studies", study_payload())]
+            [make_request("POST", "/v1/studies", study_payload())]
         )
         study_id = responses[0][1]["study"]["study_id"]
         responses, _, _ = call([
-            _request("POST", "/v1/studies", study_payload()),
-            _request("GET", f"/v1/studies/{study_id}/front"),
+            make_request("POST", "/v1/studies", study_payload()),
+            make_request("GET", f"/v1/studies/{study_id}/front"),
         ])
         status, payload = responses[1]
         assert status == 200
@@ -159,14 +155,14 @@ class TestInspection:
 
     def test_candidate_detail_and_404(self):
         responses, _, _ = call(
-            [_request("POST", "/v1/studies", study_payload())]
+            [make_request("POST", "/v1/studies", study_payload())]
         )
         study_id = responses[0][1]["study"]["study_id"]
         responses, _, _ = call([
-            _request("POST", "/v1/studies", study_payload()),
-            _request("GET", f"/v1/studies/{study_id}/candidates/0"),
-            _request("GET", f"/v1/studies/{study_id}/candidates/99"),
-            _request("GET", f"/v1/studies/{study_id}/candidates/x"),
+            make_request("POST", "/v1/studies", study_payload()),
+            make_request("GET", f"/v1/studies/{study_id}/candidates/0"),
+            make_request("GET", f"/v1/studies/{study_id}/candidates/99"),
+            make_request("GET", f"/v1/studies/{study_id}/candidates/x"),
         ])
         assert responses[1][0] == 200
         assert responses[1][1]["candidate"]["index"] == 0
@@ -175,7 +171,7 @@ class TestInspection:
 
     def test_unknown_study_is_404(self):
         responses, _, _ = call([
-            _request("GET", "/v1/studies/study-missing"),
+            make_request("GET", "/v1/studies/study-missing"),
         ])
         status, payload = responses[0]
         assert status == 404
@@ -183,8 +179,8 @@ class TestInspection:
 
     def test_metrics_carry_study_gauges(self):
         responses, _, _ = call([
-            _request("POST", "/v1/studies", study_payload()),
-            _request("GET", "/metrics"),
+            make_request("POST", "/v1/studies", study_payload()),
+            make_request("GET", "/metrics"),
         ])
         status, payload = responses[1]
         assert status == 200

@@ -11,7 +11,7 @@ from repro.service.queue import SolveQueue
 from repro.spec import model_to_spec
 from repro.telemetry import TelemetryHub, synthetic_field_events
 
-from .test_app import _request
+from . import make_request
 
 BOOT_DISK = "E10000 Server/Boot Disk"
 
@@ -66,7 +66,7 @@ def call(app_requests, hub=None, registry_path=None, **hub_kwargs):
 class TestIngest:
     def test_batch_ingest_accepts_and_reports_state(self):
         responses, hub = call(
-            [_request("POST", "/v1/events", {"events": trace_events()})]
+            [make_request("POST", "/v1/events", {"events": trace_events()})]
         )
         status, payload, _ = responses[0]
         assert status == 200
@@ -77,8 +77,8 @@ class TestIngest:
     def test_replayed_batch_is_fully_deduplicated(self):
         events = trace_events()
         responses, _ = call([
-            _request("POST", "/v1/events", {"events": events}),
-            _request("POST", "/v1/events", {"events": events}),
+            make_request("POST", "/v1/events", {"events": events}),
+            make_request("POST", "/v1/events", {"events": events}),
         ])
         status, payload, _ = responses[1]
         assert status == 200
@@ -87,7 +87,7 @@ class TestIngest:
 
     def test_malformed_event_is_a_structured_400(self):
         responses, _ = call([
-            _request(
+            make_request(
                 "POST", "/v1/events",
                 {"events": [{"part": BOOT_DISK, "kind": "failure"}]},
             )
@@ -100,7 +100,7 @@ class TestIngest:
     def test_out_of_order_batch_is_a_structured_400(self):
         events = trace_events()
         responses, hub = call([
-            _request(
+            make_request(
                 "POST", "/v1/events",
                 {"events": [events[5], events[0]]},
             )
@@ -114,7 +114,7 @@ class TestIngest:
     def test_oversized_batch_is_rejected_without_mutation(self):
         events = trace_events()
         responses, hub = call(
-            [_request("POST", "/v1/events", {"events": events})],
+            [make_request("POST", "/v1/events", {"events": events})],
             max_batch=10,
         )
         status, payload, _ = responses[0]
@@ -125,7 +125,7 @@ class TestIngest:
 
     def test_full_backlog_is_429_with_retry_after(self):
         responses, _ = call(
-            [_request("POST", "/v1/events", {"events": trace_events()})],
+            [make_request("POST", "/v1/events", {"events": trace_events()})],
             max_pending=5,
         )
         status, payload, response = responses[0]
@@ -135,7 +135,7 @@ class TestIngest:
 
     def test_non_list_events_field_is_a_400(self):
         responses, _ = call(
-            [_request("POST", "/v1/events", {"events": "many"})]
+            [make_request("POST", "/v1/events", {"events": "many"})]
         )
         status, payload, _ = responses[0]
         assert status == 400
@@ -145,8 +145,8 @@ class TestIngest:
 class TestCalibrationRoutes:
     def test_status_reports_fitted_rates(self):
         responses, _ = call([
-            _request("POST", "/v1/events", {"events": trace_events()}),
-            _request("GET", "/v1/calibration"),
+            make_request("POST", "/v1/events", {"events": trace_events()}),
+            make_request("GET", "/v1/calibration"),
         ])
         status, payload, _ = responses[1]
         assert status == 200
@@ -158,12 +158,12 @@ class TestCalibrationRoutes:
     def test_proposal_lifecycle_404_then_201(self):
         spec = model_to_spec(e10000_model())
         responses, _ = call([
-            _request("POST", "/v1/events", {"events": trace_events()}),
-            _request("GET", "/v1/calibration/proposal"),
-            _request(
+            make_request("POST", "/v1/events", {"events": trace_events()}),
+            make_request("GET", "/v1/calibration/proposal"),
+            make_request(
                 "POST", "/v1/calibration/propose", {"spec": spec}
             ),
-            _request("GET", "/v1/calibration/proposal"),
+            make_request("GET", "/v1/calibration/proposal"),
         ])
         assert responses[1][0] == 404
         status, payload, _ = responses[2]
@@ -185,8 +185,8 @@ class TestCalibrationRoutes:
             )
         ]
         responses, _ = call([
-            _request("POST", "/v1/events", {"events": clean}),
-            _request(
+            make_request("POST", "/v1/events", {"events": clean}),
+            make_request(
                 "POST", "/v1/calibration/propose", {"spec": spec}
             ),
         ])
@@ -198,13 +198,13 @@ class TestCalibrationRoutes:
         spec = model_to_spec(e10000_model())
         responses, _ = call(
             [
-                _request(
+                make_request(
                     "POST", "/v1/events", {"events": trace_events()}
                 ),
-                _request(
+                make_request(
                     "POST", "/v1/calibration/propose", {"spec": spec}
                 ),
-                _request(
+                make_request(
                     "POST", "/v1/calibration/publish",
                     {"name": "e10000"},
                 ),
@@ -228,13 +228,13 @@ class TestCalibrationRoutes:
         registry.close()
         responses, _ = call(
             [
-                _request(
+                make_request(
                     "POST", "/v1/events", {"events": trace_events()}
                 ),
-                _request(
+                make_request(
                     "POST", "/v1/calibration/propose", {"spec": spec}
                 ),
-                _request(
+                make_request(
                     "POST", "/v1/calibration/publish",
                     {"name": "e10000", "tag": "prod"},
                 ),
@@ -252,7 +252,7 @@ class TestCalibrationRoutes:
             queue.start()
             app = App(engine, queue)
             response = await app.handle(
-                _request("POST", "/v1/events", {"events": []})
+                make_request("POST", "/v1/events", {"events": []})
             )
             await queue.close()
             return response
@@ -266,8 +266,8 @@ class TestCalibrationRoutes:
 class TestMetrics:
     def test_metrics_document_gains_a_telemetry_section(self):
         responses, hub = call([
-            _request("POST", "/v1/events", {"events": trace_events()}),
-            _request("GET", "/metrics"),
+            make_request("POST", "/v1/events", {"events": trace_events()}),
+            make_request("GET", "/metrics"),
         ])
         status, payload, _ = responses[1]
         assert status == 200
@@ -278,8 +278,8 @@ class TestMetrics:
 
     def test_prometheus_rendering_exposes_telemetry_gauges(self):
         responses, _ = call([
-            _request("POST", "/v1/events", {"events": trace_events()}),
-            _request(
+            make_request("POST", "/v1/events", {"events": trace_events()}),
+            make_request(
                 "GET", "/metrics", query={"format": "prometheus"}
             ),
         ])

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import http.server
 import json
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -583,3 +587,122 @@ class TestDbCli:
     def test_empty_cache_dir_is_an_error(self, tmp_path, capsys):
         assert main(["db", "status", "--cache-dir", str(tmp_path)]) == 2
         assert "no store databases" in capsys.readouterr().err
+
+
+class _StubHandler(http.server.BaseHTTPRequestHandler):
+    """Answers every request from the server's ``answer`` callback."""
+
+    def _serve(self):
+        length = int(self.headers.get("Content-Length") or 0)
+        body = self.rfile.read(length)
+        status, headers, reply = self.server.answer(
+            self.command, self.path, body
+        )
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+    do_GET = do_POST = _serve
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def _stub_server(answer):
+    """A stdlib HTTP server on a thread; yields its base URL."""
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+    server.answer = answer
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+class TestServerUrlCommands:
+    """The ``--url`` commands against a dead or scripted server."""
+
+    @pytest.fixture
+    def events_path(self, tmp_path):
+        events = [{"id": "a"}, {"id": "b"}, {"id": "a"}]
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps({"events": events}))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "status"],
+        ["calibrate", "propose", "{spec}"],
+        ["calibrate", "publish", "--name", "wg"],
+        ["events", "ingest", "{events}"],
+        ["events", "replay", "{spec}"],
+    ])
+    def test_unreachable_server_is_an_error(
+        self, argv, spec_path, events_path, capsys
+    ):
+        with _stub_server(answer=None) as url:
+            pass  # closed on exit: nothing listens on ``url`` any more
+        argv = [
+            arg.format(spec=spec_path, events=events_path) for arg in argv
+        ]
+        assert main(argv + ["--url", url]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert url in err
+
+    def test_non_json_success_body_is_an_error(self, capsys):
+        def answer(method, path, body):
+            return 200, {"Content-Type": "text/html"}, b"<html>hi</html>"
+
+        with _stub_server(answer) as url:
+            code = main(["calibrate", "status", "--url", url])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "non-JSON body" in err
+
+    def test_ingest_backs_off_for_retry_after(
+        self, events_path, monkeypatch, capsys
+    ):
+        posts = []
+        seen = set()
+
+        def answer(method, path, body):
+            posts.append((method, path, body))
+            if len(posts) == 1:
+                # Lower-case on purpose: header names are
+                # case-insensitive, and the client must read it so.
+                error = {"error": {"code": "backlog_full", "message": ""}}
+                return 429, {"retry-after": "0"}, json.dumps(error).encode()
+            ids = [event["id"] for event in json.loads(body)["events"]]
+            fresh = [event_id for event_id in ids if event_id not in seen]
+            seen.update(ids)
+            counts = {
+                "accepted": len(fresh), "duplicates": len(ids) - len(fresh),
+            }
+            return 200, {}, json.dumps(counts).encode()
+
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        with _stub_server(answer) as url:
+            code = main([
+                "events", "ingest", events_path, "--url", url,
+                "--batch-size", "2",
+            ])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            f"ingested 2 event(s) into {url} (1 duplicate(s) skipped)\n"
+        )
+        # The 429 slept for its Retry-After, not the 1 s default, then
+        # re-sent the same batch.
+        assert sleeps == [0.0]
+        assert [(method, path) for method, path, _ in posts] == [
+            ("POST", "/v1/events")
+        ] * 3
+        assert posts[0][2] == posts[1][2]

@@ -13,8 +13,6 @@ import os
 import socket
 import subprocess
 import sys
-import urllib.error
-import urllib.request
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -23,6 +21,8 @@ SRC = REPO_ROOT / "src"
 
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
+
+from repro.service.client import call  # noqa: E402
 
 
 def free_port() -> int:
@@ -40,20 +40,18 @@ def subprocess_env() -> dict:
 
 
 def request(
-    url: str, payload=None, method: Optional[str] = None, timeout: float = 60.0
+    url: str, payload=None, timeout: float = 60.0
 ) -> Tuple[int, bytes]:
-    """One HTTP exchange; returns (status, raw_body_bytes).
+    """One HTTP exchange (POST with a payload, else GET); returns
+    (status, raw_body_bytes).
 
     HTTP error statuses come back as values, not exceptions, so smoke
     scripts can assert on 4xx/5xx envelopes.
     """
-    data = json.dumps(payload).encode() if payload is not None else None
-    req = urllib.request.Request(url, data=data, method=method)
-    try:
-        with urllib.request.urlopen(req, timeout=timeout) as response:
-            return response.status, response.read()
-    except urllib.error.HTTPError as error:
-        return error.code, error.read()
+    reply = call(
+        "GET" if payload is None else "POST", url, payload, timeout=timeout
+    )
+    return reply.status, reply.body
 
 
 def get_json(url: str, timeout: float = 30.0) -> dict:

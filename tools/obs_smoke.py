@@ -22,19 +22,18 @@ Run from the repository root::
 
 from __future__ import annotations
 
-import json
 import re
 import signal
 import subprocess
 import sys
 import tempfile
 import time
-import urllib.request
 from pathlib import Path
 
 from _smoke_common import get_json
 
 from repro.obs.export import read_spans  # noqa: E402
+from repro.service.client import call  # noqa: E402
 
 STARTUP_TIMEOUT = 60.0
 
@@ -79,15 +78,10 @@ def main() -> int:
         print(f"server up at {url}")
 
         spec = get_json(f"{url}/v1/library/workgroup")
-        body = json.dumps({"spec": spec}).encode()
-        request = urllib.request.Request(
-            f"{url}/v1/solve", data=body,
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(request, timeout=60) as response:
-            assert response.status == 200, response.status
-            trace_id = response.headers.get("X-Rascad-Trace-Id")
-            payload = json.loads(response.read())
+        reply = call("POST", f"{url}/v1/solve", {"spec": spec}, timeout=60)
+        assert reply.status == 200, reply.status
+        trace_id = reply.headers.get("X-Rascad-Trace-Id")
+        payload = reply.json()
         assert trace_id, "solve response carried no X-Rascad-Trace-Id"
         assert 0.0 < payload["availability"] <= 1.0
         print(f"solved over HTTP, trace {trace_id}")
