@@ -6,7 +6,7 @@ next request only after the previous one completes).  The workload is
 deliberately mixed: half the requests post the *identical* E10000 spec
 (exercising content-digest deduplication and the engine's system
 cache), half post per-client distinct variants (exercising admission
-and micro-batching).  Reported numbers are throughput (req/s), p95
+and concurrent distinct solves).  Reported numbers are throughput (req/s), p95
 latency, and the dedup ratio — the fraction of solve requests that
 never cost an engine solve.  The headline claims: every response is
 bit-identical to the CLI path, and the mixed load needs far fewer
@@ -69,9 +69,7 @@ def _closed_loop(url, spec, client, latencies):
 
 def _run_load():
     async def go():
-        server = Server(
-            ServiceConfig(port=0, batch_window=0.005, max_queue=256)
-        )
+        server = Server(ServiceConfig(port=0, max_queue=256))
         host, port = await server.start()
         url = f"http://{host}:{port}"
         loop = asyncio.get_running_loop()

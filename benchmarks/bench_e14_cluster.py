@@ -23,21 +23,20 @@ benchmarks/bench_e14_cluster.py --quick`` runs a reduced sweep for CI.
 import argparse
 import json
 import os
-import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from _smoke_common import free_port, subprocess_env  # noqa: E402
+from _smoke_common import Fleet  # noqa: E402
 
 from repro.cluster import (  # noqa: E402
     ClusterConfig,
     Coordinator,
     Membership,
     SweepWorkload,
-    wait_until_healthy,
 )
 from repro.engine import Engine  # noqa: E402
 from repro.jobs import result_digest  # noqa: E402
@@ -81,61 +80,37 @@ def _reference_digest(spec, values):
     return result_digest(payload)
 
 
-def _start_workers(count):
-    """``count`` pristine no-cache worker processes, ready to serve."""
-    env = subprocess_env()
-    workers = []
-    for _ in range(count):
-        port = free_port()
-        process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve",
-                "--host", "127.0.0.1", "--port", str(port),
-                "--jobs", "1", "--no-cache",
-            ],
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.STDOUT,
-        )
-        workers.append((f"http://127.0.0.1:{port}", process))
-    for url, _ in workers:
-        if not wait_until_healthy(url, timeout=60.0):
-            raise RuntimeError(f"worker {url} never became healthy")
-    return workers
-
-
-def _stop_workers(workers):
-    for _, process in workers:
-        if process.poll() is None:
-            process.terminate()
-    for _, process in workers:
-        try:
-            process.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            process.kill()
-
-
 def _fleet_run(count, spec, values):
-    """One timed sweep over a fresh ``count``-worker fleet."""
-    workers = _start_workers(count)
-    try:
-        config = ClusterConfig(
-            workers=tuple(url for url, _ in workers),
-            shard_size=SHARD_SIZE,
-            steal_after=120.0,  # no speculative re-execution in timings
-            call_timeout=300.0,
-        )
-        coordinator = Coordinator(Membership(), config=config)
-        workload = SweepWorkload(
-            spec, FIELD, values, block=BLOCK,
-            model_name="Data Center System",
-        )
-        start = time.perf_counter()
-        merged = coordinator.run_workload(workload, timeout=600.0)
-        elapsed = time.perf_counter() - start
-        return elapsed, merged
-    finally:
-        _stop_workers(workers)
+    """One timed sweep over a fresh ``count``-worker fleet of pristine
+    no-cache worker processes."""
+    with tempfile.TemporaryDirectory() as logs, Fleet(Path(logs)) as fleet:
+        try:
+            workers = tuple(
+                fleet.spawn_server(
+                    f"worker-{index}",
+                    ["serve", "--jobs", "1", "--no-cache"],
+                    timeout=60.0,
+                )
+                for index in range(count)
+            )
+            config = ClusterConfig(
+                workers=workers,
+                shard_size=SHARD_SIZE,
+                steal_after=120.0,  # no speculative re-execution in timings
+                call_timeout=300.0,
+            )
+            coordinator = Coordinator(Membership(), config=config)
+            workload = SweepWorkload(
+                spec, FIELD, values, block=BLOCK,
+                model_name="Data Center System",
+            )
+            start = time.perf_counter()
+            merged = coordinator.run_workload(workload, timeout=600.0)
+            elapsed = time.perf_counter() - start
+            return elapsed, merged
+        except BaseException:
+            fleet.dump_logs()
+            raise
 
 
 def main():

@@ -22,16 +22,15 @@ iteration count for CI.
 import argparse
 import json
 import statistics
-import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from _smoke_common import free_port, subprocess_env  # noqa: E402
+from _smoke_common import Fleet  # noqa: E402
 
-from repro.cluster import wait_until_healthy  # noqa: E402
 from repro.library import e10000_model  # noqa: E402
 from repro.service.client import call  # noqa: E402
 from repro.spec import model_to_spec  # noqa: E402
@@ -101,46 +100,33 @@ def main():
         len(solve_inline) - len(solve_ref)
     )
 
-    port = free_port()
-    url = f"http://127.0.0.1:{port}"
-    server = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--host", "127.0.0.1", "--port", str(port),
-            "--no-cache",
-        ],
-        env=subprocess_env(),
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.STDOUT,
-    )
-    try:
-        if not wait_until_healthy(url, timeout=60.0):
-            raise RuntimeError("server never became healthy")
-
-        # Identity first: savings only count at identical answers.
-        _, inline_reply = _post(f"{url}/v1/solve", solve_inline)
-        resolve_ms, ref_reply = _post(f"{url}/v1/solve", solve_ref)
-        assert inline_reply == ref_reply, "ref solve differs from inline"
-        _, inline_sweep = _post(f"{url}/v1/sweep", sweep_inline)
-        _, ref_sweep = _post(f"{url}/v1/sweep", sweep_ref)
-        assert inline_sweep == ref_sweep, "ref sweep differs from inline"
-        print(f"ref and inline byte-identical "
-              f"(solve + {SWEEP_POINTS}-point sweep)")
-
-        inline_latency = _latency(f"{url}/v1/solve", solve_inline,
-                                  iterations)
-        ref_latency = _latency(f"{url}/v1/solve", solve_ref, iterations)
-        print(f"inline solve: {inline_latency['mean_ms']:8.3f} ms mean "
-              f"over {iterations} calls")
-        print(f"ref solve   : {ref_latency['mean_ms']:8.3f} ms mean "
-              f"over {iterations} calls")
-    finally:
-        if server.poll() is None:
-            server.terminate()
+    with tempfile.TemporaryDirectory() as logs, Fleet(Path(logs)) as fleet:
         try:
-            server.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            server.kill()
+            url = fleet.spawn_server(
+                "server", ["serve", "--no-cache"], timeout=60.0
+            )
+
+            # Identity first: savings only count at identical answers.
+            _, inline_reply = _post(f"{url}/v1/solve", solve_inline)
+            resolve_ms, ref_reply = _post(f"{url}/v1/solve", solve_ref)
+            assert inline_reply == ref_reply, "ref solve differs from inline"
+            _, inline_sweep = _post(f"{url}/v1/sweep", sweep_inline)
+            _, ref_sweep = _post(f"{url}/v1/sweep", sweep_ref)
+            assert inline_sweep == ref_sweep, "ref sweep differs from inline"
+            print(f"ref and inline byte-identical "
+                  f"(solve + {SWEEP_POINTS}-point sweep)")
+
+            inline_latency = _latency(f"{url}/v1/solve", solve_inline,
+                                      iterations)
+            ref_latency = _latency(f"{url}/v1/solve", solve_ref,
+                                   iterations)
+            print(f"inline solve: {inline_latency['mean_ms']:8.3f} ms "
+                  f"mean over {iterations} calls")
+            print(f"ref solve   : {ref_latency['mean_ms']:8.3f} ms "
+                  f"mean over {iterations} calls")
+        except BaseException:
+            fleet.dump_logs()
+            raise
 
     RESULT_PATH.write_text(json.dumps({
         "benchmark": "e15_registry_payload",

@@ -79,13 +79,15 @@ from .spec import load_spec
 from .units import nines
 
 
+def _parts_database(args: argparse.Namespace) -> PartsDatabase:
+    """The ``--database`` catalog, or the built-in one."""
+    if args.database:
+        return PartsDatabase.load(args.database)
+    return builtin_database()
+
+
 def _load(args: argparse.Namespace):
-    database = (
-        PartsDatabase.load(args.database)
-        if args.database
-        else builtin_database()
-    )
-    return load_spec(args.spec, database=database)
+    return load_spec(args.spec, database=_parts_database(args))
 
 
 def _configure_obs(args: argparse.Namespace) -> None:
@@ -313,11 +315,7 @@ def _cmd_requirement(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from .analysis import comparison_table
 
-    database = (
-        PartsDatabase.load(args.database)
-        if args.database
-        else builtin_database()
-    )
+    database = _parts_database(args)
     candidates = []
     for path in args.specs:
         model = load_spec(path, database=database)
@@ -329,11 +327,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_diff(args: argparse.Namespace) -> int:
     from .spec import diff_impact, diff_models, format_diff
 
-    database = (
-        PartsDatabase.load(args.database)
-        if args.database
-        else builtin_database()
-    )
+    database = _parts_database(args)
     old = load_spec(args.old, database=database)
     new = load_spec(args.new, database=database)
     entries = diff_models(old, new)
@@ -468,18 +462,12 @@ def _cmd_trace_summary(args: argparse.Namespace) -> int:
 
 def _jobs_open(args: argparse.Namespace):
     """The (store, checkpointer) pair the jobs subcommands share."""
-    from .database import builtin_database
     from .jobs import open_store
 
-    database = (
-        PartsDatabase.load(args.database)
-        if args.database
-        else builtin_database()
-    )
     return open_store(
         db_path=getattr(args, "db", None),
         cache_dir=getattr(args, "cache_dir", None),
-        database=database,
+        database=_parts_database(args),
     )
 
 
@@ -716,16 +704,11 @@ def _registry_open(args: argparse.Namespace, engine=None):
     """The registry a ``rascad models`` subcommand works against."""
     from .registry import open_registry
 
-    database = (
-        PartsDatabase.load(args.database)
-        if args.database
-        else builtin_database()
-    )
     return open_registry(
         db_path=getattr(args, "registry_db", None),
         cache_dir=getattr(args, "cache_dir", None),
         engine=engine,
-        database=database,
+        database=_parts_database(args),
     )
 
 
@@ -965,11 +948,7 @@ def _study_parse(args: argparse.Namespace, document):
     """Parse a study document against the selected parts catalog."""
     from .studies import parse_study
 
-    database = (
-        PartsDatabase.load(args.database)
-        if args.database
-        else builtin_database()
-    )
+    database = _parts_database(args)
     return parse_study(document, database=database), database
 
 
@@ -1602,11 +1581,7 @@ def _cmd_db_backup(args: argparse.Namespace) -> int:
 
 
 def _cmd_parts(args: argparse.Namespace) -> int:
-    database = (
-        PartsDatabase.load(args.database)
-        if args.database
-        else builtin_database()
-    )
+    database = _parts_database(args)
     print(f"{'part':<12} {'MTBF h':>10} {'FIT':>8}  description")
     for record in database:
         print(f"{record.part_number:<12} {record.mtbf_hours:>10.0f} "
@@ -1659,8 +1634,9 @@ def build_parser() -> argparse.ArgumentParser:
         subparser.add_argument(
             "--transient-method", default=None, metavar="METHOD",
             choices=sorted(TRANSIENT_METHODS),
-            help="transient solver: uniformization, expm, ode, or auto "
-                 "(default: uniformization)",
+            help="transient method label: uniformization, expm, ode, or "
+                 "auto (default: uniformization); it only keys the solve "
+                 "cache, every transient measure uses uniformization",
         )
         subparser.add_argument(
             "--representation", default=None,

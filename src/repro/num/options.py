@@ -7,7 +7,7 @@ runner and the CLI.  :class:`SolverOptions` collapses those into one
 frozen, hashable value that canonicalises legacy aliases at
 construction time, so two spellings of the same configuration compare
 (and hash, and digest) equal everywhere: the engine cache, the service
-micro-batcher and the job store all key on :meth:`cache_token`.
+solve queue's dedup and the job store all key on :meth:`cache_token`.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ class SolverOptions:
         steady_method: Registered steady-state backend name (see
             :func:`repro.num.backend_names`); legacy aliases such as
             ``"direct"`` are canonicalised at construction.
-        transient_method: ``"uniformization"`` (production path),
-            ``"expm"``, ``"ode"``, or ``"auto"`` (uniformization unless
-            the horizon is too stiff).
+        transient_method: ``"uniformization"``, ``"expm"``, ``"ode"``
+            or ``"auto"``.  Nothing reads it yet: it only keys the
+            cache (:meth:`cache_token`), and every transient measure
+            uses uniformization whatever it says.
         representation: Generator storage — ``"auto"`` picks dense or
             sparse CSR from the state count and fill-in, ``"dense"`` /
             ``"sparse"`` force one.

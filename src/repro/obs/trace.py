@@ -95,7 +95,7 @@ class Span:
     status, and hands the span to the tracer's exporter.  Spans created
     with :meth:`Tracer.start_span` can instead be finished explicitly
     with :meth:`Tracer.finish` — the shape used when start and end live
-    in different tasks (queue wait, batch membership).
+    in different scopes (a cluster job or shard).
     """
 
     __slots__ = (
@@ -248,7 +248,7 @@ class Tracer:
         """An un-entered span; finish it with :meth:`finish`.
 
         ``parent`` overrides the context lookup — for spans whose
-        lifetime crosses task boundaries (queue wait, batch).
+        parent is not the current span (a remote caller's).
         """
         if not self.enabled:
             return NULL_SPAN

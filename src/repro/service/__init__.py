@@ -8,8 +8,8 @@ the stdlib (asyncio HTTP/1.1) in front of the PR-1 evaluation engine:
 * :mod:`.protocol` — bounded HTTP parsing and the JSON error envelope
   with stable error codes.
 * :mod:`.queue` — bounded admission (``429`` backpressure), request
-  deduplication by content digest, micro-batching into the engine's
-  process pool, and deadline propagation.
+  deduplication by content digest, one worker-thread task per distinct
+  solve, and deadline propagation.
 * :mod:`.app` — the route table: ``/v1/solve``, ``/v1/sweep``,
   ``/v1/validate``, ``/v1/library``, ``/healthz``, ``/metrics``.
 * :mod:`.lifecycle` — graceful startup/shutdown, signal handling,

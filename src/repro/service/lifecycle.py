@@ -13,8 +13,9 @@ around them:
   through the app, write response, repeat until the client closes or a
   protocol error forces the connection shut.
 * **Shutdown** (SIGTERM/SIGINT or :meth:`Server.shutdown`) stops
-  accepting, drains in-flight requests up to ``drain_timeout``
-  seconds, flushes the admission queue, and persists the final
+  accepting, drains in-flight requests up to :data:`DRAIN_TIMEOUT`
+  seconds, waits for the admitted solves, closes idle keep-alive
+  connections, and persists the final
   :class:`~repro.engine.EngineStats` snapshot so ``rascad stats``
   shows what the server did.
 """
@@ -27,7 +28,7 @@ import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from ..engine import Engine, default_cache_dir
 from ..errors import RascadError
@@ -35,14 +36,15 @@ from ..num import SolverOptions
 from ..obs import configure_logging, configure_tracing, get_logger
 from .app import App, LIBRARY_MODELS
 from .protocol import (
-    DEFAULT_MAX_BODY_BYTES,
-    DEFAULT_READ_TIMEOUT,
     MAX_HEADER_BYTES,
     ProtocolError,
     error_for_exception,
     read_request,
 )
 from .queue import SolveQueue
+
+#: Seconds shutdown waits for in-flight requests before closing.
+DRAIN_TIMEOUT = 10.0
 
 
 @dataclass
@@ -52,17 +54,13 @@ class ServiceConfig:
     Attributes:
         host: Bind address.
         port: Bind port; 0 lets the OS pick (reported by ``start()``).
-        jobs: Engine worker processes for batched distinct solves.
+        jobs: Engine worker processes for sweeps, validation
+            replications, jobs and studies.
         cache: False disables the solve cache entirely.
         cache_dir: Persistent cache directory shared with CLI runs.
-        max_queue: Admission bound on distinct queued solves.
+        max_queue: Admission bound on distinct running solves.
         request_timeout: Default/maximum per-request deadline, seconds.
-        batch_window: Micro-batching coalescing window, seconds.
-        max_batch: Distinct solves per engine batch.
-        max_body_bytes: Request body size limit.
-        read_timeout: Socket read timeout for one request.
         warm_start: Pre-solve the library models into the cache.
-        drain_timeout: Seconds shutdown waits for in-flight requests.
         jobs_db: Job-store database path enabling the ``/v1/jobs``
             endpoints.  Defaults to ``jobs.sqlite3`` inside
             ``cache_dir`` when that is set; with neither configured
@@ -123,12 +121,7 @@ class ServiceConfig:
     cache_dir: Optional[Union[str, Path]] = None
     max_queue: int = 64
     request_timeout: float = 30.0
-    batch_window: float = 0.002
-    max_batch: int = 16
-    max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
-    read_timeout: float = DEFAULT_READ_TIMEOUT
     warm_start: bool = False
-    drain_timeout: float = 10.0
     jobs_db: Optional[Union[str, Path]] = None
     trace: bool = False
     trace_dir: Optional[Union[str, Path]] = None
@@ -170,12 +163,7 @@ class Server:
             cache=self.config.cache,
             cache_dir=self.config.cache_dir,
         )
-        self.queue = SolveQueue(
-            self.engine,
-            max_queue=self.config.max_queue,
-            batch_window=self.config.batch_window,
-            max_batch=self.config.max_batch,
-        )
+        self.queue = SolveQueue(self.engine, max_queue=self.config.max_queue)
         self.jobs = self._build_job_store()
         self.coordinator = self._build_coordinator()
         self.registry = self._build_registry()
@@ -195,6 +183,10 @@ class Server:
         self._server: Optional[asyncio.base_events.Server] = None
         self._shutdown_requested: Optional[asyncio.Event] = None
         self._closing = False
+        #: Open connections' handler tasks and their writers.
+        self._connections: Dict[
+            "asyncio.Task[None]", asyncio.StreamWriter
+        ] = {}
 
     def _build_job_store(self):
         """The job store behind ``/v1/jobs``, or ``None`` (disabled).
@@ -343,7 +335,6 @@ class Server:
         """Bind and start serving; returns the actual (host, port)."""
         if self._server is not None:
             raise RascadError("server already started")
-        self.queue.start()
         if self.config.warm_start:
             await self._warm_start()
         self._server = await asyncio.start_server(
@@ -387,7 +378,7 @@ class Server:
         await self._shutdown_event().wait()
         await self.shutdown()
 
-    async def shutdown(self, drain: bool = True) -> None:
+    async def shutdown(self) -> None:
         """Stop accepting, drain in-flight work, persist stats."""
         if self._closing:
             return
@@ -396,11 +387,16 @@ class Server:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if drain:
-            deadline = time.monotonic() + self.config.drain_timeout
-            while self.app.in_flight > 0 and time.monotonic() < deadline:
-                await asyncio.sleep(0.01)
-        await self.queue.close(drain=drain)
+        deadline = time.monotonic() + DRAIN_TIMEOUT
+        while self.app.in_flight > 0 and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        await self.queue.close()
+        # Close idle keep-alive connections and let every handler
+        # finish, so the loop has none left to cancel at exit.
+        for writer in self._connections.values():
+            writer.close()
+        if self._connections:
+            await asyncio.wait(set(self._connections), timeout=DRAIN_TIMEOUT)
         if self.coordinator is not None:
             with contextlib.suppress(Exception):
                 self.coordinator.store.close()
@@ -424,14 +420,13 @@ class Server:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
+        task.add_done_callback(self._connections.pop)
         try:
             while not self._closing:
                 try:
-                    request = await read_request(
-                        reader,
-                        max_body_bytes=self.config.max_body_bytes,
-                        read_timeout=self.config.read_timeout,
-                    )
+                    request = await read_request(reader)
                 except ProtocolError as error:
                     response = error_for_exception(error)
                     response.close = True

@@ -1,21 +1,19 @@
-"""Admission control and micro-batching in front of the engine.
+"""Admission control and deduplication in front of the engine.
 
 Every ``POST /v1/solve`` (and the solve inside ``/v1/validate``) flows
 through one :class:`SolveQueue`:
 
 * **Backpressure** — at most ``max_queue`` *distinct* solves may be
-  queued or running; beyond that :class:`QueueFullError` surfaces as a
-  ``429`` with ``Retry-After``, so overload sheds load instead of
-  accumulating unbounded work.
+  running; beyond that :class:`QueueFullError` surfaces as a ``429``
+  with ``Retry-After``, so overload sheds load instead of accumulating
+  unbounded work.
 * **Deduplication** — concurrent requests for the same content digest
-  share one in-flight future: the engine solves once and the result
+  share one in-flight solve: the engine solves once and the result
   fans out to every waiter.  64 clients posting the same spec cost one
   solve.
-* **Micro-batching** — distinct requests that arrive within
-  ``batch_window`` seconds coalesce into one batch; when the engine
-  has ``jobs > 1`` the batch fans out over its process pool
-  (:meth:`repro.engine.Engine.solve_many`), otherwise batch members
-  solve on worker threads.
+* **No head-of-line blocking** — each admitted distinct solve is its
+  own task running :meth:`repro.engine.Engine.solve` on a worker
+  thread, so a slow solve never delays a distinct request behind it.
 * **Deadlines** — a waiter whose deadline passes gets
   :class:`DeadlineExceededError` (``504``); the shared solve keeps
   running for any waiters still inside their deadline.
@@ -23,16 +21,17 @@ through one :class:`SolveQueue`:
 The queue meters itself through the engine's
 :class:`~repro.engine.stats.StatsCollector`: counters
 ``service_admitted`` / ``service_dedup_hits`` / ``service_rejections``
-/ ``service_deadline_misses``, and gauges ``queue_depth`` /
-``batches_in_flight`` — all visible in ``GET /metrics``.
+/ ``service_deadline_misses``, gauges ``queue_depth`` /
+``queue_depth_peak`` and the ``queue`` latency — all visible in
+``GET /metrics``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..core.block import DiagramBlockModel
 from ..core.translator import SystemSolution
@@ -40,7 +39,10 @@ from ..engine import Engine
 from ..engine.keys import model_digest
 from ..errors import RascadError
 from ..num import SolverOptions, as_options
-from ..obs.trace import current_span, get_tracer, use_span
+from ..obs.trace import get_tracer
+
+#: Seconds a rejected client is told to wait before retrying.
+RETRY_AFTER = 0.5
 
 
 class QueueFullError(RascadError):
@@ -59,163 +61,116 @@ class ServiceClosedError(RascadError):
     """The queue is draining for shutdown and admits no new work."""
 
 
-@dataclass
-class _Item:
-    key: str
-    model: DiagramBlockModel
-    method: SolverOptions
-    future: "asyncio.Future[SystemSolution]"
-    enqueued_at: float = field(default_factory=time.monotonic)
-    deadline: Optional[float] = None
-    # Tracing (None / null spans when tracing is off): ``wait_span``
-    # covers admission -> batch pickup, ``batch_span`` covers the solve
-    # itself, ``request_span`` is the submitting request's span so the
-    # batcher task can parent ``batch_span`` correctly even though it
-    # runs outside the request's context.
-    wait_span: object = None
-    batch_span: object = None
-    request_span: object = None
-
-    def expired(self, now: float) -> bool:
-        return self.deadline is not None and now >= self.deadline
-
-
 class SolveQueue:
-    """Bounded, deduplicating, micro-batching solve queue.
+    """Bounded, deduplicating solve queue.
 
     Args:
-        engine: The evaluation engine the batches run on.
-        max_queue: Admission bound on distinct queued-or-running solves.
-        batch_window: Seconds the batcher waits to coalesce more work
-            after the first item of a batch arrives.
-        max_batch: Upper bound on distinct solves per batch.
+        engine: The evaluation engine the solves run on.
+        max_queue: Admission bound on distinct running solves.
     """
 
-    def __init__(
-        self,
-        engine: Engine,
-        max_queue: int = 64,
-        batch_window: float = 0.002,
-        max_batch: int = 16,
-    ) -> None:
+    def __init__(self, engine: Engine, max_queue: int = 64) -> None:
         if max_queue < 1:
             raise RascadError(f"max_queue must be >= 1, got {max_queue}")
-        if max_batch < 1:
-            raise RascadError(f"max_batch must be >= 1, got {max_batch}")
         self.engine = engine
         self.max_queue = max_queue
-        self.batch_window = batch_window
-        self.max_batch = max_batch
-        self._pending: "asyncio.Queue[Optional[_Item]]" = asyncio.Queue()
-        self._inflight: Dict[str, "asyncio.Future[SystemSolution]"] = {}
-        self._admitted = 0
+        self._inflight: Dict[str, "asyncio.Task[SystemSolution]"] = {}
         self.depth_peak = 0
         self._closed = False
-        self._batcher: Optional["asyncio.Task[None]"] = None
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Spawn the batcher task on the running event loop."""
-        if self._batcher is None:
-            self._batcher = asyncio.get_running_loop().create_task(
-                self._run(), name="rascad-solve-batcher"
-            )
-
-    async def close(self, drain: bool = True) -> None:
-        """Stop admitting work; optionally finish what was admitted.
-
-        With ``drain=False`` every queued solve fails with
-        :class:`ServiceClosedError` instead of running.
-        """
-        if self._closed:
-            return
+    async def close(self) -> None:
+        """Stop admitting work and wait for every admitted solve."""
         self._closed = True
-        if self._batcher is None:
-            return
-        if not drain:
-            while True:
-                try:
-                    item = self._pending.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if item is not None:
-                    self._finish(
-                        item,
-                        error=ServiceClosedError("service shutting down"),
-                    )
-        self._pending.put_nowait(None)
-        await self._batcher
-        self._batcher = None
+        await asyncio.gather(
+            *self._inflight.values(), return_exceptions=True
+        )
 
     @property
     def depth(self) -> int:
-        """Distinct solves currently admitted (queued or running)."""
-        return self._admitted
+        """Distinct solves currently admitted (running)."""
+        return len(self._inflight)
 
-    # ------------------------------------------------------------------
-    # submission
-    # ------------------------------------------------------------------
     async def solve(
         self,
         model: DiagramBlockModel,
         method: object = "direct",
         deadline: Optional[float] = None,
     ) -> SystemSolution:
-        """Submit one solve; dedups, queues, and awaits the result.
+        """Submit one solve; dedups, admits, and awaits the result.
 
         Args:
             model: The validated model to solve.
             method: Chain solver method (a legacy name or
                 :class:`~repro.num.SolverOptions`), forwarded to the
-                engine; micro-batches group by its canonical form.
+                engine; dedup keys on its canonical form.
             deadline: Absolute ``time.monotonic()`` deadline, or None.
         """
         if self._closed:
             raise ServiceClosedError("service shutting down")
         method = as_options(method)
         stats = self.engine.stats
-        tracer = get_tracer()
         key = model_digest(model, method)
-        future = self._inflight.get(key)
-        if future is not None:
+        task = self._inflight.get(key)
+        if task is not None:
             stats.increment("service_dedup_hits")
-            with tracer.span("service.dedup_wait", key=key):
-                return await self._wait(future, deadline)
-        if self._admitted >= self.max_queue:
+            with get_tracer().span("service.dedup_wait", key=key):
+                return await self._wait(task, deadline)
+        if len(self._inflight) >= self.max_queue:
             stats.increment("service_rejections")
             raise QueueFullError(
                 f"solve queue is full ({self.max_queue} in flight); "
                 "retry shortly",
-                retry_after=max(self.batch_window * 10, 0.5),
+                retry_after=RETRY_AFTER,
             )
-        future = asyncio.get_running_loop().create_future()
-        item = _Item(
-            key=key, model=model, method=method,
-            future=future, deadline=deadline,
-            wait_span=tracer.start_span("service.queue_wait", key=key),
-            request_span=current_span(),
+        # The task copies this request's context, so its span nests
+        # under the request span and the engine's under its own.
+        task = asyncio.get_running_loop().create_task(
+            self._solve(model, method, key)
         )
-        self._inflight[key] = future
-        self._admitted += 1
+        self._inflight[key] = task
+        task.add_done_callback(
+            functools.partial(self._finished, key, time.monotonic())
+        )
         stats.increment("service_admitted")
-        stats.set_gauge("queue_depth", self._admitted)
-        if self._admitted > self.depth_peak:
-            self.depth_peak = self._admitted
+        stats.set_gauge("queue_depth", self.depth)
+        if self.depth > self.depth_peak:
+            self.depth_peak = self.depth
             stats.set_gauge("queue_depth_peak", self.depth_peak)
-        self._pending.put_nowait(item)
-        return await self._wait(future, deadline)
+        return await self._wait(task, deadline)
+
+    async def _solve(
+        self, model: DiagramBlockModel, method: SolverOptions, key: str
+    ) -> SystemSolution:
+        with get_tracer().span(
+            "service.solve", key=key, method=method.cache_token()
+        ):
+            return await asyncio.to_thread(self.engine.solve, model, method)
+
+    def _finished(
+        self,
+        key: str,
+        admitted_at: float,
+        task: "asyncio.Task[SystemSolution]",
+    ) -> None:
+        del self._inflight[key]
+        stats = self.engine.stats
+        stats.set_gauge("queue_depth", self.depth)
+        stats.record_latency("queue", time.monotonic() - admitted_at)
+        # Mark a failure retrieved: if every waiter already timed out,
+        # nobody else will, and asyncio would log an "exception never
+        # retrieved" warning at GC time.
+        if not task.cancelled():
+            task.exception()
 
     async def _wait(
         self,
-        future: "asyncio.Future[SystemSolution]",
+        task: "asyncio.Task[SystemSolution]",
         deadline: Optional[float],
     ) -> SystemSolution:
-        # Shield: the future is shared between deduped waiters, so one
+        # Shield: the task is shared between deduped waiters, so one
         # waiter's timeout must not cancel everyone's solve.
         if deadline is None:
-            return await asyncio.shield(future)
+            return await asyncio.shield(task)
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             self.engine.stats.increment("service_deadline_misses")
@@ -224,154 +179,10 @@ class SolveQueue:
             )
         try:
             return await asyncio.wait_for(
-                asyncio.shield(future), timeout=remaining
+                asyncio.shield(task), timeout=remaining
             )
         except asyncio.TimeoutError:
             self.engine.stats.increment("service_deadline_misses")
             raise DeadlineExceededError(
                 "request deadline passed before the solve finished"
             ) from None
-
-    # ------------------------------------------------------------------
-    # the batcher
-    # ------------------------------------------------------------------
-    async def _run(self) -> None:
-        closing = False
-        while not closing:
-            item = await self._pending.get()
-            if item is None:
-                break
-            batch = [item]
-            while len(batch) < self.max_batch:
-                try:
-                    extra = await asyncio.wait_for(
-                        self._pending.get(), timeout=self.batch_window
-                    )
-                except asyncio.TimeoutError:
-                    break
-                if extra is None:
-                    closing = True
-                    break
-                batch.append(extra)
-            await self._solve_batch(batch)
-        # Drain anything still queued at shutdown so no waiter hangs.
-        while True:
-            try:
-                item = self._pending.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if item is not None:
-                await self._solve_batch([item])
-
-    async def _solve_batch(self, batch: List[_Item]) -> None:
-        stats = self.engine.stats
-        tracer = get_tracer()
-        now = time.monotonic()
-        live: List[_Item] = []
-        for item in batch:
-            tracer.finish(item.wait_span)
-            if item.expired(now):
-                stats.increment("service_deadline_misses")
-                self._finish(
-                    item,
-                    error=DeadlineExceededError(
-                        "request deadline passed while queued"
-                    ),
-                )
-            else:
-                live.append(item)
-        if not live:
-            return
-        for item in live:
-            item.batch_span = tracer.start_span(
-                "service.batch",
-                parent=item.request_span,
-                batch_size=len(live),
-                method=item.method.cache_token(),
-            )
-        stats.increment("service_batches")
-        stats.set_gauge("batches_in_flight", 1)
-        try:
-            if self.engine.jobs > 1 and len(live) > 1:
-                await self._solve_via_pool(live)
-            else:
-                await self._solve_via_threads(live)
-        finally:
-            stats.set_gauge("batches_in_flight", 0)
-            stats.set_gauge("queue_depth", self._admitted)
-
-    async def _solve_one_threaded(self, item: _Item) -> SystemSolution:
-        # use_span is active when to_thread copies the context, so the
-        # worker-thread solve records its spans under the item's batch
-        # span (and through it, the originating request).
-        with use_span(item.batch_span):
-            return await asyncio.to_thread(
-                self.engine.solve, item.model, item.method
-            )
-
-    async def _solve_via_threads(self, live: List[_Item]) -> None:
-        results = await asyncio.gather(
-            *(self._solve_one_threaded(item) for item in live),
-            return_exceptions=True,
-        )
-        for item, result in zip(live, results):
-            if isinstance(result, BaseException):
-                self._finish(item, error=result)
-            else:
-                self._finish(item, result=result)
-
-    async def _solve_via_pool(self, live: List[_Item]) -> None:
-        # solve_many takes one method per batch; group mixed methods
-        # (SolverOptions is frozen, so it hashes by value).
-        by_method: Dict[SolverOptions, List[_Item]] = {}
-        for item in live:
-            by_method.setdefault(item.method, []).append(item)
-        for method, items in by_method.items():
-            try:
-                # The pool fans the group out as one engine batch; its
-                # carrier comes from the first item's batch span, so
-                # worker-side spans join that item's trace.
-                with use_span(items[0].batch_span):
-                    solutions = await asyncio.to_thread(
-                        self.engine.solve_many,
-                        [item.model for item in items],
-                        method,
-                    )
-            except Exception:
-                # solve_many fails the whole batch as soon as one task
-                # exhausts its retries; re-solve per item so one bad
-                # request cannot poison its co-batched neighbours —
-                # matching the per-item isolation of the thread path.
-                await self._solve_via_threads(items)
-                continue
-            for item, solution in zip(items, solutions):
-                self._finish(item, result=solution)
-
-    def _finish(
-        self,
-        item: _Item,
-        result: Optional[SystemSolution] = None,
-        error: Optional[BaseException] = None,
-    ) -> None:
-        self._inflight.pop(item.key, None)
-        self._admitted -= 1
-        stats = self.engine.stats
-        tracer = get_tracer()
-        # finish() is idempotent, so the wait span is safe to close
-        # again here — it only matters for items failed before pickup
-        # (shutdown drain), whose wait span would otherwise leak.
-        tracer.finish(item.wait_span, error=error)
-        tracer.finish(item.batch_span, error=error)
-        stats.set_gauge("queue_depth", self._admitted)
-        stats.record_latency(
-            "queue", time.monotonic() - item.enqueued_at
-        )
-        if not item.future.done():
-            if error is not None:
-                item.future.set_exception(error)
-                # Mark retrieved now: if every waiter already timed
-                # out, nobody else will, and asyncio would log an
-                # "exception never retrieved" warning at GC time.
-                item.future.exception()
-            else:
-                item.future.set_result(result)

@@ -188,11 +188,9 @@ def _service_bodies() -> Dict[str, object]:
     async def go() -> Dict[str, object]:
         engine = Engine()
         queue = SolveQueue(engine)
-        queue.start()
         app = App(engine, queue)
         cluster_engine = Engine()
         cluster_queue = SolveQueue(cluster_engine)
-        cluster_queue.start()
         cluster_app = App(cluster_engine, cluster_queue, cluster=coordinator)
         bodies: Dict[str, object] = {}
         try:

@@ -116,7 +116,6 @@ class TestServiceTraces:
         async def go():
             engine = Engine()
             queue = SolveQueue(engine)
-            queue.start()
             app = App(engine, queue)
             responses = []
             for request in requests:
@@ -139,19 +138,65 @@ class TestServiceTraces:
         spans = read_spans(tmp_path, trace_id=trace_id)
         names = {span["name"] for span in spans}
         assert {
-            "service.request", "service.queue_wait",
-            "service.batch", "engine.solve", "engine.block_solve",
+            "service.request", "service.solve",
+            "engine.solve", "engine.block_solve",
         } <= names
         by_id = _tree(spans)
         roots = [s for s in spans if s["parent_id"] is None]
         assert len(roots) == 1
         assert roots[0]["name"] == "service.request"
-        batch = next(s for s in spans if s["name"] == "service.batch")
-        assert by_id[batch["parent_id"]]["name"] == "service.request"
+        solve = next(s for s in spans if s["name"] == "service.solve")
+        assert by_id[solve["parent_id"]]["name"] == "service.request"
         solves = [s for s in spans if s["name"] == "engine.solve"]
         assert all(
-            by_id[s["parent_id"]]["name"] == "service.batch"
+            by_id[s["parent_id"]]["name"] == "service.solve"
             for s in solves
+        )
+
+    def test_deduped_solve_exports_its_own_wait_trace(self, tmp_path):
+        configure_tracing(trace_dir=tmp_path, detail=True)
+        body = json.dumps({"spec": model_to_spec(workgroup_model())})
+
+        async def go():
+            engine = Engine()
+            queue = SolveQueue(engine)
+            app = App(engine, queue)
+            responses = await asyncio.gather(*(
+                app.handle(
+                    Request("POST", "/v1/solve", {}, {}, body.encode())
+                )
+                for _ in range(2)
+            ))
+            await queue.close()
+            return responses, engine
+
+        (admitted, deduped), engine = asyncio.run(go())
+        assert admitted.status == deduped.status == 200
+        counters = engine.stats.snapshot().counters
+        assert counters["service_dedup_hits"] == 1
+        get_tracer().exporter.close()
+
+        traces = {}
+        for response in (admitted, deduped):
+            spans = read_spans(
+                tmp_path, trace_id=response.headers["X-Rascad-Trace-Id"]
+            )
+            by_id = _tree(spans)
+            roots = [s for s in spans if s["parent_id"] is None]
+            assert [root["name"] for root in roots] == ["service.request"]
+            traces[response is admitted] = (spans, by_id)
+
+        spans, by_id = traces[True]
+        solve = next(s for s in spans if s["name"] == "service.solve")
+        assert by_id[solve["parent_id"]]["name"] == "service.request"
+        assert "service.dedup_wait" not in {s["name"] for s in spans}
+
+        spans, by_id = traces[False]
+        wait = next(s for s in spans if s["name"] == "service.dedup_wait")
+        assert by_id[wait["parent_id"]]["name"] == "service.request"
+        assert not any(
+            s["name"] == "service.solve" or s["name"].startswith("engine.")
+            for s in spans
         )
 
     def test_debug_traces_endpoint_serves_the_ring(self, tmp_path):
@@ -176,7 +221,6 @@ class TestServiceTraces:
         async def go():
             engine = Engine()
             queue = SolveQueue(engine)
-            queue.start()
             app = App(engine, queue)
             response = await app.handle(
                 Request("GET", "/debug/traces", {}, {}, b"")
@@ -196,7 +240,6 @@ class TestServiceTraces:
         async def go():
             engine = Engine()
             queue = SolveQueue(engine)
-            queue.start()
             app = App(engine, queue)
             spec = model_to_spec(workgroup_model())
             response = await app.handle(Request(

@@ -12,30 +12,13 @@ from repro.service.protocol import Request
 from repro.service.queue import SolveQueue
 from repro.spec import model_to_spec
 
-from . import make_request
+from . import make_request, run_app
 
 
-def call(app_requests, engine=None, **queue_kwargs):
+def call(app_requests, engine=None):
     """Run requests against a fresh App inside one event loop."""
-
-    async def go():
-        eng = engine if engine is not None else Engine()
-        queue = SolveQueue(eng, **queue_kwargs)
-        queue.start()
-        app = App(eng, queue)
-        responses = []
-        for request in app_requests:
-            response = await app.handle(request)
-            payload = (
-                json.loads(response.body)
-                if response.content_type.startswith("application/json")
-                else response.body.decode()
-            )
-            responses.append((response.status, payload, response))
-        await queue.close()
-        return responses, eng
-
-    return asyncio.run(go())
+    responses, app = run_app(app_requests, engine)
+    return responses, app.engine
 
 
 class TestSolve:
@@ -107,7 +90,6 @@ class TestSolve:
         async def go():
             engine = Engine()
             queue = SolveQueue(engine)
-            queue.start()
             await queue.close()
             app = App(engine, queue)
             spec = model_to_spec(workgroup_model())

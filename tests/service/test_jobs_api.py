@@ -1,42 +1,19 @@
 """The /v1/jobs endpoints: submit, dedup, inspect, cancel, metrics."""
 
-import asyncio
-import json
-
 from repro.engine import Engine
 from repro.jobs import JobStore, open_store
 from repro.library import e10000_model
-from repro.service.app import App, render_prometheus
-from repro.service.queue import SolveQueue
 from repro.spec import model_to_spec
 
-from . import make_request
+from . import make_request, run_app
 
 
 def call(requests, tmp_path, with_store=True):
     """Run requests against a fresh App wired to a temp job store."""
-
-    async def go():
-        engine = Engine(cache_dir=tmp_path / "cache")
-        queue = SolveQueue(engine)
-        queue.start()
-        store = (
-            JobStore(tmp_path / "jobs.sqlite3") if with_store else None
-        )
-        app = App(engine, queue, jobs=store)
-        responses = []
-        for request in requests:
-            response = await app.handle(request)
-            payload = (
-                json.loads(response.body)
-                if response.content_type.startswith("application/json")
-                else response.body.decode()
-            )
-            responses.append((response.status, payload))
-        await queue.close()
-        return responses, engine, store
-
-    return asyncio.run(go())
+    engine = Engine(cache_dir=tmp_path / "cache")
+    store = JobStore(tmp_path / "jobs.sqlite3") if with_store else None
+    responses, _ = run_app(requests, engine, jobs=store)
+    return [response[:2] for response in responses], engine, store
 
 
 def submit_payload(**overrides):

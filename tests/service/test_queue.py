@@ -1,4 +1,5 @@
-"""Admission queue semantics: dedup, backpressure, deadlines, drain."""
+"""Admission queue semantics: dedup, backpressure, deadlines, drain,
+and no head-of-line blocking between distinct solves."""
 
 import asyncio
 import threading
@@ -7,7 +8,6 @@ import time
 import pytest
 
 from repro.engine.stats import StatsCollector
-from repro.errors import EngineError
 from repro.library import workgroup_model
 from repro.service.queue import (
     DeadlineExceededError,
@@ -44,9 +44,6 @@ class SlowEngine:
             self.solves += 1
         return ("solved", model.name, method)
 
-    def solve_many(self, models, method="direct"):
-        return [self.solve(model, method) for model in models]
-
 
 def run(coro):
     return asyncio.run(coro)
@@ -56,8 +53,7 @@ class TestDedup:
     def test_concurrent_identical_requests_share_one_solve(self):
         async def go():
             engine = SlowEngine(delay=0.05)
-            queue = SolveQueue(engine, batch_window=0.001)
-            queue.start()
+            queue = SolveQueue(engine)
             model = workgroup_model()
             results = await asyncio.gather(
                 *(queue.solve(model) for _ in range(16))
@@ -75,8 +71,7 @@ class TestDedup:
     def test_distinct_requests_all_solve(self):
         async def go():
             engine = SlowEngine(delay=0.0)
-            queue = SolveQueue(engine, batch_window=0.001)
-            queue.start()
+            queue = SolveQueue(engine)
             results = await asyncio.gather(
                 *(queue.solve(_variant(i)) for i in range(4))
             )
@@ -88,13 +83,44 @@ class TestDedup:
         assert len({r[1] for r in results}) == 1  # same name, 4 solves
 
 
+class TestNoHeadOfLineBlocking:
+    def test_distinct_solve_finishes_while_a_slow_one_runs(self):
+        slow = _variant(0)
+        quick = _variant(1)
+        held = threading.Event()
+
+        class HeldEngine(SlowEngine):
+            def solve(self, model, method="direct"):
+                if model is slow:
+                    held.wait(timeout=5.0)
+                return super().solve(model, method)
+
+        async def go():
+            queue = SolveQueue(HeldEngine(delay=0.0))
+            blocker = asyncio.ensure_future(queue.solve(slow))
+            await asyncio.sleep(0.05)  # the slow solve is running
+            try:
+                result = await asyncio.wait_for(
+                    queue.solve(quick), timeout=2.0
+                )
+                slow_still_running = not blocker.done()
+            finally:
+                held.set()
+            await blocker
+            await queue.close()
+            return result, slow_still_running
+
+        result, slow_still_running = run(go())
+        assert result[0] == "solved"
+        assert slow_still_running
+
+
 class TestBackpressure:
     def test_full_queue_raises_queue_full(self):
         async def go():
             engine = SlowEngine(delay=0.2)
             engine.release.clear()  # hold every solve in the engine
-            queue = SolveQueue(engine, max_queue=2, batch_window=0.001)
-            queue.start()
+            queue = SolveQueue(engine, max_queue=2)
             first = asyncio.ensure_future(queue.solve(_variant(0)))
             second = asyncio.ensure_future(queue.solve(_variant(1)))
             await asyncio.sleep(0.05)  # let both get admitted
@@ -114,8 +140,7 @@ class TestBackpressure:
     def test_queue_depth_gauge_returns_to_zero(self):
         async def go():
             engine = SlowEngine(delay=0.0)
-            queue = SolveQueue(engine, batch_window=0.001)
-            queue.start()
+            queue = SolveQueue(engine)
             await queue.solve(_variant(0))
             await queue.close()
             return engine, queue
@@ -129,8 +154,7 @@ class TestDeadlines:
     def test_expired_deadline_raises_504_error(self):
         async def go():
             engine = SlowEngine(delay=0.2)
-            queue = SolveQueue(engine, batch_window=0.001)
-            queue.start()
+            queue = SolveQueue(engine)
             with pytest.raises(DeadlineExceededError):
                 await queue.solve(
                     _variant(0), deadline=time.monotonic() + 0.01
@@ -145,8 +169,7 @@ class TestDeadlines:
     def test_one_waiter_timeout_does_not_cancel_the_shared_solve(self):
         async def go():
             engine = SlowEngine(delay=0.1)
-            queue = SolveQueue(engine, batch_window=0.001)
-            queue.start()
+            queue = SolveQueue(engine)
             model = workgroup_model()
             patient = asyncio.ensure_future(queue.solve(model))
             await asyncio.sleep(0.01)
@@ -167,8 +190,7 @@ class TestLifecycle:
     def test_closed_queue_rejects_new_work(self):
         async def go():
             engine = SlowEngine(delay=0.0)
-            queue = SolveQueue(engine, batch_window=0.001)
-            queue.start()
+            queue = SolveQueue(engine)
             await queue.close()
             with pytest.raises(ServiceClosedError):
                 await queue.solve(_variant(0))
@@ -178,14 +200,13 @@ class TestLifecycle:
     def test_close_drains_admitted_work(self):
         async def go():
             engine = SlowEngine(delay=0.05)
-            queue = SolveQueue(engine, batch_window=0.001)
-            queue.start()
+            queue = SolveQueue(engine)
             pending = [
                 asyncio.ensure_future(queue.solve(_variant(i)))
                 for i in range(3)
             ]
             await asyncio.sleep(0)  # let the submissions enqueue
-            await queue.close(drain=True)
+            await queue.close()
             return await asyncio.gather(*pending)
 
         results = run(go())
@@ -193,9 +214,9 @@ class TestLifecycle:
         assert all(result[0] == "solved" for result in results)
 
     def test_pool_batch_failure_is_isolated_per_item(self):
-        # solve_many fails the whole batch on one bad task; the queue
-        # must fall back to per-item solves so the poison request does
-        # not 500 its co-batched neighbours.
+        # Distinct solves never share an engine call, even with a
+        # process pool: the poison request fails alone and does not
+        # 500 the neighbour submitted beside it.
         poison = _variant(0)
         good = _variant(1)
 
@@ -205,24 +226,21 @@ class TestLifecycle:
                     raise RuntimeError("poison")
                 return super().solve(model, method)
 
-            def solve_many(self, models, method="direct"):
-                raise EngineError("task 0 failed after 2 attempt(s)")
-
         async def go():
             engine = PoisonEngine(delay=0.0, jobs=2)
-            queue = SolveQueue(engine, batch_window=0.05)
-            queue.start()
+            queue = SolveQueue(engine)
             results = await asyncio.gather(
                 queue.solve(poison),
                 queue.solve(good),
                 return_exceptions=True,
             )
             await queue.close()
-            return results
+            return engine, results
 
-        poisoned, healthy = run(go())
+        engine, (poisoned, healthy) = run(go())
         assert isinstance(poisoned, RuntimeError)
         assert healthy[0] == "solved"
+        assert engine.solves == 1
 
     def test_solver_failure_propagates_to_every_waiter(self):
         class FailingEngine(SlowEngine):
@@ -231,8 +249,7 @@ class TestLifecycle:
 
         async def go():
             engine = FailingEngine()
-            queue = SolveQueue(engine, batch_window=0.001)
-            queue.start()
+            queue = SolveQueue(engine)
             model = workgroup_model()
             results = await asyncio.gather(
                 *(queue.solve(model) for _ in range(3)),

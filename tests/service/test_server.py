@@ -122,9 +122,7 @@ class TestDedupUnderLoad:
 
         results, metrics = run_with_server(
             scenario,
-            # A generous window so all 64 requests join one in-flight
-            # solve even on a loaded CI box.
-            ServiceConfig(port=0, batch_window=0.02, max_queue=128),
+            ServiceConfig(port=0, max_queue=128),
         )
         statuses = [status for status, _, _ in results]
         availabilities = {body["availability"] for _, body, _ in results}
@@ -141,8 +139,8 @@ class TestDedupUnderLoad:
 class TestBackpressure:
     def test_full_queue_returns_429_with_retry_after(self):
         async def scenario(server, host, port):
-            # Saturate the queue faster than one worker thread drains
-            # it: distinct specs so dedup cannot absorb them.
+            # Saturate the two admission slots faster than the solves
+            # drain them: distinct specs so dedup cannot absorb them.
             base_status, spec, _ = await http_request(
                 host, port, "GET", "/v1/library/datacenter"
             )
@@ -166,9 +164,7 @@ class TestBackpressure:
 
         results = run_with_server(
             scenario,
-            ServiceConfig(
-                port=0, max_queue=2, batch_window=0.05, max_batch=1
-            ),
+            ServiceConfig(port=0, max_queue=2),
         )
         statuses = sorted(status for status, _, _ in results)
         assert statuses.count(429) >= 1, statuses
@@ -202,6 +198,29 @@ class TestShutdown:
         assert stats.system_solves == 1
         assert stats.route_counts["POST /v1/solve 200"] == 1
         assert (cache_dir / "blocks").exists()  # shared with CLI runs
+
+    def test_shutdown_closes_idle_keep_alive_connections(self):
+        async def scenario(server, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+            await writer.drain()
+            head = await reader.readuntil(b"\r\n\r\n")
+            length = next(
+                int(line.split(b":", 1)[1])
+                for line in head.split(b"\r\n")
+                if line.lower().startswith(b"content-length:")
+            )
+            await reader.readexactly(length)
+            # The connection is now idle and kept alive.
+            await server.shutdown()
+            rest = await asyncio.wait_for(reader.read(), timeout=2.0)
+            writer.close()
+            # No handler is left for asyncio.run to cancel at exit.
+            return rest, asyncio.all_tasks() == {asyncio.current_task()}
+
+        rest, only_this_task = run_with_server(scenario)
+        assert rest == b""
+        assert only_this_task
 
     def test_closed_server_refuses_new_connections(self):
         async def scenario(server, host, port):

@@ -1,42 +1,20 @@
 """Solver options through the HTTP surface: requests, jobs, metrics."""
 
-import asyncio
-import json
-
-from repro.engine import Engine
 from repro.jobs import JobStore
 from repro.library import e10000_model, workgroup_model
 from repro.num import SolverOptions
-from repro.service.app import App, render_prometheus
-from repro.service.queue import SolveQueue
+from repro.service.app import render_prometheus
 from repro.spec import model_to_spec
 
-from . import make_request
+from . import make_request, run_app
 
 
 def call(requests, default_solver=None, jobs=None):
     """Run requests against a fresh App inside one event loop."""
-
-    async def go():
-        engine = Engine()
-        queue = SolveQueue(engine)
-        queue.start()
-        app = App(
-            engine, queue, jobs=jobs, default_solver=default_solver
-        )
-        responses = []
-        for request in requests:
-            response = await app.handle(request)
-            payload = (
-                json.loads(response.body)
-                if response.content_type.startswith("application/json")
-                else response.body.decode()
-            )
-            responses.append((response.status, payload))
-        await queue.close()
-        return responses, engine
-
-    return asyncio.run(go())
+    responses, app = run_app(
+        requests, jobs=jobs, default_solver=default_solver
+    )
+    return [response[:2] for response in responses], app.engine
 
 
 class TestSolveAcceptsSolverObject:

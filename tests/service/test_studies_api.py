@@ -1,18 +1,15 @@
 """The /v1/studies endpoints: submit, dedup, front, candidate detail."""
 
-import asyncio
 import json
 
 from repro.engine import Engine
 from repro.errors import BracketError
 from repro.library import workgroup_model
 from repro.registry import ModelRegistry, RegistryStore
-from repro.service.app import App
 from repro.service.protocol import error_for_exception
-from repro.service.queue import SolveQueue
 from repro.spec import model_to_spec
 
-from . import make_request
+from . import make_request, run_app
 
 
 FAN = "Workgroup Server/Fan"
@@ -34,21 +31,8 @@ def study_payload(**overrides):
 
 
 def call(requests, registry=None):
-    async def go():
-        engine = Engine()
-        queue = SolveQueue(engine)
-        queue.start()
-        app = App(engine, queue, registry=registry)
-        responses = []
-        for request in requests:
-            response = await app.handle(request)
-            responses.append(
-                (response.status, json.loads(response.body))
-            )
-        await queue.close()
-        return responses, engine, app
-
-    return asyncio.run(go())
+    responses, app = run_app(requests, registry=registry)
+    return [response[:2] for response in responses], app.engine, app
 
 
 class TestSubmit:

@@ -6,12 +6,12 @@ import json
 from repro.engine import Engine
 from repro.library import e10000_model
 from repro.registry import open_registry
-from repro.service.app import App, render_prometheus
+from repro.service.app import App
 from repro.service.queue import SolveQueue
 from repro.spec import model_to_spec
 from repro.telemetry import TelemetryHub, synthetic_field_events
 
-from . import make_request
+from . import make_request, run_app
 
 BOOT_DISK = "E10000 Server/Boot Disk"
 
@@ -30,37 +30,21 @@ def trace_events():
 
 def call(app_requests, hub=None, registry_path=None, **hub_kwargs):
     """Run requests against a telemetry-enabled App in one loop."""
-
-    async def go():
-        engine = Engine()
-        queue = SolveQueue(engine)
-        queue.start()
-        telemetry = (
-            hub
-            if hub is not None
-            else TelemetryHub(stats=engine.stats, **hub_kwargs)
-        )
-        registry = (
-            open_registry(db_path=registry_path, engine=engine)
-            if registry_path is not None
-            else None
-        )
-        app = App(
-            engine, queue, telemetry=telemetry, registry=registry
-        )
-        responses = []
-        for request in app_requests:
-            response = await app.handle(request)
-            payload = (
-                json.loads(response.body)
-                if response.content_type.startswith("application/json")
-                else response.body.decode()
-            )
-            responses.append((response.status, payload, response))
-        await queue.close()
-        return responses, telemetry
-
-    return asyncio.run(go())
+    engine = Engine()
+    telemetry = (
+        hub
+        if hub is not None
+        else TelemetryHub(stats=engine.stats, **hub_kwargs)
+    )
+    registry = (
+        open_registry(db_path=registry_path, engine=engine)
+        if registry_path is not None
+        else None
+    )
+    responses, _ = run_app(
+        app_requests, engine, telemetry=telemetry, registry=registry
+    )
+    return responses, telemetry
 
 
 class TestIngest:
@@ -249,7 +233,6 @@ class TestCalibrationRoutes:
         async def go():
             engine = Engine()
             queue = SolveQueue(engine)
-            queue.start()
             app = App(engine, queue)
             response = await app.handle(
                 make_request("POST", "/v1/events", {"events": []})

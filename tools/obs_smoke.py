@@ -9,9 +9,9 @@ process:
 2. Solve a library model over HTTP and read the ``X-Rascad-Trace-Id``
    response header.
 3. Assert ``<trace-dir>/spans.jsonl`` holds exactly that trace: a
-   single ``service.request`` root, queue/batch stages beneath it,
-   engine solve spans beneath those, and per-block detail spans — with
-   every parent link resolving inside the trace.
+   single ``service.request`` root, a ``service.solve`` span beneath
+   it, engine solve spans beneath that, and per-block detail spans —
+   with every parent link resolving inside the trace.
 4. Assert ``/debug/traces`` serves the same trace from the in-memory
    ring, and ``rascad trace summary`` renders the directory.
 
@@ -109,11 +109,16 @@ def main() -> int:
     assert roots[0]["name"] == "service.request", roots[0]["name"]
     assert roots[0]["trace_id"] == trace_id
 
-    for stage in (
-        "service.queue_wait", "service.batch",
-        "engine.solve", "engine.block_solve",
-    ):
+    for stage in ("service.solve", "engine.solve", "engine.block_solve"):
         assert stage in names, f"trace is missing a {stage} span"
+    solve = next(s for s in spans if s["name"] == "service.solve")
+    assert by_id[solve["parent_id"]]["name"] == "service.request"
+    for span in spans:
+        if span["name"] == "engine.solve":
+            parent = by_id[span["parent_id"]]["name"]
+            assert parent == "service.solve", (
+                f"engine.solve hangs under {parent}, not service.solve"
+            )
     engine_children = [n for n in names if n.startswith("engine.")]
     assert engine_children, "no engine spans beneath the request"
 
