@@ -70,7 +70,7 @@ from typing import List, Optional
 
 from . import __version__
 from .analysis import downtime_budget, expand_values
-from .core import compute_measures, translate
+from .core import translate
 from .database import PartsDatabase, builtin_database
 from .engine import Engine, default_cache_dir, load_stats
 from .errors import RascadError
@@ -152,11 +152,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     _configure_obs(args)
     model = _load(args)
     engine = _engine_from_args(args)
-    solution = engine.solve(model, _solver_options_from_args(args))
-    _persist_stats(engine, args)
-    measures = compute_measures(
-        solution, mission_time_hours=args.mission
-    )
+    try:
+        measures = engine.measures(
+            model, _solver_options_from_args(args), args.mission
+        )
+    finally:
+        _persist_stats(engine, args)
     print(f"model                     : {model.name}")
     print(f"availability              : {measures.availability:.8f} "
           f"({nines(measures.availability):.2f} nines)")

@@ -18,6 +18,9 @@ from ..errors import SolverError
 from ..units import MINUTES_PER_YEAR, availability_to_yearly_downtime_minutes
 from .translator import SystemSolution
 
+#: Default Simpson-rule resolution of the interval integrals.
+DEFAULT_GRID_POINTS = 65
+
 
 @dataclass(frozen=True)
 class SystemMeasures:
@@ -53,7 +56,7 @@ class SystemMeasures:
 def compute_measures(
     solution: SystemSolution,
     mission_time_hours: Optional[float] = None,
-    grid_points: int = 65,
+    grid_points: int = DEFAULT_GRID_POINTS,
 ) -> SystemMeasures:
     """Evaluate the paper's measure list for a solved model.
 

@@ -129,7 +129,13 @@ class PartsDatabase:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "PartsDatabase":
-        return cls.from_json(Path(path).read_text())
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise DatabaseError(
+                f"cannot read parts database {path}: {exc}"
+            ) from exc
+        return cls.from_json(text)
 
 
 def model_cost(model, database: PartsDatabase) -> float:

@@ -1,12 +1,17 @@
 """The solve cache: an in-memory LRU with an optional persistent layer.
 
-Two namespaces share one cache object:
+Three namespaces share one cache object:
 
 * **block** entries hold :class:`repro.core.ChainSolve` results — the
   expensive, context-free per-block solves.  These are what make sweep
   points cheap: every sweep variant shares all unchanged blocks.
 * **system** entries hold whole-model :class:`SystemSolution` objects,
   so a repeated ``solve`` of a byte-identical spec is free.
+* **measures** entries hold the :class:`repro.core.SystemMeasures` of
+  a system entry at one mission time and grid, so a repeated
+  ``/v1/solve`` does not re-run the transient integrals.  They are
+  keyed ``(system key, repr(mission), grid_points)`` and dropped with
+  the system key they derive from.
 
 Block entries can additionally persist to disk (``~/.cache/rascad`` or
 an explicit ``cache_dir``) as pickle files named by their content
@@ -23,13 +28,21 @@ import pickle
 from collections import OrderedDict
 from pathlib import Path
 from threading import Lock
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Hashable, Optional, Tuple, Union
 
 from ..store import atomic_write_bytes
 
 #: Bumped whenever the pickled payload layout changes; mismatched disk
 #: entries are silently discarded.
 CACHE_FORMAT_VERSION = 2
+
+#: Capacity of the in-memory measures namespace, in entries.  A
+#: measure set is eleven floats, so this bounds the namespace to a
+#: few hundred KiB.
+MAX_MEASURES_ENTRIES = 1024
+
+#: A measures-namespace key: ``(system key, repr(mission), grid)``.
+MeasuresKey = Tuple[str, str, int]
 
 #: Default persistent-cache location (override per-engine or with the
 #: ``RASCAD_CACHE_DIR`` environment variable).
@@ -51,7 +64,7 @@ def _state_weight(value: object) -> int:
 
 
 class _LRU:
-    """A small thread-safe LRU mapping (digest -> object).
+    """A small thread-safe LRU mapping (key -> object).
 
     Entries are evicted, least recently used first, until their total
     ``weigh(value)`` is within ``capacity`` — but the entry just
@@ -68,10 +81,10 @@ class _LRU:
         self.capacity = capacity
         self._weigh = weigh
         self._lock = Lock()
-        self._entries: "OrderedDict[str, Tuple[object, int]]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Tuple[object, int]]" = OrderedDict()
         self._weight = 0
 
-    def get(self, key: str) -> Optional[object]:
+    def get(self, key: Hashable) -> Optional[object]:
         with self._lock:
             try:
                 entry = self._entries.pop(key)
@@ -80,7 +93,7 @@ class _LRU:
             self._entries[key] = entry  # re-insert as most recent
             return entry[0]
 
-    def put(self, key: str, value: object) -> None:
+    def put(self, key: Hashable, value: object) -> None:
         weight = self._weigh(value)
         with self._lock:
             self._discard(key)
@@ -90,11 +103,17 @@ class _LRU:
                 _key, (_value, evicted) = self._entries.popitem(last=False)
                 self._weight -= evicted
 
-    def pop(self, key: str) -> None:
+    def pop(self, key: Hashable) -> None:
         with self._lock:
             self._discard(key)
 
-    def _discard(self, key: str) -> None:
+    def pop_where(self, predicate: Callable[[Hashable], bool]) -> None:
+        """Drop every entry whose key satisfies ``predicate``."""
+        with self._lock:
+            for key in [key for key in self._entries if predicate(key)]:
+                self._discard(key)
+
+    def _discard(self, key: Hashable) -> None:
         entry = self._entries.pop(key, None)
         if entry is not None:
             self._weight -= entry[1]
@@ -137,6 +156,7 @@ class SolveCache:
     ) -> None:
         self._blocks = _LRU(max_block_states, weigh=_state_weight)
         self._systems = _LRU(max_system_entries)
+        self._measures = _LRU(MAX_MEASURES_ENTRIES)
         self.cache_dir = (
             Path(cache_dir).expanduser() if cache_dir is not None else None
         )
@@ -173,12 +193,23 @@ class SolveCache:
         self._systems.put(key, value)
 
     # ------------------------------------------------------------------
+    # measures namespace (memory only, derived from system keys)
+    # ------------------------------------------------------------------
+    def get_measures(self, key: MeasuresKey) -> Optional[object]:
+        return self._measures.get(key)
+
+    def put_measures(self, key: MeasuresKey, value: object) -> None:
+        self._measures.put(key, value)
+
+    # ------------------------------------------------------------------
     # invalidation
     # ------------------------------------------------------------------
     def invalidate(self, key: str) -> None:
-        """Drop one digest from every layer."""
+        """Drop one digest from every layer, with the measure sets
+        derived from it."""
         self._blocks.pop(key)
         self._systems.pop(key)
+        self._measures.pop_where(lambda measures_key: measures_key[0] == key)
         path = self._block_path(key)
         if path is not None:
             try:
@@ -190,6 +221,7 @@ class SolveCache:
         """Empty the in-memory layers (and optionally the disk layer)."""
         self._blocks.clear()
         self._systems.clear()
+        self._measures.clear()
         if disk:
             self.clear_disk()
 
@@ -215,6 +247,10 @@ class SolveCache:
     @property
     def system_entries(self) -> int:
         return len(self._systems)
+
+    @property
+    def measures_entries(self) -> int:
+        return len(self._measures)
 
     def disk_usage(self) -> Tuple[int, int]:
         """``(entry count, total bytes)`` of the persistent layer."""

@@ -9,6 +9,10 @@ meters everything through a :class:`~repro.engine.stats.StatsCollector`:
   :func:`repro.core.translate`; per-block chain solves are memoized by
   content digest, so structurally identical blocks anywhere in any
   model are solved exactly once per cache lifetime.
+* :meth:`Engine.measures` — the Section 4 measure set of a cached
+  solve, itself cached per (system digest, mission, grid), so a
+  repeated what-if read costs a lookup instead of the transient
+  integrals.
 * :meth:`Engine.solve_chain` — the same for raw GMB/library CTMCs.
 * :meth:`Engine.sweep_block_field` / :meth:`Engine.sweep_global_field`
   — parametric sweeps where only the changed block is re-solved per
@@ -44,6 +48,11 @@ from pathlib import Path
 import numpy as np
 
 from ..core.block import DiagramBlockModel
+from ..core.measures import (
+    DEFAULT_GRID_POINTS,
+    SystemMeasures,
+    compute_measures,
+)
 from ..core.parameters import BlockParameters, GlobalParameters
 from ..core.translator import (
     ChainSolve,
@@ -59,7 +68,7 @@ from ..markov.steady_state import steady_state
 from ..num import SolverOptions, as_options
 from ..obs.trace import get_tracer
 from ..units import MINUTES_PER_YEAR, availability_to_yearly_downtime_minutes
-from .cache import SolveCache, default_cache_dir
+from .cache import MeasuresKey, SolveCache, default_cache_dir
 from .executor import run_batch
 from .keys import block_digest, chain_digest, model_digest, task_seed
 from .stats import EngineStats, StatsCollector, save_stats
@@ -205,6 +214,79 @@ class Engine:
             else:
                 span.set_attr("cache", "off")
             return solution
+
+    def measures_key(
+        self,
+        model: DiagramBlockModel,
+        method: MethodLike = "direct",
+        mission: Optional[float] = None,
+        grid_points: int = DEFAULT_GRID_POINTS,
+    ) -> MeasuresKey:
+        """The measures-cache key of one (model, solver, mission, grid).
+
+        An omitted mission resolves to the model's global Mission Time
+        first, so it shares the entry of an explicit equal mission.
+        The key holds the mission's ``repr``: ``8760`` and ``8760.0``
+        give equal numbers but print differently, so they stay apart.
+        """
+        if mission is None:
+            mission = model.global_parameters.mission_time_hours
+        return (
+            model_digest(model, as_options(method)), repr(mission),
+            grid_points,
+        )
+
+    def lookup_measures(self, key: MeasuresKey) -> Optional[SystemMeasures]:
+        """The cached measure set under ``key``, or None; never computes.
+
+        Cheap enough for an event loop: a hit counts
+        ``measures_cache_hits`` and emits an ``engine.measures`` span
+        with ``cache=hit``; a miss records nothing.
+        """
+        if self.cache is None:
+            return None
+        cached = self.cache.get_measures(key)
+        if cached is not None:
+            self.stats.increment("measures_cache_hits")
+            with get_tracer().span("engine.measures", cache="hit"):
+                pass
+        return cached
+
+    def measures(
+        self,
+        model: DiagramBlockModel,
+        method: MethodLike = "direct",
+        mission: Optional[float] = None,
+        grid_points: int = DEFAULT_GRID_POINTS,
+    ) -> SystemMeasures:
+        """Cached ``compute_measures(self.solve(model, method), ...)``.
+
+        The measure set is a pure function of the system digest, the
+        solver options, the resolved mission and the grid, so it is
+        computed once per distinct key (``measures_computed``) and
+        every later call is a lookup.  On a miss the solve runs first,
+        as its own ``engine.solve`` span, and the ``engine.measures``
+        span (``cache=miss``, or ``off`` without a cache) times only
+        the measures.  Cached measure sets are shared — treat them as
+        immutable.
+        """
+        method = as_options(method)
+        key = self.measures_key(model, method, mission, grid_points)
+        cached = self.lookup_measures(key)
+        if cached is not None:
+            return cached
+        solution = self.solve(model, method)
+        with get_tracer().span(
+            "engine.measures", cache="off" if self.cache is None else "miss"
+        ):
+            measures = compute_measures(
+                solution, mission_time_hours=mission,
+                grid_points=grid_points,
+            )
+        self.stats.increment("measures_computed")
+        if self.cache is not None:
+            self.cache.put_measures(key, measures)
+        return measures
 
     async def solve_async(
         self, model: DiagramBlockModel, method: MethodLike = "direct"

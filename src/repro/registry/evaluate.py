@@ -27,16 +27,16 @@ def evaluate_model(
 ) -> Dict[str, float]:
     """The evaluation record for one parsed model.
 
-    With an engine the solve goes through (and warms) its caches; the
-    bare :func:`repro.core.translate` fallback produces bit-identical
-    numbers for default solver options, so CLI-side registries need no
-    engine at all.
+    With an engine the solve and the measure set go through (and warm)
+    its caches, so the next ``model_ref`` solve of a freshly published
+    version is a cache hit; the bare :func:`repro.core.translate`
+    fallback produces bit-identical numbers for default solver options,
+    so CLI-side registries need no engine at all.
     """
     if engine is not None:
-        solution = engine.solve(model, method)
+        measures = engine.measures(model, method)
     else:
-        solution = translate(model)
-    measures = compute_measures(solution)
+        measures = compute_measures(translate(model))
     return {
         "availability": measures.availability,
         "yearly_downtime_minutes": measures.yearly_downtime_minutes,

@@ -17,7 +17,13 @@ the stdlib (asyncio HTTP/1.1) in front of the PR-1 evaluation engine:
 * :mod:`.client` — the client half: one JSON call to a server.
 """
 
-from .app import App, LIBRARY_MODELS, render_prometheus, solution_payload
+from .app import (
+    App,
+    LIBRARY_MODELS,
+    measures_payload,
+    render_prometheus,
+    solution_payload,
+)
 from .client import ClientError, Reply, call
 from .lifecycle import Server, ServiceConfig, serve
 from .protocol import (
@@ -39,6 +45,7 @@ from .queue import (
 __all__ = [
     "App",
     "LIBRARY_MODELS",
+    "measures_payload",
     "render_prometheus",
     "solution_payload",
     "ClientError",

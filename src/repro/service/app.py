@@ -81,7 +81,15 @@ from __future__ import annotations
 import asyncio
 import re
 import time
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..cluster import Coordinator
@@ -91,6 +99,8 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..telemetry import TelemetryHub
 
 from ..core import compute_measures
+from ..core.block import DiagramBlockModel
+from ..core.measures import SystemMeasures
 from ..core.translator import SystemSolution
 from ..database import PartsDatabase, builtin_database
 from ..engine import (
@@ -387,10 +397,22 @@ class App:
             return self._registry_required().resolve_spec(ref)
         return _field(payload, "spec", dict)
 
-    def _parse_request_model(self, payload: Mapping[str, object]):
-        return parse_spec(
-            self._request_spec_doc(payload), database=self.database
-        )
+    async def _request_model(
+        self, payload: Mapping[str, object]
+    ) -> Tuple[Dict[str, object], DiagramBlockModel]:
+        """The request's spec document and parsed model.
+
+        Resolution (a registry read, which waits behind any registry
+        writer) and parsing run together on one worker thread, so
+        neither stalls the event loop's other connections.
+        """
+        return await asyncio.to_thread(self._resolve_and_parse, payload)
+
+    def _resolve_and_parse(
+        self, payload: Mapping[str, object]
+    ) -> Tuple[Dict[str, object], DiagramBlockModel]:
+        spec_doc = self._request_spec_doc(payload)
+        return spec_doc, parse_spec(spec_doc, database=self.database)
 
     def _request_deadline(self, payload: Mapping[str, object]) -> float:
         timeout = _field(
@@ -441,17 +463,18 @@ class App:
 
     async def _solve(self, request: Request) -> Response:
         payload = request.json()
-        model = self._parse_request_model(payload)
+        _spec_doc, model = await self._request_model(payload)
         method = self._solver_options_of(payload)
         mission = _field(payload, "mission", float, required=False)
         deadline = self._request_deadline(payload)
-        solution = await self.queue.solve(model, method, deadline)
-        return json_response(solution_payload(solution, mission))
+        measures = await self.queue.measures(
+            model, method, mission, deadline
+        )
+        return json_response(measures_payload(model.name, measures))
 
     async def _sweep(self, request: Request) -> Response:
         payload = request.json()
-        spec_doc = self._request_spec_doc(payload)
-        model = parse_spec(spec_doc, database=self.database)
+        spec_doc, model = await self._request_model(payload)
         method = self._solver_options_of(payload)
         block = _field(payload, "block", str, required=False)
         field_name = _field(payload, "field", str)
@@ -507,7 +530,7 @@ class App:
 
     async def _validate(self, request: Request) -> Response:
         payload = request.json()
-        model = self._parse_request_model(payload)
+        _spec_doc, model = await self._request_model(payload)
         method = self._solver_options_of(payload)
         replications = _field(
             payload, "replications", int, required=False, default=40
@@ -664,7 +687,7 @@ class App:
 
         hub = self._telemetry_required()
         payload = request.json()
-        model = self._parse_request_model(payload)
+        _spec_doc, model = await self._request_model(payload)
         options = self._solver_options_of(payload)
         drift_raw = _field(payload, "drift", dict, required=False)
         drift_config = None
@@ -735,7 +758,7 @@ class App:
                 f"unknown job kind {kind!r}; "
                 f"expected one of {sorted(JOB_KINDS)}",
             )
-        spec = self._request_spec_doc(payload)
+        spec = await asyncio.to_thread(self._request_spec_doc, payload)
         params = dict(
             _field(payload, "params", dict, required=False, default={})
         )
@@ -1303,9 +1326,22 @@ def solution_payload(
     :func:`repro.core.compute_measures` call — byte-for-byte the CLI's
     numbers.
     """
-    measures = compute_measures(solution, mission_time_hours=mission)
+    return measures_payload(
+        solution.model.name,
+        compute_measures(solution, mission_time_hours=mission),
+    )
+
+
+def measures_payload(
+    model_name: str, measures: SystemMeasures
+) -> Dict[str, object]:
+    """The ``POST /v1/solve`` response body for a model's measure set.
+
+    A pure function of its arguments, so a cached measure set gives
+    the same bytes as a freshly computed one.
+    """
     return {
-        "model": solution.model.name,
+        "model": model_name,
         "availability": measures.availability,
         "nines": nines(measures.availability),
         "yearly_downtime_minutes": measures.yearly_downtime_minutes,

@@ -1,7 +1,10 @@
 """Admission control and deduplication in front of the engine.
 
-Every ``POST /v1/solve`` (and the solve inside ``/v1/validate``) flows
-through one :class:`SolveQueue`:
+Every ``POST /v1/solve`` (:meth:`SolveQueue.measures`) and the solve
+inside ``/v1/validate`` (:meth:`SolveQueue.solve`) flows through one
+:class:`SolveQueue`.  A ``/v1/solve`` whose measure set the engine has
+cached answers on the loop and never enters the queue; everything else
+gets:
 
 * **Backpressure** — at most ``max_queue`` *distinct* solves may be
   running; beyond that :class:`QueueFullError` surfaces as a ``429``
@@ -12,8 +15,9 @@ through one :class:`SolveQueue`:
   fans out to every waiter.  64 clients posting the same spec cost one
   solve.
 * **No head-of-line blocking** — each admitted distinct solve is its
-  own task running :meth:`repro.engine.Engine.solve` on a worker
-  thread, so a slow solve never delays a distinct request behind it.
+  own task running :meth:`repro.engine.Engine.solve` (or
+  :meth:`~repro.engine.Engine.measures`) on a worker thread, so a slow
+  solve never delays a distinct request behind it.
 * **Deadlines** — a waiter whose deadline passes gets
   :class:`DeadlineExceededError` (``504``); the shared solve keeps
   running for any waiters still inside their deadline.
@@ -31,9 +35,10 @@ from __future__ import annotations
 import asyncio
 import functools
 import time
-from typing import Dict, Optional
+from typing import Callable, Dict, Hashable, Optional
 
 from ..core.block import DiagramBlockModel
+from ..core.measures import SystemMeasures
 from ..core.translator import SystemSolution
 from ..engine import Engine
 from ..engine.keys import model_digest
@@ -74,7 +79,7 @@ class SolveQueue:
             raise RascadError(f"max_queue must be >= 1, got {max_queue}")
         self.engine = engine
         self.max_queue = max_queue
-        self._inflight: Dict[str, "asyncio.Task[SystemSolution]"] = {}
+        self._inflight: Dict[Hashable, "asyncio.Task"] = {}
         self.depth_peak = 0
         self._closed = False
 
@@ -105,15 +110,61 @@ class SolveQueue:
                 engine; dedup keys on its canonical form.
             deadline: Absolute ``time.monotonic()`` deadline, or None.
         """
+        self._check_open()
+        method = as_options(method)
+        key = model_digest(model, method)
+        return await self._submit(
+            key, key, method,
+            functools.partial(self.engine.solve, model, method), deadline,
+        )
+
+    async def measures(
+        self,
+        model: DiagramBlockModel,
+        method: object = "direct",
+        mission: Optional[float] = None,
+        deadline: Optional[float] = None,
+    ) -> SystemMeasures:
+        """The model's measure set at ``mission`` (``POST /v1/solve``).
+
+        A measure set the engine has cached answers at once, on the
+        calling loop, without admission.  A miss is admitted, deduped
+        and deadlined like :meth:`solve`, keyed by the measures key,
+        and runs :meth:`repro.engine.Engine.measures` on a worker
+        thread.
+        """
+        self._check_open()
+        method = as_options(method)
+        key = self.engine.measures_key(model, method, mission)
+        cached = self.engine.lookup_measures(key)
+        if cached is not None:
+            return cached
+        return await self._submit(
+            key, key[0], method,
+            functools.partial(
+                self.engine.measures, model, method, mission
+            ),
+            deadline,
+        )
+
+    def _check_open(self) -> None:
         if self._closed:
             raise ServiceClosedError("service shutting down")
-        method = as_options(method)
+
+    async def _submit(
+        self,
+        key: Hashable,
+        digest: str,
+        method: SolverOptions,
+        work: Callable[[], object],
+        deadline: Optional[float],
+    ):
+        """Dedup on ``key``, admit, and await ``work()`` on a thread."""
         stats = self.engine.stats
-        key = model_digest(model, method)
         task = self._inflight.get(key)
         if task is not None:
             stats.increment("service_dedup_hits")
-            with get_tracer().span("service.dedup_wait", key=key):
+            with get_tracer().span("service.dedup_wait", key=digest):
                 return await self._wait(task, deadline)
         if len(self._inflight) >= self.max_queue:
             stats.increment("service_rejections")
@@ -125,7 +176,7 @@ class SolveQueue:
         # The task copies this request's context, so its span nests
         # under the request span and the engine's under its own.
         task = asyncio.get_running_loop().create_task(
-            self._solve(model, method, key)
+            self._run(digest, method, work)
         )
         self._inflight[key] = task
         task.add_done_callback(
@@ -138,19 +189,19 @@ class SolveQueue:
             stats.set_gauge("queue_depth_peak", self.depth_peak)
         return await self._wait(task, deadline)
 
-    async def _solve(
-        self, model: DiagramBlockModel, method: SolverOptions, key: str
-    ) -> SystemSolution:
+    async def _run(
+        self, digest: str, method: SolverOptions, work: Callable[[], object]
+    ):
         with get_tracer().span(
-            "service.solve", key=key, method=method.cache_token()
+            "service.solve", key=digest, method=method.cache_token()
         ):
-            return await asyncio.to_thread(self.engine.solve, model, method)
+            return await asyncio.to_thread(work)
 
     def _finished(
         self,
-        key: str,
+        key: Hashable,
         admitted_at: float,
-        task: "asyncio.Task[SystemSolution]",
+        task: "asyncio.Task",
     ) -> None:
         del self._inflight[key]
         stats = self.engine.stats
@@ -164,9 +215,9 @@ class SolveQueue:
 
     async def _wait(
         self,
-        task: "asyncio.Task[SystemSolution]",
+        task: "asyncio.Task",
         deadline: Optional[float],
-    ) -> SystemSolution:
+    ):
         # Shield: the task is shared between deduped waiters, so one
         # waiter's timeout must not cancel everyone's solve.
         if deadline is None:

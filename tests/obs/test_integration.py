@@ -139,7 +139,7 @@ class TestServiceTraces:
         names = {span["name"] for span in spans}
         assert {
             "service.request", "service.solve",
-            "engine.solve", "engine.block_solve",
+            "engine.solve", "engine.block_solve", "engine.measures",
         } <= names
         by_id = _tree(spans)
         roots = [s for s in spans if s["parent_id"] is None]
@@ -152,6 +152,33 @@ class TestServiceTraces:
             by_id[s["parent_id"]]["name"] == "service.solve"
             for s in solves
         )
+        measures, = [s for s in spans if s["name"] == "engine.measures"]
+        assert by_id[measures["parent_id"]]["name"] == "service.solve"
+        assert measures["attrs"]["cache"] == "miss"
+
+    def test_cached_solve_trace_is_one_measures_hit(self, tmp_path):
+        body = json.dumps({"spec": model_to_spec(workgroup_model())})
+        requests = [
+            Request("POST", "/v1/solve", {}, {}, body.encode())
+            for _ in range(2)
+        ]
+        first, second = self._serve(requests, tmp_path)
+        assert first.status == second.status == 200
+        assert first.body == second.body
+        get_tracer().exporter.close()
+
+        spans = read_spans(
+            tmp_path, trace_id=second.headers["X-Rascad-Trace-Id"]
+        )
+        by_id = _tree(spans)
+        engine_spans = [
+            s for s in spans if s["name"].startswith("engine.")
+        ]
+        assert [s["name"] for s in engine_spans] == ["engine.measures"]
+        assert engine_spans[0]["attrs"]["cache"] == "hit"
+        parent = by_id[engine_spans[0]["parent_id"]]
+        assert parent["name"] == "service.request"
+        assert "service.solve" not in {s["name"] for s in spans}
 
     def test_deduped_solve_exports_its_own_wait_trace(self, tmp_path):
         configure_tracing(trace_dir=tmp_path, detail=True)

@@ -203,6 +203,30 @@ class TestObservability:
         assert payload["service"]["max_queue"] == 64
         assert payload["derived"]["cache_hit_rate"] >= 0
 
+    def test_metrics_count_measure_sets_computed_and_cached(self):
+        spec = model_to_spec(workgroup_model())
+        solve = make_request("POST", "/v1/solve", {"spec": spec})
+        responses, engine = call([
+            solve,
+            make_request("POST", "/v1/solve", {"spec": spec}),
+            make_request("GET", "/metrics"),
+            make_request(
+                "GET", "/metrics", query={"format": "prometheus"}
+            ),
+        ])
+        (_, first, _), (_, second, _) = responses[:2]
+        assert second == first
+        status, payload, _ = responses[2]
+        assert status == 200
+        counters = payload["engine"]["counters"]
+        assert counters["measures_computed"] == 1
+        assert counters["measures_cache_hits"] == 1
+        # The hit never entered the admission queue.
+        assert counters["service_admitted"] == 1
+        status, text, _ = responses[3]
+        assert "rascad_measures_computed_total 1" in text
+        assert "rascad_measures_cache_hits_total 1" in text
+
     def test_metrics_report_store_health(self):
         responses, _ = call([make_request("GET", "/metrics")])
         status, payload, _ = responses[0]

@@ -247,6 +247,33 @@ class TestRefResolution:
         assert inline[0] == ref[0] == bare[0] == 200
         assert inline[1] == ref[1] == bare[1]
 
+    def test_publish_warms_the_measures_the_ref_solve_reads(self):
+        async def scenario(server, host, port):
+            status, _, _ = await http_request(
+                host, port, "POST", "/v1/models",
+                {"name": "wg", "spec": workgroup_spec(), "tag": "prod"},
+            )
+            assert status == 201
+            published = server.engine.stats_snapshot().counters
+            status_ref, ref, _ = await raw_request(
+                host, port, "POST", "/v1/solve", {"model_ref": "wg@prod"}
+            )
+            status_inline, inline, _ = await raw_request(
+                host, port, "POST", "/v1/solve",
+                {"spec": workgroup_spec()},
+            )
+            served = server.engine.stats_snapshot().counters
+            return published, (status_ref, ref), (
+                status_inline, inline,
+            ), served
+
+        published, ref, inline, served = run_with_server(scenario)
+        assert published["measures_computed"] == 1
+        assert ref[0] == inline[0] == 200
+        assert ref[1] == inline[1]
+        assert served["measures_computed"] == 1
+        assert served["measures_cache_hits"] == 2
+
     def test_ref_sweep_200_points_is_byte_identical(self):
         values = [1e5 + 4.5e3 * i for i in range(200)]
 

@@ -34,6 +34,25 @@ class TestSolve:
         assert "100 h" in out
 
 
+class TestMissingDatabase:
+    @pytest.mark.parametrize("command", [
+        ["parts"], ["solve", "SPEC"], ["jobs", "list"],
+    ])
+    def test_missing_database_file_is_a_clear_error(
+        self, spec_path, tmp_path, capsys, command
+    ):
+        missing = tmp_path / "MISSING.json"
+        argv = [spec_path if arg == "SPEC" else arg for arg in command]
+        if command[0] == "jobs":
+            argv += ["--db", str(tmp_path / "jobs.sqlite3")]
+        code = main(["--database", str(missing)] + argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "MISSING.json" in err
+        assert "Traceback" not in err
+
+
 class TestTreeAndReport:
     def test_tree(self, spec_path, capsys):
         assert main(["tree", spec_path]) == 0

@@ -154,6 +154,8 @@ def main() -> int:
         while time.monotonic() < deadline:
             if not sweep_thread.is_alive():
                 print("FAIL: sweep finished before the kill landed")
+                if "error" in outcome:
+                    print(f"sweep error: {outcome['error']}")
                 return 1
             active = client.status().get("active", [])
             done = sum(int(entry.get("done", 0)) for entry in active)
