@@ -14,11 +14,7 @@ import numpy as np
 import pytest
 
 from repro import BlockParameters, GlobalParameters, generate_block_chain
-from repro.markov import (
-    solve_steady_state,
-    solve_steady_state_gth,
-    solve_steady_state_power,
-)
+from repro.num import as_operator, power_iteration, solve_steady
 from repro.validation.sharpe import sharpe_steady_state
 
 from ._report import emit, emit_table
@@ -46,7 +42,7 @@ def bench_a6_method_comparison(benchmark):
 
     def run_direct():
         return {
-            depth: solve_steady_state(chain)
+            depth: solve_steady(chain, "direct")
             for depth, chain in chains.items()
         }
 
@@ -54,14 +50,14 @@ def bench_a6_method_comparison(benchmark):
 
     rows = []
     for depth, chain in chains.items():
-        reference = solve_steady_state_gth(chain)
+        reference = solve_steady(chain, "gth")
 
         timings = {}
         errors = {}
         for label, solver in (
-            ("direct", solve_steady_state),
-            ("gth", solve_steady_state_gth),
-            ("power", solve_steady_state_power),
+            ("direct", lambda model: solve_steady(model, "direct")),
+            ("gth", lambda model: solve_steady(model, "gth")),
+            ("power", lambda model: power_iteration(as_operator(model))),
         ):
             start = time.perf_counter()
             pi = solver(chain)

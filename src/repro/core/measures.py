@@ -72,8 +72,10 @@ def compute_measures(
         if mission_time_hours is not None
         else solution.model.global_parameters.mission_time_hours
     )
-    if mission <= 0:
-        raise SolverError(f"mission time must be positive, got {mission}")
+    if not (math.isfinite(mission) and mission > 0):
+        raise SolverError(
+            f"mission time must be positive and finite, got {mission}"
+        )
 
     availability = solution.availability
     frequency = solution.failure_frequency

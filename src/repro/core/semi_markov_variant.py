@@ -111,7 +111,7 @@ def exponential_assumption_gap(
     transient number is where distribution shape can show up.
     """
     from ..markov.rewards import steady_state_availability
-    from ..markov.transient import transient_probabilities
+    from ..num import as_operator, transient_distribution
     from ..semimarkov.phase_type import smp_transient_availability
     from ..semimarkov.steady_state import semi_markov_availability
 
@@ -119,7 +119,7 @@ def exponential_assumption_gap(
     exponential_steady = steady_state_availability(chain)
     variant_steady = semi_markov_availability(variant)
 
-    probabilities = transient_probabilities(chain, horizon)
+    probabilities = transient_distribution(as_operator(chain), horizon)
     indicator = (chain.reward_vector() > 0).astype(float)
     exponential_point = float(probabilities @ indicator)
     variant_point = smp_transient_availability(

@@ -64,8 +64,7 @@ from ..core.translator import (
 from ..errors import SolverError
 from ..markov.chain import MarkovChain
 from ..markov.rewards import crossing_frequency
-from ..markov.steady_state import steady_state
-from ..num import SolverOptions, as_options
+from ..num import SolverOptions, as_options, solve_steady
 from ..obs.trace import get_tracer
 from ..units import MINUTES_PER_YEAR, availability_to_yearly_downtime_minutes
 from .cache import MeasuresKey, SolveCache, default_cache_dir
@@ -362,7 +361,9 @@ class Engine:
                 if layer == "disk":
                     self.stats.increment("disk_hits")
                 return value
-        pi = dict(steady_state(chain, method=options))
+        pi = dict(
+            zip(chain.state_names, solve_steady(chain, options).tolist())
+        )
         # Derive the failure frequency from the distribution already in
         # hand (the solve is deterministic, so this matches what a
         # second markov.rewards.failure_frequency solve would sum).

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 from ..errors import ParameterError
 from ..markov.chain import MarkovChain
-from ..markov.rewards import steady_state_availability
+from ..markov.rewards import steady_state, steady_state_availability
 from ..units import minutes
 
 
@@ -196,8 +196,6 @@ def secondary_cluster_measures(
 ) -> dict:
     """Availability and expected capacity of the active-active pair."""
     chain = secondary_cluster_chain(parameters, degraded_capacity)
-    from ..markov.steady_state import steady_state
-
     pi = steady_state(chain)
     availability = sum(
         pi[state.name] for state in chain if state.is_up

@@ -7,20 +7,12 @@ analysis, and parametric sensitivity.
 """
 
 from .chain import MarkovChain, State, Transition
-from .steady_state import (
-    solve_steady_state,
-    solve_steady_state_gth,
-    solve_steady_state_power,
-    steady_state,
-)
 from .transient import (
-    transient_probabilities,
     transient_probabilities_expm,
     transient_probabilities_ode,
-    transient_curve,
-    uniformization_terms,
 )
 from .rewards import (
+    steady_state,
     crossing_frequency,
     expected_reward_rate,
     steady_state_availability,
@@ -52,15 +44,9 @@ __all__ = [
     "MarkovChain",
     "State",
     "Transition",
-    "solve_steady_state",
-    "solve_steady_state_gth",
-    "solve_steady_state_power",
     "steady_state",
-    "transient_probabilities",
     "transient_probabilities_expm",
     "transient_probabilities_ode",
-    "transient_curve",
-    "uniformization_terms",
     "crossing_frequency",
     "expected_reward_rate",
     "steady_state_availability",

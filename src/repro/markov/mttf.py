@@ -27,7 +27,7 @@ from ..num import (
     transient_grid,
 )
 from .chain import MarkovChain
-from .transient import transient_probabilities, transient_probabilities_ode
+from .transient import transient_probabilities_ode
 
 
 def absorbing_variant(chain: MarkovChain) -> MarkovChain:
@@ -93,12 +93,11 @@ def reliability_at(
     method: str = "uniformization",
 ) -> float:
     """R(t): probability no down state has been entered by time ``t``."""
+    if method != "ode":
+        return reliability_curve(chain, [t], start)[0]
     absorbing = absorbing_variant(chain)
     p0 = absorbing.initial_distribution(start)
-    if method == "ode":
-        probabilities = transient_probabilities_ode(absorbing, t, p0=p0)
-    else:
-        probabilities = transient_probabilities(absorbing, t, p0=p0)
+    probabilities = transient_probabilities_ode(absorbing, t, p0=p0)
     up_index = _transient_partition(absorbing)
     return float(np.clip(probabilities[up_index].sum(), 0.0, 1.0))
 

@@ -13,13 +13,22 @@ paths; steady-state measures accept any registered solver backend via
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ..errors import SolverError
-from ..num import SolverOptions, as_operator, interval_reward_value
+from ..errors import SolverError, UnknownBackendError
+from ..num import (
+    STIFFNESS_LIMIT,
+    SolverOptions,
+    as_operator,
+    as_options,
+    backend_names,
+    interval_reward_value,
+    solve_steady,
+    stiffness,
+)
 from .chain import MarkovChain
 
 
@@ -38,8 +47,6 @@ def steady_state_availability(
     chain: MarkovChain, method: Union[str, SolverOptions] = "direct"
 ) -> float:
     """Steady-state availability: reward-weighted stationary probability."""
-    from .steady_state import steady_state
-
     pi = steady_state(chain, method=method)
     return sum(
         pi[state.name] * state.reward for state in chain
@@ -85,9 +92,11 @@ def interval_reward(
     if horizon == 0:
         return float(p0 @ rewards)
 
-    lam = op.uniformization_rate()
     if method == "auto":
-        method = "ode" if lam * horizon > 1e6 else "uniformization"
+        method = (
+            "ode" if stiffness(op, horizon) > STIFFNESS_LIMIT
+            else "uniformization"
+        )
 
     if method == "uniformization":
         op.validate()
@@ -204,6 +213,30 @@ def interval_recovery_frequency(
     )
 
 
+def steady_state(
+    chain: MarkovChain,
+    method: Union[str, SolverOptions] = "direct",
+) -> Dict[str, float]:
+    """Steady-state probabilities keyed by state name.
+
+    Args:
+        chain: The chain to solve.
+        method: A backend name (``"direct"``, ``"gth"``, ``"power"``,
+            ``"sparse-direct"``, ``"sparse-iterative"``) or a full
+            :class:`~repro.num.SolverOptions` value.
+    """
+    try:
+        options = as_options(method)
+    except UnknownBackendError:
+        legacy = sorted(set(backend_names()) | {"direct"})
+        raise SolverError(
+            f"unknown steady-state method {method!r}; "
+            f"expected one of {legacy}"
+        ) from None
+    pi = solve_steady(chain, options)
+    return dict(zip(chain.state_names, pi.tolist()))
+
+
 def crossing_frequency(
     chain: MarkovChain,
     pi: dict,
@@ -212,8 +245,8 @@ def crossing_frequency(
     """Steady-state crossing frequency from a precomputed distribution.
 
     ``pi`` maps state names to stationary probabilities (the result of
-    :func:`~repro.markov.steady_state.steady_state`); callers that have
-    already solved the chain avoid a second full solve.
+    :func:`steady_state`); callers that have already solved the chain
+    avoid a second full solve.
     """
     up = set(chain.up_states())
     total = 0.0
@@ -235,7 +268,5 @@ def _crossing_frequency(
     up_to_down: bool,
     method: Union[str, SolverOptions],
 ) -> float:
-    from .steady_state import steady_state
-
     pi = steady_state(chain, method=method)
     return crossing_frequency(chain, pi, up_to_down=up_to_down)

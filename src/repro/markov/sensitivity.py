@@ -20,7 +20,7 @@ from typing import Callable, Dict, Iterable, List, Tuple
 import numpy as np
 
 from ..errors import SolverError
-from ..num import as_operator
+from ..num import as_operator, solve_steady
 from .chain import MarkovChain
 
 ChainFactory = Callable[[float], MarkovChain]
@@ -81,9 +81,7 @@ def stationary_derivative(
     if n < 2:
         raise SolverError("sensitivity needs at least two states")
 
-    from .steady_state import solve_steady_state
-
-    pi = solve_steady_state(chain)
+    pi = solve_steady(chain, "direct")
     m = as_operator(chain, representation="dense", validate=False).dense().copy()
     m[:, -1] = 1.0
     direction = np.zeros((n, n))

@@ -1,104 +1,26 @@
-"""Transient solution of CTMCs — compatibility shims over ``repro.num``.
+"""Independent transient oracles: matrix exponential and stiff ODE.
 
-The production path is Jensen's uniformization (randomization), the
-standard approach in availability tools (Reibman/Smith/Trivedi 1989 is
-the paper's reference [6]).  Matrix-exponential and ODE paths exist as
-independent cross-checks for the validation benchmarks.
-
-The Poisson-truncation machinery and the uniformization power sequence
-live once in :mod:`repro.num.uniformization`; this module keeps the
-historic signatures (including the test-visible
-:func:`uniformization_terms` helper) working unchanged, and
-:func:`transient_curve` now evaluates the whole grid from a single
-power sequence via :func:`repro.num.transient_grid`.
+The production transient path is Jensen's uniformization (Reibman/Smith/
+Trivedi 1989, the paper's reference [6]), and it lives once in
+:mod:`repro.num.uniformization` (:func:`repro.num.transient_distribution`
+and :func:`repro.num.transient_grid`).  This module holds the two methods
+that share no code with it, so each can check it: ``scipy.linalg.expm``
+of the dense generator, and an implicit (BDF) integration of the
+Kolmogorov forward equations that also serves horizons too stiff for
+uniformization.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy import linalg as sla
 from scipy.integrate import solve_ivp
 
 from ..errors import SolverError
-from ..num import (
-    as_operator,
-    poisson_pmf_series,
-    poisson_tail,
-    poisson_truncation,
-    transient_grid,
-    validate_generator,
-)
+from ..num import as_operator
 from .chain import MarkovChain
-
-
-def uniformization_terms(
-    q: np.ndarray, t: float, tol: float = 1e-12
-) -> Tuple[np.ndarray, float, int]:
-    """Uniformized DTMC, uniformization rate, and Poisson truncation point.
-
-    Returns ``(P, lam, n_terms)`` such that
-    ``exp(Q t) = sum_k pois(k; lam*t) P^k`` truncated after ``n_terms``
-    terms with total truncated probability mass below ``tol``.
-    """
-    validate_generator(q)
-    if t < 0:
-        raise SolverError(f"time must be non-negative, got {t}")
-    lam = float(-q.diagonal().min())
-    if lam == 0.0:
-        return np.eye(q.shape[0]), 0.0, 1
-    lam *= 1.0 + 1e-9  # guard against a zero row in P from rounding
-    p = np.eye(q.shape[0]) + q / lam
-    mean = lam * t
-    if mean == 0.0:
-        return p, lam, 1
-    return p, lam, poisson_truncation(mean, tol)
-
-
-def _poisson_pmf_series(mean: float, n_terms: int) -> np.ndarray:
-    """Poisson pmf values 0..n_terms-1, computed stably in log space."""
-    return poisson_pmf_series(mean, n_terms)
-
-
-def _poisson_tail(mean: float, m: int) -> float:
-    """P(Poisson(mean) > m)."""
-    return poisson_tail(mean, m)
-
-
-def _initial_vector(
-    model: Union[MarkovChain, np.ndarray],
-    n: int,
-    p0: Optional[np.ndarray],
-) -> np.ndarray:
-    if p0 is None:
-        if isinstance(model, MarkovChain):
-            p0 = model.initial_distribution()
-        else:
-            p0 = np.zeros(n)
-            p0[0] = 1.0
-    return np.asarray(p0, dtype=float)
-
-
-def transient_probabilities(
-    model: Union[MarkovChain, np.ndarray],
-    t: float,
-    p0: Optional[np.ndarray] = None,
-    tol: float = 1e-12,
-) -> np.ndarray:
-    """State probabilities at time ``t`` by uniformization."""
-    op = as_operator(model, validate=False)
-    p0 = _initial_vector(model, op.n, p0)
-    if p0.shape != (op.n,):
-        raise SolverError(
-            f"initial vector has shape {p0.shape}, expected ({op.n},)"
-        )
-    if abs(p0.sum() - 1.0) > 1e-9 or (p0 < -1e-12).any():
-        raise SolverError("initial vector is not a probability distribution")
-    if t == 0.0:
-        return p0.copy()
-    op.validate()
-    return transient_grid(op, [t], p0=p0, tol=tol)[0]
 
 
 def transient_probabilities_expm(
@@ -164,34 +86,3 @@ def transient_probabilities_ode(
     if total <= 0:
         raise SolverError("ODE transient solve lost all probability mass")
     return result / total
-
-
-def transient_curve(
-    model: Union[MarkovChain, np.ndarray],
-    times: Iterable[float],
-    p0: Optional[np.ndarray] = None,
-    method: str = "uniformization",
-) -> List[np.ndarray]:
-    """State probability vectors at each requested time point.
-
-    With the default uniformization method the whole grid shares one
-    vector-matrix power sequence (see :func:`repro.num.transient_grid`);
-    results stay bit-identical to point-by-point evaluation.
-    """
-    methods = {
-        "uniformization": transient_probabilities,
-        "expm": transient_probabilities_expm,
-        "ode": transient_probabilities_ode,
-    }
-    try:
-        solver = methods[method]
-    except KeyError:
-        raise SolverError(
-            f"unknown transient method {method!r}; expected {sorted(methods)}"
-        ) from None
-    times = [float(t) for t in times]
-    if method == "uniformization" and times:
-        op = as_operator(model)
-        grid_p0 = _initial_vector(model, op.n, p0)
-        return transient_grid(op, times, p0=grid_p0)
-    return [solver(model, t, p0=p0) for t in times]

@@ -7,9 +7,11 @@ generator construction and validation (:class:`GeneratorOperator`,
 registry (:func:`solve_steady`, :func:`get_backend`,
 :func:`backend_names`) and the shared uniformization core
 (:func:`transient_grid`, :func:`transient_distribution`,
-:func:`interval_reward_value`).  The ``repro.markov`` solver modules
-are thin compatibility shims over this package; the engine, service,
-jobs and CLI thread :class:`SolverOptions` straight through to it.
+:func:`interval_reward_value`).  It is the only solver code: the
+engine, service, jobs, CLI and the ``repro.markov`` measures call it
+directly, threading :class:`SolverOptions` straight through.  The
+deliberately independent oracles (``repro.markov.transient``'s expm and
+ODE paths, ``repro.validation.sharpe``) stay outside it.
 """
 
 from __future__ import annotations

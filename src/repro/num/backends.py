@@ -43,8 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..markov.chain import MarkovChain
     from .options import SolverOptions
 
-#: Iteration cap for the power-iteration oracle (matches the historic
-#: ``solve_steady_state_power`` default).
+#: Iteration cap for the power-iteration oracle.
 MAX_POWER_ITERATIONS = 2_000_000
 
 

@@ -1,14 +1,13 @@
 """The one uniformization core shared by every transient measure.
 
 Jensen's uniformization writes ``exp(Q t) = sum_k pois(k; lam t) P^k``
-with ``P = I + Q/lam``.  Before this module, ``transient_probabilities``,
-``reliability_at``, ``interval_availability`` and the reward integrals
-each re-derived the truncation point and re-ran the whole
-vector-matrix power sequence per time point.  Here the Poisson
-machinery lives once, ``P`` is applied as an *operator* (dense matmul
-or sparse matvec — never densifying a sparse generator), and
-:func:`transient_grid` evaluates a whole time grid from a single pass
-over the power sequence ``v_k = p0 P^k``.
+with ``P = I + Q/lam``.  Every uniformization-based measure (point
+distributions, ``reliability_at``/``reliability_curve``,
+``interval_availability`` and the reward integrals) runs through this
+module: the Poisson machinery lives once, ``P`` is applied as an
+*operator* (dense matmul or sparse matvec — never densifying a sparse
+generator), and :func:`transient_grid` evaluates a whole time grid
+from a single pass over the power sequence ``v_k = p0 P^k``.
 
 The grid evaluator accumulates each time point's truncated series in
 the same term order, with the same per-point truncation and the same

@@ -255,7 +255,7 @@ def smp_transient_availability(
     sojourns are exponential; otherwise a two-moment approximation that
     tightens as ``max_stages`` grows (for low-variance sojourns).
     """
-    from ..markov.transient import transient_probabilities
+    from ..num import as_operator, transient_distribution
 
     chain = expand_to_ctmc(process, max_stages=max_stages)
     start_state = start if start is not None else process.state_names[0]
@@ -265,7 +265,7 @@ def smp_transient_availability(
     p0 = np.zeros(chain.n_states)
     for probability, stage_name in entries:
         p0[chain.index(stage_name)] = probability
-    probabilities = transient_probabilities(chain, t, p0=p0)
+    probabilities = transient_distribution(as_operator(chain), t, p0=p0)
     rewards = chain.reward_vector()
     indicator = (rewards > 0).astype(float)
     return float(probabilities @ indicator)

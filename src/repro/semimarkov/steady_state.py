@@ -12,6 +12,7 @@ from typing import Dict
 import numpy as np
 
 from ..errors import ModelError, SolverError
+from ..num import solve_steady
 from .process import SemiMarkovProcess
 
 
@@ -20,8 +21,9 @@ def embedded_dtmc_stationary(
 ) -> np.ndarray:
     """Stationary vector of a DTMC transition matrix.
 
-    Solved directly via ``nu (P - I) = 0`` with normalisation, falling
-    back to least squares for defective inputs.
+    ``nu (P - I) = 0`` is the balance equation of the CTMC generator
+    ``P - I``, so the ``dense-direct`` backend solves it (normalised,
+    with a least-squares fallback for defective inputs).
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
@@ -32,21 +34,7 @@ def embedded_dtmc_stationary(
         raise SolverError("DTMC rows do not sum to one")
     if (p < -1e-15).any():
         raise SolverError("DTMC has negative probabilities")
-    if n == 1:
-        return np.array([1.0])
-    a = (p.T - np.eye(n)).copy()
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        nu = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        nu, *_ = np.linalg.lstsq(a, b, rcond=None)
-    nu = np.clip(nu, 0.0, None)
-    total = nu.sum()
-    if total <= 0 or not np.isfinite(total):
-        raise SolverError("embedded DTMC stationary solve failed")
-    return nu / total
+    return solve_steady(p - np.eye(n), "direct")
 
 
 def semi_markov_steady_state(process: SemiMarkovProcess) -> Dict[str, float]:

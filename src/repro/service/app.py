@@ -79,6 +79,7 @@ validation path the CLI uses — so every malformed spec surfaces as a
 from __future__ import annotations
 
 import asyncio
+import math
 import re
 import time
 from typing import (
@@ -466,6 +467,12 @@ class App:
         _spec_doc, model = await self._request_model(payload)
         method = self._solver_options_of(payload)
         mission = _field(payload, "mission", float, required=False)
+        if mission is not None and not (math.isfinite(mission) and mission > 0):
+            raise ProtocolError(
+                400, "invalid_request",
+                f"field 'mission' must be a positive finite number of "
+                f"hours, got {mission!r}",
+            )
         deadline = self._request_deadline(payload)
         measures = await self.queue.measures(
             model, method, mission, deadline

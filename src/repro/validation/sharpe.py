@@ -5,7 +5,7 @@ results.  This module plays SHARPE's role: it assembles the generator
 itself from the chain's transition list (never calling
 ``MarkovChain.generator_matrix``) and solves the stationary equations
 with a different formulation (augmented least squares on sparse data)
-from the production solvers in :mod:`repro.markov.steady_state`.  A bug
+from the production backends in :mod:`repro.num.backends`.  A bug
 in either path shows up as disagreement in the E4/E5 benchmarks.
 """
 

@@ -8,7 +8,6 @@ from repro.markov import (
     is_lumpable,
     lump,
     lump_by_meta,
-    solve_steady_state,
     steady_state,
     steady_state_availability,
 )

@@ -11,15 +11,23 @@ import pytest
 
 from repro.errors import SolverError
 from repro.gmb import MarkovBuilder
-from repro.markov import (
-    MarkovChain,
-    solve_steady_state,
-    solve_steady_state_gth,
-    solve_steady_state_power,
-    steady_state,
-)
+from repro.markov import MarkovChain, steady_state
+from repro.num import as_operator, power_iteration, solve_steady
 
-SOLVERS = [solve_steady_state, solve_steady_state_gth, solve_steady_state_power]
+
+def direct(model):
+    return solve_steady(model, "direct")
+
+
+def gth(model):
+    return solve_steady(model, "gth")
+
+
+def power(model):
+    return power_iteration(as_operator(model))
+
+
+SOLVERS = [direct, gth, power]
 
 
 def two_state(lam: float, mu: float) -> MarkovChain:
@@ -92,30 +100,28 @@ class TestSolverAgreementOnStiffChain:
         chain.add_transition("Rare", "Up", 1e-2)
         chain.add_transition("Up", "Fast", 5.0)
         chain.add_transition("Fast", "Up", 10.0)
-        direct = solve_steady_state(chain)
-        gth = solve_steady_state_gth(chain)
-        np.testing.assert_allclose(direct, gth, rtol=1e-9)
+        np.testing.assert_allclose(direct(chain), gth(chain), rtol=1e-9)
 
 
 class TestInputChecking:
     def test_non_square_rejected(self):
         with pytest.raises(SolverError, match="square"):
-            solve_steady_state(np.zeros((2, 3)))
+            direct(np.zeros((2, 3)))
 
     def test_bad_row_sums_rejected(self):
         q = np.array([[-1.0, 0.5], [1.0, -1.0]])
         with pytest.raises(SolverError, match="sum to zero"):
-            solve_steady_state(q)
+            direct(q)
 
     def test_negative_off_diagonal_rejected(self):
         q = np.array([[1.0, -1.0], [2.0, -2.0]])
         with pytest.raises(SolverError):
-            solve_steady_state(q)
+            direct(q)
 
     def test_power_iteration_rejects_no_transitions(self):
         q = np.zeros((2, 2))
         with pytest.raises(SolverError):
-            solve_steady_state_power(q)
+            power(q)
 
 
 class TestNamedInterface:

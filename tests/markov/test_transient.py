@@ -8,15 +8,18 @@ import pytest
 from repro.errors import SolverError
 from repro.markov import (
     MarkovChain,
-    transient_curve,
-    transient_probabilities,
     transient_probabilities_expm,
     transient_probabilities_ode,
-    solve_steady_state,
 )
+from repro.num import as_operator, solve_steady, transient_distribution
+
+
+def uniformization(chain, t, p0=None):
+    return transient_distribution(as_operator(chain), t, p0=p0)
+
 
 METHODS = [
-    transient_probabilities,
+    uniformization,
     transient_probabilities_expm,
     transient_probabilities_ode,
 ]
@@ -61,7 +64,7 @@ class TestAgainstClosedForm:
         chain = two_state(0.2, 0.8)
         p = method(chain, 200.0)
         np.testing.assert_allclose(
-            p, solve_steady_state(chain), atol=1e-6
+            p, solve_steady(chain, "direct"), atol=1e-6
         )
 
     def test_custom_initial_distribution(self, method):
@@ -81,7 +84,7 @@ class TestMethodCrossAgreement:
         chain.add_transition("C", "A", 0.25)
         chain.add_transition("B", "A", 0.75)
         t = 3.7
-        uni = transient_probabilities(chain, t)
+        uni = uniformization(chain, t)
         exp = transient_probabilities_expm(chain, t)
         ode = transient_probabilities_ode(chain, t)
         np.testing.assert_allclose(uni, exp, atol=1e-9)
@@ -94,43 +97,27 @@ class TestUniformizationEdges:
         chain.add_state("A")
         chain.add_state("B", reward=0.0)
         chain.add_transition("A", "B", 1.0)
-        p = transient_probabilities(chain, 2.0)
+        p = uniformization(chain, 2.0)
         assert p[0] == pytest.approx(math.exp(-2.0), rel=1e-9)
 
     def test_no_transitions(self):
         chain = MarkovChain()
         chain.add_state("A")
         chain.add_state("B", reward=0.0)
-        p = transient_probabilities(chain, 10.0)
+        p = uniformization(chain, 10.0)
         np.testing.assert_allclose(p, [1.0, 0.0])
 
     def test_negative_time_rejected(self):
         chain = two_state(0.1, 1.0)
         with pytest.raises(SolverError):
-            transient_probabilities(chain, -1.0)
+            uniformization(chain, -1.0)
 
     def test_bad_initial_shape_rejected(self):
         chain = two_state(0.1, 1.0)
         with pytest.raises(SolverError, match="shape"):
-            transient_probabilities(chain, 1.0, p0=np.array([1.0]))
+            uniformization(chain, 1.0, p0=np.array([1.0]))
 
     def test_non_distribution_initial_rejected(self):
         chain = two_state(0.1, 1.0)
         with pytest.raises(SolverError, match="probability distribution"):
-            transient_probabilities(chain, 1.0, p0=np.array([0.7, 0.7]))
-
-
-class TestTransientCurve:
-    def test_curve_matches_pointwise(self):
-        chain = two_state(0.05, 0.5)
-        times = [0.0, 1.0, 10.0]
-        curve = transient_curve(chain, times)
-        for t, p in zip(times, curve):
-            np.testing.assert_allclose(
-                p, transient_probabilities(chain, t), atol=1e-12
-            )
-
-    def test_unknown_method_rejected(self):
-        chain = two_state(0.05, 0.5)
-        with pytest.raises(SolverError, match="unknown transient method"):
-            transient_curve(chain, [1.0], method="nope")
+            uniformization(chain, 1.0, p0=np.array([0.7, 0.7]))

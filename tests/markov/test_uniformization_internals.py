@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
-from repro.errors import SolverError
 from repro.markov import MarkovChain
-from repro.markov.transient import (
-    _poisson_pmf_series,
-    _poisson_tail,
-    uniformization_terms,
+from repro.num import (
+    as_operator,
+    poisson_pmf_series,
+    poisson_tail,
+    poisson_truncation,
+    transient_distribution,
+    uniformized,
 )
 
 
@@ -18,48 +20,50 @@ def generator(lam=0.3, mu=1.7):
     return q
 
 
-class TestUniformizationTerms:
+def uniformized_dtmc(q):
+    """``(P, lam)``: the uniformized DTMC as a matrix, and its rate."""
+    apply_p, lam = uniformized(as_operator(q))
+    return apply_p(np.eye(q.shape[0])), lam
+
+
+class TestUniformizedDtmc:
     def test_dtmc_rows_sum_to_one(self):
-        p, lam, _n = uniformization_terms(generator(), t=5.0)
+        p, _lam = uniformized_dtmc(generator())
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_dtmc_is_stochastic(self):
-        p, _lam, _n = uniformization_terms(generator(), t=5.0)
+        p, _lam = uniformized_dtmc(generator())
         assert (p >= -1e-15).all()
 
     def test_rate_dominates_diagonal(self):
         q = generator(0.3, 1.7)
-        _p, lam, _n = uniformization_terms(q, t=1.0)
+        _p, lam = uniformized_dtmc(q)
         assert lam >= -q.diagonal().min()
 
     def test_truncation_covers_tail(self):
-        q = generator()
-        _p, lam, n_terms = uniformization_terms(q, t=40.0, tol=1e-12)
-        assert _poisson_tail(lam * 40.0, n_terms - 1) < 1e-12
+        _p, lam = uniformized_dtmc(generator())
+        n_terms = poisson_truncation(lam * 40.0, 1e-12)
+        assert poisson_tail(lam * 40.0, n_terms - 1) < 1e-12
 
     def test_zero_generator(self):
-        p, lam, n_terms = uniformization_terms(np.zeros((3, 3)), t=10.0)
+        p, lam = uniformized_dtmc(np.zeros((3, 3)))
         assert lam == 0.0
         np.testing.assert_allclose(p, np.eye(3))
-        assert n_terms == 1
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(SolverError):
-            uniformization_terms(generator(), t=-1.0)
+        assert poisson_truncation(lam * 10.0, 1e-12) == 1
 
 
 class TestPoissonSeries:
     @pytest.mark.parametrize("mean", [0.1, 3.0, 50.0, 2_000.0])
     def test_matches_scipy_pmf(self, mean):
         n = int(mean + 10 * np.sqrt(mean) + 20)
-        series = _poisson_pmf_series(mean, n)
+        series = poisson_pmf_series(mean, n)
         expected = poisson.pmf(np.arange(n), mean)
         np.testing.assert_allclose(series, expected, rtol=1e-10, atol=1e-300)
 
     def test_mass_nearly_one_with_full_window(self):
         mean = 100.0
         n = int(mean + 12 * np.sqrt(mean) + 20)
-        series = _poisson_pmf_series(mean, n)
+        series = poisson_pmf_series(mean, n)
         assert series.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_large_mean_stability(self):
@@ -67,7 +71,7 @@ class TestPoissonSeries:
         # log-space path; this must stay finite and normalized.
         mean = 5e4
         n = int(mean + 12 * np.sqrt(mean))
-        series = _poisson_pmf_series(mean, n)
+        series = poisson_pmf_series(mean, n)
         assert np.isfinite(series).all()
         assert series.sum() == pytest.approx(1.0, abs=1e-8)
 
@@ -75,10 +79,7 @@ class TestPoissonSeries:
 class TestStiffHorizons:
     def test_large_lambda_t_still_accurate(self):
         # lam*t = 3.4e4: many terms, but the result must match expm.
-        from repro.markov import (
-            transient_probabilities,
-            transient_probabilities_expm,
-        )
+        from repro.markov import transient_probabilities_expm
 
         chain = MarkovChain()
         chain.add_state("Up")
@@ -86,6 +87,6 @@ class TestStiffHorizons:
         chain.add_transition("Up", "Down", 1e-3)
         chain.add_transition("Down", "Up", 3.4)
         t = 1e4
-        uni = transient_probabilities(chain, t)
+        uni = transient_distribution(as_operator(chain), t)
         exp = transient_probabilities_expm(chain, t)
         np.testing.assert_allclose(uni, exp, atol=1e-9)

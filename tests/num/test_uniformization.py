@@ -14,7 +14,6 @@ from scipy.stats import poisson
 from repro.errors import SolverError
 from repro.gmb import MarkovBuilder
 from repro.markov.mttf import reliability_at, reliability_curve
-from repro.markov.transient import transient_curve, transient_probabilities
 from repro.num import (
     GeneratorOperator,
     interval_reward_value,
@@ -112,20 +111,11 @@ class TestGridIdentity:
             single = transient_distribution(op, t, p0=p0)
             np.testing.assert_allclose(vector, single, atol=1e-12, rtol=0.0)
 
-    def test_transient_curve_matches_per_point_calls(self):
-        chain = repairable()
-        curve = transient_curve(chain, self.TIMES)
-        for t, vector in zip(self.TIMES, curve):
-            single = transient_probabilities(chain, t)
-            np.testing.assert_allclose(vector, single, atol=1e-12, rtol=0.0)
-
     def test_reliability_curve_matches_reliability_at(self):
         chain = repairable()
         curve = reliability_curve(chain, self.TIMES)
         for t, value in zip(self.TIMES, curve):
-            assert value == pytest.approx(
-                reliability_at(chain, t), abs=1e-12
-            )
+            assert value == reliability_at(chain, t)
 
 
 class TestIntervalReward:

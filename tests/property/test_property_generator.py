@@ -16,9 +16,9 @@ from repro.core import (
 from repro.markov import (
     failure_frequency,
     recovery_frequency,
-    solve_steady_state,
     steady_state_availability,
 )
+from repro.num import solve_steady
 
 
 @st.composite
@@ -85,7 +85,7 @@ class TestGeneratedChainInvariants:
     @settings(max_examples=100, deadline=None)
     def test_steady_state_is_distribution(self, p, g):
         chain = generate_block_chain(p, g)
-        pi = solve_steady_state(chain)
+        pi = solve_steady(chain, "direct")
         assert pi.sum() == pytest.approx(1.0, abs=1e-9)
         assert (pi >= -1e-12).all()
 

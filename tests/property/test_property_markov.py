@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 from repro.markov import (
     MarkovChain,
     interval_availability,
-    solve_steady_state,
-    solve_steady_state_gth,
     steady_state_availability,
-    transient_probabilities,
 )
+from repro.num import as_operator, solve_steady, transient_distribution
 
 rates = st.floats(
     min_value=1e-6, max_value=1e3, allow_nan=False, allow_infinity=False
@@ -49,7 +47,7 @@ class TestSteadyStateProperties:
     @given(chain=random_irreducible_chain())
     @settings(max_examples=60, deadline=None)
     def test_is_probability_distribution(self, chain):
-        pi = solve_steady_state(chain)
+        pi = solve_steady(chain, "direct")
         assert pi.sum() == pytest.approx(1.0, abs=1e-9)
         assert (pi >= -1e-12).all()
 
@@ -57,7 +55,7 @@ class TestSteadyStateProperties:
     @settings(max_examples=60, deadline=None)
     def test_satisfies_balance_equations(self, chain):
         q = chain.generator_matrix()
-        pi = solve_steady_state(chain)
+        pi = solve_steady(chain, "direct")
         residual = np.abs(pi @ q).max()
         scale = max(1.0, np.abs(q).max())
         assert residual < 1e-8 * scale
@@ -65,16 +63,16 @@ class TestSteadyStateProperties:
     @given(chain=random_irreducible_chain())
     @settings(max_examples=40, deadline=None)
     def test_gth_agrees_with_direct(self, chain):
-        direct = solve_steady_state(chain)
-        gth = solve_steady_state_gth(chain)
+        direct = solve_steady(chain, "direct")
+        gth = solve_steady(chain, "gth")
         np.testing.assert_allclose(direct, gth, atol=1e-8)
 
     @given(chain=random_irreducible_chain(), factor=st.floats(0.1, 10.0))
     @settings(max_examples=40, deadline=None)
     def test_time_rescaling_invariance(self, chain, factor):
         # Multiplying every rate by a constant cannot change pi.
-        original = solve_steady_state(chain)
-        scaled = solve_steady_state(chain.scaled(factor))
+        original = solve_steady(chain, "direct")
+        scaled = solve_steady(chain.scaled(factor), "direct")
         np.testing.assert_allclose(original, scaled, atol=1e-8)
 
 
@@ -82,7 +80,7 @@ class TestTransientProperties:
     @given(chain=random_irreducible_chain(), t=st.floats(0.0, 50.0))
     @settings(max_examples=50, deadline=None)
     def test_remains_distribution(self, chain, t):
-        p = transient_probabilities(chain, t)
+        p = transient_distribution(as_operator(chain), t)
         assert p.sum() == pytest.approx(1.0, abs=1e-7)
         assert (p >= -1e-12).all()
 
@@ -90,9 +88,9 @@ class TestTransientProperties:
     @settings(max_examples=30, deadline=None)
     def test_chapman_kolmogorov(self, chain, t):
         # p(2t) must equal evolving p(t) for another t.
-        p_t = transient_probabilities(chain, t)
-        p_2t = transient_probabilities(chain, 2 * t)
-        p_t_t = transient_probabilities(chain, t, p0=p_t)
+        p_t = transient_distribution(as_operator(chain), t)
+        p_2t = transient_distribution(as_operator(chain), 2 * t)
+        p_t_t = transient_distribution(as_operator(chain), t, p0=p_t)
         np.testing.assert_allclose(p_2t, p_t_t, atol=1e-7)
 
     @given(chain=random_irreducible_chain(), t=st.floats(0.1, 30.0))

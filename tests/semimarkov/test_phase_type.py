@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import SolverError
-from repro.markov import steady_state_availability, transient_probabilities
+from repro.markov import steady_state_availability
+from repro.num import as_operator, transient_distribution
 from repro.semimarkov import (
     Deterministic,
     Erlang,
@@ -122,7 +123,7 @@ class TestTransientAvailability:
         process = alternating(Exponential.from_mean(1.0))
         chain = expand_to_ctmc(process)
         for t in (0.5, 3.0, 10.0):
-            direct = transient_probabilities(chain, t)
+            direct = transient_distribution(as_operator(chain), t)
             value = smp_transient_availability(process, t)
             assert value == pytest.approx(float(direct[0]), rel=1e-9)
 

@@ -1,5 +1,7 @@
 """Solver options through the HTTP surface: requests, jobs, metrics."""
 
+import pytest
+
 from repro.jobs import JobStore
 from repro.library import e10000_model, workgroup_model
 from repro.num import SolverOptions
@@ -79,6 +81,23 @@ class TestSolveAcceptsSolverObject:
         status, payload = responses[0]
         assert status == 400
         assert payload["error"]["code"] == "invalid_request"
+
+    @pytest.mark.parametrize(
+        "mission", [0, -1, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_positive_or_non_finite_mission_is_400(self, mission):
+        spec = model_to_spec(workgroup_model())
+        responses, engine = call([
+            make_request(
+                "POST", "/v1/solve", {"spec": spec, "mission": mission}
+            ),
+        ])
+        status, payload = responses[0]
+        assert status == 400
+        assert payload["error"]["code"] == "invalid_request"
+        assert "mission" in payload["error"]["message"]
+        counters = engine.stats.snapshot().counters
+        assert counters.get("measures_computed", 0) == 0
 
     def test_sweep_accepts_solver_object(self):
         spec = model_to_spec(workgroup_model())

@@ -33,6 +33,16 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "100 h" in out
 
+    @pytest.mark.parametrize("mission", ["nan", "inf", "0", "-1"])
+    def test_non_positive_or_non_finite_mission_is_an_error(
+        self, spec_path, capsys, mission
+    ):
+        assert main(["solve", spec_path, "--mission", mission]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "mission time" in captured.err
+        assert "nan" not in captured.out
+
 
 class TestMissingDatabase:
     @pytest.mark.parametrize("command", [
