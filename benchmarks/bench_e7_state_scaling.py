@@ -7,17 +7,34 @@ model."  This benchmark sweeps the redundancy depth, reports the state
 and transition counts plus generation/solve time, and asserts the
 linear growth the repetition rule implies — in states, and in
 generation time (doubling the depth may grow it at most 2.8x).
+
+It also breaks one cold block solve of the 208-state CPU block that
+perfbench's ``sweep_cold`` workload sweeps into its stages (generate,
+operator, steady solve, crossing frequency) and writes the breakdown to
+``BENCH_e7_state_scaling.json`` at the repository root.
 """
 
+import json
+import os
+import platform
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import BlockParameters, GlobalParameters, generate_block_chain
-from repro.markov import steady_state_availability
+from repro.core.translator import solve_block_chain
+from repro.markov import crossing_frequency, steady_state_availability
+from repro.num import GeneratorOperator, as_operator, as_options, solve_steady
+from tests.markov.test_arc_view import SWEEP_BLOCK, sweep_block
 from tests.markov.test_linear_time import MAX_DOUBLING_RATIO, best_seconds
 
 from ._report import emit, emit_table
+
+RESULT_PATH = (
+    Path(__file__).resolve().parents[1] / "BENCH_e7_state_scaling.json"
+)
 
 DEPTHS = [1, 2, 4, 8, 16, 32, 64, 128, 256]
 
@@ -104,3 +121,73 @@ def test_e7_wide_k_sweep():
     chain_a = generate_block_chain(parameters(16, 8), g)
     chain_b = generate_block_chain(parameters(24, 16), g)
     assert chain_a.n_states == chain_b.n_states
+
+
+def bench_e7_block_solve_breakdown():
+    """Process CPU time of each stage of one cold 208-state block solve.
+
+    The stages are the steps of :func:`solve_block_chain`.  The
+    operator, steady and crossing stages reuse one generated chain,
+    whose arc view generation has already built, as in a real solve.
+    Each steady solve wraps the CSR matrix in a fresh operator, so no
+    densified copy is reused.  With more than one OpenBLAS thread, the
+    threads spin after each solve and their CPU is charged to whichever
+    stage runs next; ``OPENBLAS_NUM_THREADS=1`` gives a clean split.
+    """
+    parameters, g = sweep_block()
+    effective = parameters.with_changes(mtbf_hours=50_000.01)
+    options = as_options("direct")
+    chain = generate_block_chain(effective, g)
+    op = as_operator(chain, representation=options.representation)
+    pi = dict(zip(chain.state_names, solve_steady(op, options).tolist()))
+
+    stages = {
+        "generate": lambda: generate_block_chain(effective, g),
+        "operator": lambda: as_operator(
+            chain, representation=options.representation
+        ),
+        "steady": lambda: solve_steady(
+            GeneratorOperator(op.sparse()), options
+        ),
+        "crossing": lambda: crossing_frequency(chain, pi, up_to_down=True),
+        "total": lambda: solve_block_chain(effective, g, options),
+    }
+    seconds = dict(zip(stages, best_seconds(list(stages.values()))))
+    total = seconds.pop("total")
+    results = {
+        "benchmark": "e7_state_scaling",
+        "block_solve": {
+            "block": SWEEP_BLOCK,
+            "min_required": parameters.min_required,
+            "n_states": chain.n_states,
+            "n_arcs": chain.n_transitions,
+            "representation": op.representation,
+            "backend": options.steady_method,
+            "stages_ms": {
+                name: round(value * 1e3, 3) for name, value in seconds.items()
+            },
+            "total_ms": round(total * 1e3, 3),
+            "unattributed_ms": round((total - sum(seconds.values())) * 1e3, 3),
+        },
+        "clock": "process CPU time, best of 5 interleaved rounds",
+        "machine": {
+            "cpus": os.cpu_count(),
+            "arch": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        },
+    }
+    emit_table(
+        f"E7: one cold solve of {SWEEP_BLOCK} "
+        f"({chain.n_states} states, {chain.n_transitions} arcs)",
+        ["stage", "CPU ms"],
+        [
+            [name, f"{value * 1e3:.3f}"]
+            for name, value in [*seconds.items(), ("total", total)]
+        ],
+    )
+    RESULT_PATH.write_text(
+        json.dumps(results, indent=2, sort_keys=True) + "\n"
+    )
+    assert chain.n_states == 208

@@ -17,7 +17,7 @@ annotated inline below.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Optional
 
 from ..errors import ModelError
 from ..markov.chain import MarkovChain
@@ -391,26 +391,15 @@ def generate_redundant_chain(
 def _prune_unreachable(chain: MarkovChain, start: str) -> MarkovChain:
     """Drop states unreachable from ``start`` (defensive; generation
     above only creates reachable states for sane parameters)."""
-    arcs = chain.transitions()
-    successors: Dict[str, List[str]] = {}
-    for transition in arcs:
-        successors.setdefault(transition.source, []).append(transition.target)
-    reachable: Set[str] = {start}
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        for target in successors.get(node, ()):
-            if target not in reachable:
-                reachable.add(target)
-                frontier.append(target)
-    if len(reachable) == chain.n_states:
+    reached = chain.arcs().reachable(chain.index(start))
+    if reached.all():
         return chain
     pruned = MarkovChain(chain.name)
-    for state in chain:
-        if state.name in reachable:
+    for state, keep in zip(chain, reached.tolist()):
+        if keep:
             pruned.add_state(state.name, reward=state.reward, meta=state.meta)
-    for transition in arcs:
-        if transition.source in reachable and transition.target in reachable:
+    for transition in chain.transitions():
+        if transition.source in pruned and transition.target in pruned:
             pruned.add_transition(
                 transition.source,
                 transition.target,

@@ -50,6 +50,45 @@ class Transition:
     label: str = ""
 
 
+@dataclass(frozen=True, eq=False)
+class ArcView:
+    """A chain's arcs as parallel read-only arrays.
+
+    Arc ``k`` runs from state position ``sources[k]`` to ``targets[k]``
+    at ``rates[k]``.  Arcs are sorted by ``(source, target)`` position,
+    the order of :meth:`MarkovChain.transitions`, so a sequential sum
+    over the view adds the same floats in the same order.
+    """
+
+    n_states: int
+    sources: np.ndarray
+    targets: np.ndarray
+    rates: np.ndarray
+
+    def reachable(self, start: int, reverse: bool = False) -> np.ndarray:
+        """Mask of the states reachable from position ``start``.
+
+        With ``reverse`` the arcs are followed backwards, which gives
+        the states that can reach ``start``.
+        """
+        tails, heads = self.sources, self.targets
+        if reverse:
+            order = np.argsort(heads, kind="stable")
+            tails, heads = heads[order], tails[order]
+        bounds = np.searchsorted(tails, np.arange(self.n_states + 1)).tolist()
+        successors = heads.tolist()
+        seen = [False] * self.n_states
+        seen[start] = True
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            for nxt in successors[bounds[node]:bounds[node + 1]]:
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    stack.append(nxt)
+        return np.array(seen)
+
+
 class MarkovChain:
     """A finite CTMC with named, reward-annotated states.
 
@@ -74,6 +113,7 @@ class MarkovChain:
         self._index: Dict[str, int] = {}
         self._rates: Dict[Tuple[str, str], float] = {}
         self._labels: Dict[Tuple[str, str], str] = {}
+        self._arcs: Optional[ArcView] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -93,6 +133,7 @@ class MarkovChain:
         self._states[name] = state
         self._index[name] = len(self._order)
         self._order.append(name)
+        self._arcs = None
         return state
 
     def ensure_state(
@@ -120,12 +161,15 @@ class MarkovChain:
             raise ModelError(
                 f"negative rate {rate} on {source!r} -> {target!r}"
             )
+        if rate != rate:
+            raise ModelError(f"NaN rate on {source!r} -> {target!r}")
         if rate == 0:
             return
         # Keys reuse the chain's own name strings, so a generator that
         # formats a fresh name per arc does not keep a copy per arc.
         key = (source_state.name, target_state.name)
         self._rates[key] = self._rates.get(key, 0.0) + rate
+        self._arcs = None
         if label:
             existing = self._labels.get(key)
             self._labels[key] = f"{existing} + {label}" if existing else label
@@ -175,6 +219,32 @@ class MarkovChain:
             for (src, dst), rate in ordered
         ]
 
+    def arcs(self) -> ArcView:
+        """The arcs as index arrays in :meth:`transitions` order.
+
+        Built on first use and kept until the chain next changes; the
+        solver path reads this instead of building :class:`Transition`
+        objects.
+        """
+        view = self._arcs
+        if view is None:
+            index = self._index
+            count = len(self._rates)
+            sources = np.fromiter(
+                (index[src] for src, _dst in self._rates), np.intp, count
+            )
+            targets = np.fromiter(
+                (index[dst] for _src, dst in self._rates), np.intp, count
+            )
+            rates = np.fromiter(self._rates.values(), float, count)
+            order = np.lexsort((targets, sources))
+            arrays = [sources[order], targets[order], rates[order]]
+            for array in arrays:
+                array.setflags(write=False)
+            view = ArcView(self.n_states, *arrays)
+            self._arcs = view
+        return view
+
     def rate(self, source: str, target: str) -> float:
         """Rate of the arc ``source -> target`` (0.0 when absent)."""
         return self._rates.get((source, target), 0.0)
@@ -216,9 +286,8 @@ class MarkovChain:
         """Dense infinitesimal generator Q (rows sum to zero)."""
         n = self.n_states
         q = np.zeros((n, n), dtype=float)
-        index = {name: i for i, name in enumerate(self._order)}
-        for (src, dst), rate in self._rates.items():
-            q[index[src], index[dst]] += rate
+        view = self.arcs()
+        q[view.sources, view.targets] = view.rates
         np.fill_diagonal(q, q.diagonal() - q.sum(axis=1))
         return q
 
@@ -247,8 +316,11 @@ class MarkovChain:
             raise ModelError(f"chain {self.name!r} has no states")
         if not self.up_states():
             raise ModelError(f"chain {self.name!r} has no up state")
-        absorbing = self.absorbing_states()
-        if not absorbing and not self.is_irreducible():
+        # Stored rates are positive (zero rates are dropped, negative
+        # and NaN ones rejected), so a state is absorbing exactly when
+        # it has no outgoing arc.
+        out_degree = np.bincount(self.arcs().sources, minlength=self.n_states)
+        if out_degree.all() and not self.is_irreducible():
             raise ModelError(
                 f"chain {self.name!r} is reducible; steady-state "
                 "probabilities would depend on the initial state"
@@ -261,29 +333,12 @@ class MarkovChain:
 
     def is_irreducible(self) -> bool:
         """True when the transition graph is strongly connected."""
-        n = self.n_states
-        if n <= 1:
+        if self.n_states <= 1:
             return True
-        adjacency: Dict[str, List[str]] = {name: [] for name in self._order}
-        reverse: Dict[str, List[str]] = {name: [] for name in self._order}
-        for (src, dst), rate in self._rates.items():
-            if rate > 0:
-                adjacency[src].append(dst)
-                reverse[dst].append(src)
-
-        def reachable(start: str, edges: Dict[str, List[str]]) -> int:
-            seen = {start}
-            stack = [start]
-            while stack:
-                node = stack.pop()
-                for nxt in edges[node]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            return len(seen)
-
-        root = self._order[0]
-        return reachable(root, adjacency) == n and reachable(root, reverse) == n
+        view = self.arcs()
+        return bool(
+            view.reachable(0).all() and view.reachable(0, reverse=True).all()
+        )
 
     def copy(self, name: Optional[str] = None) -> "MarkovChain":
         clone = MarkovChain(name or self.name)
@@ -305,16 +360,19 @@ class MarkovChain:
         return clone
 
     def __getstate__(self) -> Dict[str, object]:
-        # The name -> position index is derived from ``_order``; leaving
-        # it out keeps pickles (and the engine's disk cache entries) in
-        # the layout older versions wrote and read.
+        # The name -> position index and the arc view are derived from
+        # ``_order`` and ``_rates``; leaving them out keeps pickles (and
+        # the engine's disk cache entries) in the layout older versions
+        # wrote and read.
         state = dict(self.__dict__)
         state.pop("_index", None)
+        state.pop("_arcs", None)
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__dict__.update(state)
         self._index = {name: i for i, name in enumerate(self._order)}
+        self._arcs = None
 
     def __repr__(self) -> str:
         return (

@@ -92,9 +92,17 @@ def reliability_at(
     start: Optional[str] = None,
     method: str = "uniformization",
 ) -> float:
-    """R(t): probability no down state has been entered by time ``t``."""
-    if method != "ode":
+    """R(t): probability no down state has been entered by time ``t``.
+
+    ``method`` is ``"uniformization"`` or ``"ode"``.
+    """
+    if method == "uniformization":
         return reliability_curve(chain, [t], start)[0]
+    if method != "ode":
+        raise SolverError(
+            f"unknown reliability method {method!r}; "
+            "expected one of ['uniformization', 'ode']"
+        )
     absorbing = absorbing_variant(chain)
     p0 = absorbing.initial_distribution(start)
     probabilities = transient_probabilities_ode(absorbing, t, p0=p0)

@@ -248,18 +248,18 @@ def crossing_frequency(
     :func:`steady_state`); callers that have already solved the chain
     avoid a second full solve.
     """
-    up = set(chain.up_states())
+    view = chain.arcs()
+    up = chain.reward_vector() > 0.0
+    source_up = up[view.sources]
+    target_up = up[view.targets]
+    crosses = source_up & ~target_up if up_to_down else target_up & ~source_up
+    names = chain.state_names
     total = 0.0
-    for transition in chain.transitions():
-        source_up = transition.source in up
-        target_up = transition.target in up
-        crosses = (
-            source_up and not target_up
-            if up_to_down
-            else not source_up and target_up
-        )
-        if crosses:
-            total += pi[transition.source] * transition.rate
+    # A sequential sum in arc order, so the result is bit-stable.
+    for source, rate in zip(
+        view.sources[crosses].tolist(), view.rates[crosses].tolist()
+    ):
+        total += pi[names[source]] * rate
     return total
 
 

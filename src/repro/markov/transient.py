@@ -4,10 +4,11 @@ The production transient path is Jensen's uniformization (Reibman/Smith/
 Trivedi 1989, the paper's reference [6]), and it lives once in
 :mod:`repro.num.uniformization` (:func:`repro.num.transient_distribution`
 and :func:`repro.num.transient_grid`).  This module holds the two methods
-that share no code with it, so each can check it: ``scipy.linalg.expm``
-of the dense generator, and an implicit (BDF) integration of the
-Kolmogorov forward equations that also serves horizons too stiff for
-uniformization.
+that share no solver code with it, so each can check it:
+``scipy.linalg.expm`` of the dense generator, and an implicit (BDF)
+integration of the Kolmogorov forward equations that also serves
+horizons too stiff for uniformization.  Only the initial-vector check
+is shared, so all three methods reject the same ``p0``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from scipy.integrate import solve_ivp
 
 from ..errors import SolverError
 from ..num import as_operator
+from ..num.uniformization import check_initial
 from .chain import MarkovChain
 
 
@@ -30,13 +32,7 @@ def transient_probabilities_expm(
 ) -> np.ndarray:
     """State probabilities at time ``t`` via ``scipy.linalg.expm``."""
     op = as_operator(model, validate=False)
-    n = op.n
-    if p0 is None:
-        p0 = np.zeros(n)
-        p0[0] = 1.0
-        if isinstance(model, MarkovChain):
-            p0 = model.initial_distribution()
-    p0 = np.asarray(p0, dtype=float)
+    p0 = check_initial(p0, op.n)
     result = p0 @ sla.expm(op.dense() * t)
     return np.clip(result, 0.0, 1.0)
 
@@ -55,13 +51,7 @@ def transient_probabilities_ode(
     large (e.g. a 15-month horizon against minute-scale reboot rates).
     """
     op = as_operator(model, validate=False)
-    n = op.n
-    if p0 is None:
-        p0 = np.zeros(n)
-        p0[0] = 1.0
-        if isinstance(model, MarkovChain):
-            p0 = model.initial_distribution()
-    p0 = np.asarray(p0, dtype=float)
+    p0 = check_initial(p0, op.n)
     if t == 0.0:
         return p0.copy()
     qt = op.dense().T

@@ -3,7 +3,7 @@
 A :class:`GeneratorOperator` wraps the infinitesimal generator of a
 CTMC in either dense ``ndarray`` or ``scipy.sparse`` CSR form and is
 the only thing solver code ever touches.  It is built directly from a
-:class:`~repro.markov.chain.MarkovChain`'s transitions — the sparse
+:class:`~repro.markov.chain.MarkovChain`'s arc arrays — the sparse
 path never materialises the ``n x n`` matrix — and the representation
 is auto-selected from the state count and fill-in unless the caller
 forces one.  The row-sum / off-diagonal validation that used to be
@@ -108,9 +108,9 @@ class GeneratorOperator:
         representation: str = "auto",
         validate: bool = True,
     ) -> "GeneratorOperator":
-        """Build the generator straight from a chain's transitions.
+        """Build the generator straight from a chain's arcs.
 
-        The sparse path assembles CSR from the transition list without
+        The sparse path assembles CSR from :meth:`MarkovChain.arcs` without
         ever allocating the dense matrix; the dense path defers to
         ``chain.generator_matrix()`` so dense numerics stay bit-identical
         with the pre-refactor code.
@@ -126,22 +126,26 @@ class GeneratorOperator:
         if representation == "dense":
             operator = cls(chain.generator_matrix())
         else:
-            rows, cols, data = [], [], []
+            view = chain.arcs()
+            # Each exit rate adds its row's arcs one at a time in column
+            # order (``np.add.at`` is unbuffered), which fixes its bits.
             exit_rates = np.zeros(n)
-            index = {name: i for i, name in enumerate(chain.state_names)}
-            for transition in chain.transitions():
-                i = index[transition.source]
-                j = index[transition.target]
-                rows.append(i)
-                cols.append(j)
-                data.append(transition.rate)
-                exit_rates[i] += transition.rate
-            rows.extend(range(n))
-            cols.extend(range(n))
-            data.extend(-exit_rates)
-            matrix = sparse.coo_matrix(
-                (data, (rows, cols)), shape=(n, n), dtype=float
-            ).tocsr()
+            np.add.at(exit_rates, view.sources, view.rates)
+            # Arcs are sorted by (row, column), so each diagonal entry
+            # goes in before the first arc of its row past the diagonal.
+            positions = np.arange(n)
+            diagonal_at = np.searchsorted(
+                view.sources * n + view.targets, positions * (n + 1)
+            )
+            matrix = sparse.csr_matrix(
+                (
+                    np.insert(view.rates, diagonal_at, -exit_rates),
+                    np.insert(view.targets, diagonal_at, positions),
+                    np.searchsorted(view.sources, np.arange(n + 1))
+                    + np.arange(n + 1),
+                ),
+                shape=(n, n),
+            )
             operator = cls(matrix)
         if validate:
             operator.validate()

@@ -85,7 +85,12 @@ def uniformized(
     return (lambda v: v @ p), lam
 
 
-def _check_initial(p0: Optional[np.ndarray], n: int) -> np.ndarray:
+def check_initial(p0: Optional[np.ndarray], n: int) -> np.ndarray:
+    """``p0`` as a float vector (default: all mass on state 0).
+
+    Raises :class:`~repro.errors.SolverError` unless it has ``n``
+    entries that form a probability distribution.
+    """
     if p0 is None:
         p0 = np.zeros(n)
         p0[0] = 1.0
@@ -116,7 +121,7 @@ def transient_grid(
     for t in times:
         if t < 0:
             raise SolverError(f"time must be non-negative, got {t}")
-    p0 = _check_initial(p0, op.n)
+    p0 = check_initial(p0, op.n)
     if not times:
         return []
     apply_p, lam = uniformized(op)

@@ -65,6 +65,14 @@ class TestConstruction:
         with pytest.raises(ModelError, match="negative rate"):
             chain.add_transition("A", "B", -0.5)
 
+    def test_nan_rate_rejected(self):
+        chain = MarkovChain()
+        chain.add_state("A")
+        chain.add_state("B")
+        with pytest.raises(ModelError, match="NaN rate"):
+            chain.add_transition("A", "B", float("nan"))
+        assert not chain.transitions()
+
     def test_zero_rate_is_dropped(self):
         chain = MarkovChain()
         chain.add_state("A")

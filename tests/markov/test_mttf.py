@@ -120,6 +120,10 @@ class TestReliability:
             reliability_at(chain, 55.0), rel=1e-6
         )
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(SolverError, match="'uniformization', 'ode'"):
+            reliability_at(standby_pair(), 55.0, method="bogus")
+
 
 class TestHazardAndIntervalRate:
     def test_exponential_hazard_is_constant(self):

@@ -121,3 +121,29 @@ class TestUniformizationEdges:
         chain = two_state(0.1, 1.0)
         with pytest.raises(SolverError, match="probability distribution"):
             uniformization(chain, 1.0, p0=np.array([0.7, 0.7]))
+
+
+@pytest.mark.parametrize(
+    "oracle", [transient_probabilities_expm, transient_probabilities_ode]
+)
+class TestOracleInitialVector:
+    """The oracles reject the initial vectors uniformization rejects."""
+
+    def test_non_distribution_initial_rejected(self, oracle):
+        chain = two_state(0.1, 1.0)
+        with pytest.raises(SolverError, match="probability distribution"):
+            oracle(chain, 1.0, p0=np.array([0.7, 0.7]))
+
+    def test_negative_initial_rejected(self, oracle):
+        chain = two_state(0.1, 1.0)
+        with pytest.raises(SolverError, match="probability distribution"):
+            oracle(chain, 1.0, p0=np.array([1.5, -0.5]))
+
+    def test_bad_initial_shape_rejected(self, oracle):
+        chain = two_state(0.1, 1.0)
+        with pytest.raises(SolverError, match="shape"):
+            oracle(chain, 1.0, p0=np.array([1.0]))
+
+    def test_matrix_model_defaults_to_first_state(self, oracle):
+        q = two_state(0.1, 1.0).generator_matrix()
+        np.testing.assert_allclose(oracle(q, 0.0), [1.0, 0.0])
