@@ -1,8 +1,9 @@
 r"""The durable job store: one SQLite file shared by submitters and workers.
 
-Every mutation is a single transaction on a short-lived connection, so
-the store is safe to share between the CLI, the HTTP service, and any
-number of worker processes — SQLite's file locking is the coordination
+Every mutation is a single transaction on the store's one
+connection, so the store is safe to share between the CLI, the HTTP
+service, and any number of worker processes — each process holds its
+own connection, and SQLite's file locking is the coordination
 mechanism, exactly what a stdlib-only deployment has available.
 
 State machine (enforced here, not in callers)::

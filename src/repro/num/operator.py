@@ -39,14 +39,14 @@ def validate_generator(matrix: Union[np.ndarray, sparse.spmatrix]) -> None:
     alike.
     """
     if sparse.issparse(matrix):
+        # Straight off the CSR arrays: one row id per stored entry.
         csr = matrix.tocsr()
         n = csr.shape[0]
-        coo = csr.tocoo()
-        off_diag = coo.data[coo.row != coo.col]
-        if off_diag.size and (off_diag < -1e-15).any():
+        rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+        if (csr.data[csr.indices != rows] < -1e-15).any():
             raise SolverError("generator has negative off-diagonal rates")
-        row_sums = np.abs(np.asarray(csr.sum(axis=1)).ravel())
-        scale = max(1.0, float(np.abs(coo.data).max()) if coo.nnz else 0.0)
+        row_sums = np.abs(np.bincount(rows, csr.data, minlength=n))
+        scale = max(1.0, float(np.abs(csr.data).max()) if csr.nnz else 0.0)
         if (row_sums > 1e-8 * scale).any():
             raise SolverError("generator rows do not sum to zero")
         if n == 0:
@@ -58,7 +58,7 @@ def validate_generator(matrix: Union[np.ndarray, sparse.spmatrix]) -> None:
     if (off_diag < -1e-15).any():
         raise SolverError("generator has negative off-diagonal rates")
     row_sums = np.abs(q.sum(axis=1))
-    scale = max(1.0, float(np.abs(q).max()))
+    scale = max(1.0, float(np.abs(q).max()) if q.size else 0.0)
     if (row_sums > 1e-8 * scale).any():
         raise SolverError("generator rows do not sum to zero")
     if n == 0:

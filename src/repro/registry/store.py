@@ -1,8 +1,8 @@
 """SQLite persistence for the model registry.
 
-Runs on :class:`repro.store.SqliteStore` — short-lived WAL
-connections for files (safe to share between the CLI, the HTTP
-service, and publish scripts), one locked persistent connection for
+Runs on :class:`repro.store.SqliteStore` — one locked connection per
+store for a WAL file (safe to share between the CLI, the HTTP
+service, and publish scripts, each process with its own) or for
 ``:memory:`` (embedded and test servers), transactions and busy
 mapping all inherited from the substrate.
 

@@ -15,7 +15,7 @@ around them:
 * **Shutdown** (SIGTERM/SIGINT or :meth:`Server.shutdown`) stops
   accepting, drains in-flight requests up to :data:`DRAIN_TIMEOUT`
   seconds, waits for the admitted solves, closes idle keep-alive
-  connections, and persists the final
+  connections and every store, and persists the final
   :class:`~repro.engine.EngineStats` snapshot so ``rascad stats``
   shows what the server did.
 """
@@ -379,7 +379,8 @@ class Server:
         await self.shutdown()
 
     async def shutdown(self) -> None:
-        """Stop accepting, drain in-flight work, persist stats."""
+        """Stop accepting, drain in-flight work, close the stores,
+        persist stats."""
         if self._closing:
             return
         self._closing = True
@@ -397,12 +398,16 @@ class Server:
             writer.close()
         if self._connections:
             await asyncio.wait(set(self._connections), timeout=DRAIN_TIMEOUT)
-        if self.coordinator is not None:
-            with contextlib.suppress(Exception):
-                self.coordinator.store.close()
-        if self.registry is not None:
-            with contextlib.suppress(Exception):
-                self.registry.close()
+        for store in (
+            self.jobs,
+            self.coordinator.store if self.coordinator else None,
+            self.registry,
+            self.studies,
+            self.telemetry,
+        ):
+            if store is not None:
+                with contextlib.suppress(Exception):
+                    store.close()
         self._persist_stats()
 
     def _persist_stats(self) -> None:

@@ -6,11 +6,11 @@ plumbing: its own connect-configure-close idiom, its own WAL pragmas,
 its own schema probing, and two different crash-safe file-write
 disciplines.  This package is the single substrate they all run on:
 
-* :class:`SqliteStore` — managed connection lifecycle (short-lived
-  file connections closed in ``finally``; one locked shared
-  connection for ``:memory:``), WAL + ``busy_timeout`` configured in
-  one place, and a typed :meth:`~SqliteStore.transaction` helper with
-  bounded busy-retry that raises :class:`StoreBusyError`.
+* :class:`SqliteStore` — one connection per store, for a file and
+  ``:memory:`` alike, shared across threads behind a lock; WAL +
+  ``busy_timeout`` configured in one place, and a typed
+  :meth:`~SqliteStore.transaction` helper with bounded busy-retry
+  that raises :class:`StoreBusyError`.
 * :class:`Schema` / :class:`Migration` — ``PRAGMA user_version``
   ordered migrations, each step atomic with its version bump.
 * :mod:`~repro.store.atomic` — atomic-replace JSON/bytes writes and

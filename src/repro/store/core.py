@@ -1,22 +1,19 @@
 """The shared SQLite core every durable store runs on.
 
-One class owns the connection lifecycle, the pragma configuration, and
-the transaction discipline for all five stores (jobs, registry,
-cluster shards, studies, telemetry):
+One class owns the connection, the pragma configuration, and the
+transaction discipline for all five stores (jobs, registry, cluster
+shards, studies, telemetry):
 
-* **File mode** — every operation runs on a short-lived connection
-  that is *guaranteed* closed in a ``finally``, even when the
-  transaction body raises.  Before this core each store carried its
-  own copy of that idiom, and one of them leaked the descriptor on a
-  mid-transaction exception; the regression test in
-  ``tests/store/test_core.py`` counts open fds across exactly that
-  failure.
-* **Memory mode** (``":memory:"``) — one persistent connection shared
-  across threads behind a lock, because a second ``:memory:``
-  connection would see a different (empty) database.
-* **WAL + busy_timeout** are configured in one place, so readers never
-  block writers on file stores and lock contention waits bounded
-  rather than failing instantly.
+* **One connection per store** — opened once at construction, for a
+  file and ``":memory:"`` alike, shared across threads behind a lock
+  and closed by :meth:`SqliteStore.close`.  In-process access is
+  serialised by that lock; leaving the outermost
+  :meth:`~SqliteStore.connection` block with a transaction still open
+  rolls it back, so a stray uncommitted statement can never keep the
+  write lock.
+* **WAL + busy_timeout** are configured in one place, so readers in
+  other processes never block writers on file stores and lock
+  contention waits bounded rather than failing instantly.
 * **Busy mapping** — when the database stays locked past the retry
   budget, the raw ``sqlite3.OperationalError`` is mapped to the typed
   :class:`repro.errors.StoreBusyError`, which the service layer turns
@@ -92,27 +89,27 @@ class SqliteStore:
         self.timeout = float(timeout)
         self.busy_retries = int(busy_retries)
         self.busy_backoff = float(busy_backoff)
-        self._closed = False
         self._stats_lock = threading.Lock()
         self._txns = 0
         self._busy_retries_total = 0
         self._txn_seconds_total = 0.0
-        self._shared: Optional[sqlite3.Connection] = None
-        self._shared_lock = threading.RLock()
-        if self.memory:
-            self._shared = self._open()
+        self._lock = threading.RLock()
+        self._depth = 0
+        self._conn: Optional[sqlite3.Connection] = self._open()
         if schema is not None:
-            with self.connection() as conn:
-                schema.apply(conn)
+            try:
+                with self.connection() as conn:
+                    schema.apply(conn)
+            except BaseException:
+                self.close()
+                raise
 
     # ------------------------------------------------------------------
-    # connections
+    # the connection
     # ------------------------------------------------------------------
     def _open(self) -> sqlite3.Connection:
         conn = sqlite3.connect(
-            str(self.path),
-            timeout=self.timeout,
-            check_same_thread=not self.memory,
+            str(self.path), timeout=self.timeout, check_same_thread=False
         )
         conn.row_factory = sqlite3.Row
         conn.execute(
@@ -125,29 +122,26 @@ class SqliteStore:
 
     @contextmanager
     def connection(self) -> Iterator[sqlite3.Connection]:
-        """A configured connection, *always* released.
+        """The store's one connection, held under its lock.
 
-        File mode opens a fresh connection and closes it in a
-        ``finally`` — the body raising, even mid-transaction, cannot
-        leak the descriptor (an open transaction is rolled back by
-        :meth:`sqlite3.Connection.close`'s implicit rollback on the
-        uncommitted journal).  Memory mode yields the one shared
-        connection under its lock.
+        Blocks nest on one thread (a transaction body may read through
+        another store method).  Leaving the outermost block with a
+        transaction still open rolls it back — the body raising, or a
+        DML nobody committed, cannot hold the write lock.
 
         No transaction is opened; use :meth:`transaction` for writes.
         """
-        if self._closed:
-            raise StoreError(f"store {self.path} is closed")
-        if self.memory:
-            assert self._shared is not None
-            with self._shared_lock:
-                yield self._shared
-            return
-        conn = self._open()
-        try:
-            yield conn
-        finally:
-            conn.close()
+        with self._lock:
+            conn = self._conn
+            if conn is None:
+                raise StoreError(f"store {self.path} is closed")
+            self._depth += 1
+            try:
+                yield conn
+            finally:
+                self._depth -= 1
+                if not self._depth and conn.in_transaction:
+                    self._rollback(conn)
 
     @contextmanager
     def transaction(
@@ -169,19 +163,13 @@ class SqliteStore:
             try:
                 yield conn
                 conn.commit()
-            except StoreError:
-                self._rollback(conn)
-                raise
-            except sqlite3.OperationalError as exc:
+            except BaseException as exc:
                 self._rollback(conn)
                 if is_busy_error(exc):
                     raise StoreBusyError(
                         f"database {self.path} is busy: {exc}",
                         retry_after=self.busy_backoff * 2,
                     ) from exc
-                raise
-            except BaseException:
-                self._rollback(conn)
                 raise
         elapsed = time.perf_counter() - started
         with self._stats_lock:
@@ -217,12 +205,15 @@ class SqliteStore:
             pass
 
     def close(self) -> None:
-        """Release the shared connection (memory mode); idempotent."""
-        self._closed = True
-        if self._shared is not None:
-            with self._shared_lock:
-                self._shared.close()
-                self._shared = None
+        """Close the connection; later use raises ``StoreError``.
+
+        Idempotent.  The last connection to a WAL file checkpoints it
+        on close.
+        """
+        with self._lock:
+            if self._conn is not None:
+                self._conn.close()
+                self._conn = None
 
     # ------------------------------------------------------------------
     # health
@@ -230,14 +221,9 @@ class SqliteStore:
     def size_bytes(self) -> int:
         """On-disk footprint (db + WAL + SHM), or page math in memory."""
         if self.memory:
-            assert self._shared is not None
-            with self._shared_lock:
-                pages = self._shared.execute(
-                    "PRAGMA page_count"
-                ).fetchone()[0]
-                page_size = self._shared.execute(
-                    "PRAGMA page_size"
-                ).fetchone()[0]
+            with self.connection() as conn:
+                pages = conn.execute("PRAGMA page_count").fetchone()[0]
+                page_size = conn.execute("PRAGMA page_size").fetchone()[0]
             return int(pages) * int(page_size)
         total = 0
         base = Path(self.path)

@@ -89,22 +89,67 @@ class TestApply:
         assert op.uniformization_rate() == pytest.approx(0.25)
 
 
+#: The two forms every validation case runs on.
+FORMS = {"dense": np.asarray, "sparse": sp.csr_matrix}
+
+#: Malformed generators and the one message each must raise.  Where a
+#: matrix breaks several rules, the first in check order wins.
+MALFORMED = {
+    "negative-off-diagonal": (
+        [[-1.0, -1.0], [2.0, -2.0]], "negative off-diagonal"
+    ),
+    "negative-off-diagonal-and-bad-rows": (
+        [[-1.0, -3.0], [2.0, -1.0]], "negative off-diagonal"
+    ),
+    "bad-row-sums": (
+        [[-1.0, 2.0], [0.5, -0.5]], "rows do not sum to zero"
+    ),
+    "row-sum-off-at-scale": (
+        [[-1e6, 1e6 + 0.1], [0.0, 0.0]], "rows do not sum to zero"
+    ),
+    "empty": (np.zeros((0, 0)), "empty generator"),
+}
+
+#: Well-formed generators, including deviations inside the tolerances.
+WELL_FORMED = {
+    "two-state": [[-1e-3, 1e-3], [0.25, -0.25]],
+    "absorbing-row": [[-2.0, 2.0], [0.0, 0.0]],
+    "tiny-negative-off-diagonal": [[-1.0, 1.0], [-1e-16, 1e-16]],
+    "row-sum-within-scale": [[-1e6, 1e6 + 1e-3], [1.0, -1.0]],
+}
+
+
 class TestValidation:
-    def test_negative_off_diagonal_rejected(self):
-        q = np.array([[-1.0, 1.0], [2.0, -1.0]])
-        q[0, 1] = -1.0
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_generator_rejected(self, form, case):
+        matrix, message = MALFORMED[case]
+        with pytest.raises(SolverError, match=message):
+            validate_generator(FORMS[form](np.asarray(matrix, float)))
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    @pytest.mark.parametrize("case", sorted(WELL_FORMED))
+    def test_well_formed_generator_accepted(self, form, case):
+        validate_generator(FORMS[form](np.asarray(WELL_FORMED[case])))
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_library_generators_accepted(self, form):
+        for chain in (two_state(), ring_chain(12)):
+            validate_generator(FORMS[form](chain.generator_matrix()))
+
+    def test_sparse_duplicate_entries_are_summed(self):
+        # Non-canonical CSR: two stored entries for (0, 1) that sum to
+        # the rate the diagonal balances.
+        q = sp.csr_matrix(
+            (np.array([-2.0, 1.0, 1.0, 0.5, -0.5]),
+             np.array([0, 1, 1, 0, 1]),
+             np.array([0, 3, 5])),
+            shape=(2, 2),
+        )
+        validate_generator(q)
+        q.data[1] = -1.0
         with pytest.raises(SolverError, match="negative off-diagonal"):
             validate_generator(q)
-
-    def test_bad_row_sums_rejected(self):
-        q = np.array([[-1.0, 2.0], [0.5, -0.5]])
-        with pytest.raises(SolverError, match="rows do not sum to zero"):
-            validate_generator(q)
-
-    def test_sparse_validation_matches_dense(self):
-        q = np.array([[-1.0, 2.0], [0.5, -0.5]])
-        with pytest.raises(SolverError, match="rows do not sum to zero"):
-            validate_generator(sp.csr_matrix(q))
 
     def test_from_matrix_rejects_non_square(self):
         with pytest.raises(SolverError, match="square"):

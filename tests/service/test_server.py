@@ -11,7 +11,10 @@ import asyncio
 import json
 import time
 
+import pytest
+
 from repro.core import translate
+from repro.errors import StoreError
 from repro.engine import load_stats
 from repro.library import datacenter_model, e10000_model, workgroup_model
 from repro.service import Server, ServiceConfig
@@ -221,6 +224,35 @@ class TestShutdown:
         rest, only_this_task = run_with_server(scenario)
         assert rest == b""
         assert only_this_task
+
+    @pytest.mark.parametrize("persistent", [True, False])
+    def test_shutdown_closes_every_store(self, tmp_path, persistent):
+        config = ServiceConfig(
+            port=0,
+            cache_dir=tmp_path / "cache" if persistent else None,
+            cluster=True,
+        )
+
+        async def scenario(server, host, port):
+            await server.shutdown()
+            return [
+                store.db
+                for store in (
+                    server.jobs,
+                    server.coordinator.store,
+                    server.registry.store,
+                    server.studies,
+                    server.telemetry,
+                )
+                if store is not None
+            ]
+
+        stores = run_with_server(scenario, config)
+        assert len(stores) == (5 if persistent else 4)
+        for store in stores:
+            with pytest.raises(StoreError):
+                with store.connection():
+                    pass
 
     def test_closed_server_refuses_new_connections(self):
         async def scenario(server, host, port):

@@ -2,11 +2,15 @@
 
 import os
 import sqlite3
+import sys
 import threading
 
 import pytest
 
 from repro.errors import StoreBusyError, StoreError
+from repro.jobs import JobSpec, JobStore
+from repro.library import workgroup_model
+from repro.spec import model_to_spec
 from repro.store import Migration, Schema, SqliteStore, is_busy_error
 
 SCHEMA = Schema("t", [Migration(
@@ -73,6 +77,119 @@ class TestFileMode:
         with pytest.raises(sqlite3.OperationalError):
             with store.transaction() as conn:
                 conn.execute("SELECT * FROM no_such_table")
+
+
+class TestOneConnection:
+    """One long-lived connection per store must behave like the
+    short-lived ones it replaced: no held locks, no stale reads."""
+
+    def test_every_block_uses_the_one_connection(self, tmp_path):
+        store = SqliteStore(tmp_path / "t.sqlite3", SCHEMA)
+        with store.connection() as first:
+            pass
+        with store.transaction() as second:
+            pass
+        assert first is second
+
+    def test_uncommitted_dml_leaves_no_row_and_no_write_lock(
+        self, tmp_path
+    ):
+        store = SqliteStore(tmp_path / "t.sqlite3", SCHEMA)
+        with store.connection() as conn:
+            conn.execute("INSERT INTO t VALUES ('stray', '1')")
+            assert conn.in_transaction
+        other = sqlite3.connect(str(store.path), timeout=0)
+        try:
+            other.execute("BEGIN IMMEDIATE")  # raises if the lock is held
+            other.rollback()
+        finally:
+            other.close()
+        with store.connection() as conn:
+            assert conn.execute("SELECT COUNT(*) FROM t").fetchone()[0] == 0
+
+    def test_nested_block_keeps_the_outer_transaction(self, tmp_path):
+        store = SqliteStore(tmp_path / "t.sqlite3", SCHEMA)
+        with store.transaction() as conn:
+            conn.execute("INSERT INTO t VALUES ('a', '1')")
+            with store.connection() as inner:
+                assert inner.execute(
+                    "SELECT COUNT(*) FROM t"
+                ).fetchone()[0] == 1
+            assert conn.in_transaction
+        with store.connection() as conn:
+            assert conn.execute("SELECT COUNT(*) FROM t").fetchone()[0] == 1
+
+    def test_commit_from_another_connection_is_seen(self, tmp_path):
+        jobs = JobStore(tmp_path / "jobs.sqlite3")
+        record, _ = jobs.submit(JobSpec(
+            kind="sweep",
+            spec=model_to_spec(workgroup_model()),
+            params={"field": "mtbf_hours", "values": [1e5]},
+        ))
+        assert jobs.get(record.id).state == "queued"
+        assert jobs.counts()["queued"] == 1
+        other = sqlite3.connect(str(jobs.path))
+        try:
+            other.execute(
+                "UPDATE jobs SET state = 'succeeded' WHERE id = ?",
+                (record.id,),
+            )
+            other.commit()
+        finally:
+            other.close()
+        assert jobs.get(record.id).state == "succeeded"
+        assert jobs.counts()["succeeded"] == 1
+        jobs.close()
+
+    def test_threads_share_a_file_store_without_lost_updates(
+        self, tmp_path
+    ):
+        store = SqliteStore(tmp_path / "t.sqlite3", SCHEMA)
+        with store.transaction() as conn:
+            conn.execute("INSERT INTO t VALUES ('n', '0')")
+        errors = []
+
+        def bump() -> None:
+            try:
+                for _ in range(25):
+                    with store.transaction(immediate=True) as conn:
+                        value = conn.execute(
+                            "SELECT v FROM t WHERE k = 'n'"
+                        ).fetchone()[0]
+                        conn.execute(
+                            "UPDATE t SET v = ? WHERE k = 'n'",
+                            (str(int(value) + 1),),
+                        )
+                    with store.connection() as conn:
+                        conn.execute("SELECT COUNT(*) FROM t").fetchone()
+            except BaseException as exc:  # pragma: no cover
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=bump) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        with store.connection() as conn:
+            value = conn.execute(
+                "SELECT v FROM t WHERE k = 'n'"
+            ).fetchone()[0]
+        assert int(value) == 8 * 25
+
+    def test_failed_migration_closes_the_connection(self, tmp_path):
+        bad = Schema("t", [Migration(1, "broken", "CREATE TABLE (")])
+        baseline = open_fd_count()
+        for _ in range(5):
+            with pytest.raises(sqlite3.Error):
+                SqliteStore(tmp_path / "t.sqlite3", bad)
+        assert open_fd_count() == baseline
 
 
 class TestBusy:
