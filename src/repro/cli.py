@@ -103,6 +103,7 @@ def _configure_obs(args: argparse.Namespace) -> None:
         configure_tracing(
             enabled=True,
             trace_dir=trace_dir,
+            sample_ratio=getattr(args, "trace_sample", 1.0),
             detail=getattr(args, "trace_detail", False),
         )
 
@@ -369,34 +370,42 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .service import ServiceConfig, serve
+def _service_config(args: argparse.Namespace, **server_only):
+    """The ``ServiceConfig`` of ``serve`` and ``cluster coordinator|worker``.
 
-    config = ServiceConfig(
+    Reads the bind and engine flags all three share; ``server_only``
+    adds the settings only one command has.
+    """
+    from .service import ServiceConfig
+
+    return ServiceConfig(
         host=args.host,
         port=args.port,
         jobs=args.jobs,
         cache=not args.no_cache,
         cache_dir=args.cache_dir,
+        jobs_db=getattr(args, "jobs_db", None),
+        default_solver=_solver_options_from_args(args),
+        **server_only,
+    )
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from .service import serve
+
+    _configure_obs(args)
+    return serve(_service_config(
+        args,
         max_queue=args.max_queue,
         request_timeout=args.request_timeout,
         warm_start=args.warm_start,
-        jobs_db=args.jobs_db,
-        trace=args.trace,
-        trace_dir=args.trace_dir,
-        trace_sample=args.trace_sample,
-        trace_detail=args.trace_detail,
-        log_level=args.log_level,
-        log_json=args.log_json,
-        default_solver=_solver_options_from_args(args),
         registry_db=args.registry_db,
         registry_threshold=args.registry_threshold,
         registry_seed=not args.no_registry_seed,
         telemetry_max_pending=args.telemetry_max_pending,
         telemetry_max_batch=args.telemetry_max_batch,
         telemetry_window_hours=args.telemetry_window,
-    )
-    return serve(config)
+    ))
 
 
 def _cmd_trace_tail(args: argparse.Namespace) -> int:
@@ -588,56 +597,30 @@ def _cmd_jobs_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cluster_service_config(args: argparse.Namespace):
-    """The shared ``ServiceConfig`` of the cluster subcommands."""
-    from .service import ServiceConfig
-
-    return ServiceConfig(
-        host=args.host,
-        port=args.port,
-        jobs=args.jobs,
-        cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        jobs_db=getattr(args, "jobs_db", None),
-        trace=args.trace,
-        trace_dir=args.trace_dir,
-        trace_detail=args.trace_detail,
-        log_level=args.log_level,
-        log_json=args.log_json,
-        default_solver=_solver_options_from_args(args),
-    )
-
-
 def _cmd_cluster_coordinator(args: argparse.Namespace) -> int:
-    import dataclasses
-
+    from .cluster import ClusterConfig
     from .service import serve
 
-    config = dataclasses.replace(
-        _cluster_service_config(args),
-        cluster=True,
-        cluster_workers=tuple(args.worker or ()),
-        cluster_shard_size=args.shard_size,
-        cluster_lease_timeout=args.lease_timeout,
-        cluster_steal_after=args.steal_after,
-        cluster_max_shard_attempts=args.max_shard_attempts,
-        cluster_call_timeout=args.call_timeout,
-        cluster_fanout_threshold=args.fanout_threshold,
-    )
-    return serve(config)
+    _configure_obs(args)
+    return serve(_service_config(args, cluster=ClusterConfig(
+        workers=tuple(args.worker or ()),
+        shard_size=args.shard_size,
+        lease_timeout=args.lease_timeout,
+        steal_after=args.steal_after,
+        max_shard_attempts=args.max_shard_attempts,
+        call_timeout=args.call_timeout,
+        fanout_threshold=args.fanout_threshold,
+    )))
 
 
 def _cmd_cluster_worker(args: argparse.Namespace) -> int:
     import asyncio
 
     from .cluster import HeartbeatPusher
-    from .obs import configure_logging
     from .service import Server
 
-    config = _cluster_service_config(args)
-    configure_logging(
-        level=config.log_level, json_output=config.log_json
-    )
+    _configure_obs(args)
+    config = _service_config(args)
 
     async def run() -> int:
         server = Server(config)

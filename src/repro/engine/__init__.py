@@ -43,7 +43,6 @@ from .stats import (
     load_stats,
     metrics_payload,
     save_stats,
-    summarize_latencies,
 )
 
 __all__ = [
@@ -69,5 +68,4 @@ __all__ = [
     "load_stats",
     "metrics_payload",
     "save_stats",
-    "summarize_latencies",
 ]

@@ -21,7 +21,6 @@ can never drift apart.
 from __future__ import annotations
 
 import json
-import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -36,8 +35,9 @@ from ..store import atomic_write_json
 STATS_FILENAME = "stats.json"
 
 #: Counter names promoted to named :class:`EngineStats` fields; every
-#: other counter lands in the generic ``counters`` mapping.
-_NAMED_COUNTERS = (
+#: other counter lands in the generic ``counters`` mapping.  They only
+#: ever increase, so ``/metrics`` renders them as Prometheus counters.
+NAMED_COUNTERS = (
     "system_solves",
     "system_cache_hits",
     "block_solves",
@@ -208,34 +208,6 @@ class EngineStats:
         return "\n".join(lines)
 
 
-def _percentile(ordered: "list[float]", q: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample list."""
-    if not ordered:
-        return 0.0
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
-
-
-def summarize_latencies(samples: "list[float]") -> Dict[str, float]:
-    """Exact quantile summary of a raw sample list.
-
-    ``/metrics`` latency now flows through
-    :class:`~repro.obs.histogram.Histogram`; this helper remains for
-    ad-hoc analysis of raw sample lists (benchmarks, tests).
-    """
-    if not samples:
-        return {"count": 0.0}
-    ordered = sorted(samples)
-    return {
-        "count": float(len(ordered)),
-        "mean": sum(ordered) / len(ordered),
-        "p50": _percentile(ordered, 50.0),
-        "p95": _percentile(ordered, 95.0),
-        "p99": _percentile(ordered, 99.0),
-        "max": ordered[-1],
-    }
-
-
 class StatsCollector:
     """Thread-safe accumulator behind :class:`EngineStats` snapshots."""
 
@@ -327,7 +299,7 @@ class StatsCollector:
                 counters={
                     name: value
                     for name, value in self._counters.items()
-                    if name not in _NAMED_COUNTERS
+                    if name not in NAMED_COUNTERS
                 },
                 gauges=dict(self._gauges),
                 route_counts=dict(self._route_counts),

@@ -22,9 +22,7 @@ EVALUATION_FIELDS = (
 )
 
 
-def evaluate_model(
-    model, engine=None, method: str = "direct"
-) -> Dict[str, float]:
+def evaluate_model(model, engine=None) -> Dict[str, float]:
     """The evaluation record for one parsed model.
 
     With an engine the solve and the measure set go through (and warm)
@@ -34,7 +32,7 @@ def evaluate_model(
     so CLI-side registries need no engine at all.
     """
     if engine is not None:
-        measures = engine.measures(model, method)
+        measures = engine.measures(model)
     else:
         measures = compute_measures(translate(model))
     return {

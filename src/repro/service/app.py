@@ -110,6 +110,7 @@ from ..engine import (
     sweep_payload,
     validate_payload,
 )
+from ..engine.stats import NAMED_COUNTERS
 from ..errors import SolverError
 from ..library import datacenter_model, e10000_model, workgroup_model
 from ..num import SolverOptions
@@ -157,6 +158,10 @@ MAX_REPLICATIONS = 512
 #: A coordinator fans sweeps out across the fleet, so it accepts far
 #: larger value lists than a single process will compute inline.
 MAX_CLUSTER_SWEEP_VALUES = 4096
+
+#: The HTTP methods some route serves; metrics label any other
+#: method ``OTHER``.
+_HTTP_METHODS = frozenset(("GET", "POST"))
 
 
 def _field(
@@ -311,42 +316,45 @@ class App:
         return response
 
     def _route_label(self, request: Request) -> str:
-        """The metrics label: known routes literally, others bucketed."""
-        if request.path.startswith("/v1/library/"):
-            return f"{request.method} /v1/library/{{name}}"
-        if request.path.startswith("/v1/jobs/"):
-            if request.path.endswith("/cancel"):
-                return f"{request.method} /v1/jobs/{{id}}/cancel"
-            return f"{request.method} /v1/jobs/{{id}}"
-        if request.path.startswith("/v1/studies/"):
-            if request.path.endswith("/front"):
-                return f"{request.method} /v1/studies/{{id}}/front"
-            if "/candidates/" in request.path:
-                return (
-                    f"{request.method} "
-                    "/v1/studies/{id}/candidates/{index}"
-                )
-            return f"{request.method} /v1/studies/{{id}}"
-        if request.path.startswith("/v1/models/"):
-            tail = request.path[len("/v1/models/"):]
+        """The metrics label: known routes literally, others bucketed.
+
+        Every route is GET or POST, so any other method labels as
+        ``OTHER``: a client inventing methods cannot grow the route
+        counters or the latency histograms without bound.
+        """
+        method = request.method
+        if method not in _HTTP_METHODS:
+            method = "OTHER"
+        path = request.path
+        if path.startswith("/v1/library/"):
+            return f"{method} /v1/library/{{name}}"
+        if path.startswith("/v1/jobs/"):
+            if path.endswith("/cancel"):
+                return f"{method} /v1/jobs/{{id}}/cancel"
+            return f"{method} /v1/jobs/{{id}}"
+        if path.startswith("/v1/studies/"):
+            if path.endswith("/front"):
+                return f"{method} /v1/studies/{{id}}/front"
+            if "/candidates/" in path:
+                return f"{method} /v1/studies/{{id}}/candidates/{{index}}"
+            return f"{method} /v1/studies/{{id}}"
+        if path.startswith("/v1/models/"):
+            tail = path[len("/v1/models/"):]
             if tail.endswith("/tags"):
-                return f"{request.method} /v1/models/{{name}}/tags"
+                return f"{method} /v1/models/{{name}}/tags"
             if "/versions/" in tail:
-                return (
-                    f"{request.method} "
-                    "/v1/models/{name}/versions/{digest}"
-                )
-            return f"{request.method} /v1/models/{{name}}"
-        key = f"{request.method} {request.path}"
+                return f"{method} /v1/models/{{name}}/versions/{{digest}}"
+            return f"{method} /v1/models/{{name}}"
+        key = f"{method} {path}"
         if key in self._routes:
             return key
-        return f"{request.method} (unmatched)"
+        return f"{method} (unmatched)"
 
     async def _dispatch(self, request: Request) -> Response:
         if request.path.startswith("/v1/library/"):
             if request.method != "GET":
                 return self._method_not_allowed(request)
-            return self._library(request.path[len("/v1/library/"):])
+            return await self._library(request.path[len("/v1/library/"):])
         if request.path.startswith("/v1/jobs/"):
             return await self._jobs_item(request)
         if request.path.startswith("/v1/studies/"):
@@ -685,7 +693,8 @@ class App:
         self, request: Request
     ) -> Response:
         hub = self._telemetry_required()
-        return json_response({"proposal": hub.require_proposal()})
+        proposal = await asyncio.to_thread(hub.require_proposal)
+        return json_response({"proposal": proposal})
 
     async def _calibration_propose(self, request: Request) -> Response:
         """Fit, detect drift against the request's model, and build a
@@ -961,15 +970,26 @@ class App:
             evaluate=evaluate,
         )
 
-    async def _studies_submit(self, request: Request) -> Response:
+    def _study_admit(self, payload: Mapping[str, object]):
+        """``(study, study_id, record, created)`` for a submit payload.
+
+        Resolves, parses, digests and records the study in one go; a
+        ``model_ref`` base is a registry read, so this runs on a worker
+        thread, never on the event loop.
+        """
         from ..studies import parse_study, study_digest
 
-        payload = request.json()
-        document = self._study_document(payload)
-        study = parse_study(document, database=self.database)
+        study = parse_study(
+            self._study_document(payload), database=self.database
+        )
         study_id = study_digest(study, database=self.database)
-        record, created = await asyncio.to_thread(
-            self.studies.submit, study_id, study.to_dict()
+        record, created = self.studies.submit(study_id, study.to_dict())
+        return study, study_id, record, created
+
+    async def _studies_submit(self, request: Request) -> Response:
+        payload = request.json()
+        study, study_id, record, created = await asyncio.to_thread(
+            self._study_admit, payload
         )
         if not created and record.get("state") == "succeeded":
             self.engine.stats.increment("studies_dedup_hits")
@@ -1168,7 +1188,7 @@ class App:
     # ------------------------------------------------------------------
     # library + observability endpoints
     # ------------------------------------------------------------------
-    def _library_index(self, request: Request) -> Response:
+    async def _library_index(self, request: Request) -> Response:
         """Library names — a compatibility shim over the registry.
 
         With a registry attached the index lists every registered
@@ -1176,15 +1196,19 @@ class App:
         one it falls back to the built-in factories.
         """
         if self.registry is not None:
-            return json_response({"models": self.registry.names()})
+            names = await asyncio.to_thread(self.registry.names)
+            return json_response({"models": names})
         return json_response({"models": sorted(LIBRARY_MODELS)})
 
-    def _library(self, name: str) -> Response:
+    async def _library(self, name: str) -> Response:
         if self.registry is not None:
             try:
-                return json_response(self.registry.resolve_spec(name))
+                spec = await asyncio.to_thread(
+                    self.registry.resolve_spec, name
+                )
             except Exception as error:  # noqa: BLE001 - mapped envelope
                 return error_for_exception(error)
+            return json_response(spec)
         factory = LIBRARY_MODELS.get(name)
         if factory is None:
             return error_response(
@@ -1203,14 +1227,15 @@ class App:
         })
 
     def _service_section(self) -> Dict[str, object]:
-        """The ``service`` block of the metrics document.
+        """The loop-owned gauges of the ``service`` metrics block.
 
-        Carries the admission-pressure gauges operators watch during
-        overload — current and peak queue depth / in-flight requests,
-        and saturation as a fraction of the admission bound — plus the
-        per-state job gauges when a job store is attached.
+        The admission-pressure gauges operators watch during overload:
+        current and peak queue depth / in-flight requests, and
+        saturation as a fraction of the admission bound.  Read on the
+        loop; :meth:`_metrics_document` adds the job, study and
+        cluster counts on a worker thread.
         """
-        section: Dict[str, object] = {
+        return {
             "uptime_seconds": time.monotonic() - self.started_at,
             "in_flight": self.in_flight,
             "in_flight_peak": self.in_flight_peak,
@@ -1219,23 +1244,6 @@ class App:
             "queue_saturation": self.queue.depth / self.queue.max_queue,
             "max_queue": self.queue.max_queue,
         }
-        if self.jobs is not None:
-            for state, count in self.jobs.counts().items():
-                section[f"jobs_{state}"] = count
-        for state, count in self.studies.counts().items():
-            section[f"studies_{state}"] = count
-        if self.cluster is not None:
-            section["cluster_workers_alive"] = len(
-                self.cluster.membership.alive()
-            )
-            section["cluster_workers_known"] = len(self.cluster.membership)
-            section["cluster_jobs_completed"] = self.cluster.jobs_completed
-            section["cluster_shards_completed"] = (
-                self.cluster.shards_completed
-            )
-            section["cluster_shards_stolen"] = self.cluster.shards_stolen
-            section["cluster_shards_retried"] = self.cluster.shards_retried
-        return section
 
     def _storage_section(self) -> Dict[str, object]:
         """Per-store database health: the ``storage`` metrics block.
@@ -1288,30 +1296,59 @@ class App:
             "dropped": tracer.exporter.dropped,
         })
 
-    def _metrics(self, request: Request) -> Response:
+    def _metrics_document(
+        self, service: Dict[str, object]
+    ) -> Dict[str, object]:
+        """The ``/metrics`` document around the loop's ``service`` gauges.
+
+        Every read here may wait on a store or a lock — job and study
+        counts, registry and hub counts, store health, the cache's disk
+        walk — so it runs on a worker thread.
+        """
+        if self.jobs is not None:
+            for state, count in self.jobs.counts().items():
+                service[f"jobs_{state}"] = count
+        for state, count in self.studies.counts().items():
+            service[f"studies_{state}"] = count
+        cluster = self.cluster
+        if cluster is not None:
+            service["cluster_workers_alive"] = len(
+                cluster.membership.alive()
+            )
+            service["cluster_workers_known"] = len(cluster.membership)
+            service["cluster_jobs_completed"] = cluster.jobs_completed
+            service["cluster_shards_completed"] = cluster.shards_completed
+            service["cluster_shards_stolen"] = cluster.shards_stolen
+            service["cluster_shards_retried"] = cluster.shards_retried
         disk_usage = None
         if self.engine.cache is not None:
             disk_usage = self.engine.cache.disk_usage()
         payload = metrics_payload(
             self.engine.stats_snapshot(),
             disk_usage=disk_usage,
-            service=self._service_section(),
+            service=service,
         )
         if self.registry is not None:
             payload["registry"] = self.registry.counts()
         if self.telemetry is not None:
             payload["telemetry"] = self.telemetry.counts()
-        if self.cluster is not None:
+        if cluster is not None:
             payload["cluster"] = {
-                "workers": self.cluster.membership.snapshot(),
+                "workers": cluster.membership.snapshot(),
                 "totals": {
-                    "jobs_completed": self.cluster.jobs_completed,
-                    "shards_completed": self.cluster.shards_completed,
-                    "shards_stolen": self.cluster.shards_stolen,
-                    "shards_retried": self.cluster.shards_retried,
+                    "jobs_completed": cluster.jobs_completed,
+                    "shards_completed": cluster.shards_completed,
+                    "shards_stolen": cluster.shards_stolen,
+                    "shards_retried": cluster.shards_retried,
                 },
             }
         payload["storage"] = self._storage_section()
+        return payload
+
+    async def _metrics(self, request: Request) -> Response:
+        payload = await asyncio.to_thread(
+            self._metrics_document, self._service_section()
+        )
         wants_prometheus = (
             request.query.get("format") == "prometheus"
             or "text/plain" in request.headers.get("accept", "")
@@ -1360,21 +1397,6 @@ def measures_payload(
         "mttf_hours": measures.mttf_hours,
     }
 
-
-#: Engine snapshot fields that only ever increase — rendered as
-#: Prometheus counters (``_total`` suffix); everything else in the
-#: snapshot is a gauge.
-_ENGINE_COUNTER_FIELDS = frozenset((
-    "system_solves",
-    "system_cache_hits",
-    "block_solves",
-    "block_cache_hits",
-    "disk_hits",
-    "tasks_submitted",
-    "tasks_completed",
-    "tasks_retried",
-    "tasks_failed",
-))
 
 #: Characters legal in a Prometheus metric name (after the first).
 _METRIC_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
@@ -1585,7 +1607,7 @@ def render_prometheus(payload: Mapping[str, object]) -> str:
                                     "quantile": str(quantile),
                                 },
                             )
-            elif key in _ENGINE_COUNTER_FIELDS:
+            elif key in NAMED_COUNTERS:
                 doc.add(
                     f"engine_{key}", "counter",
                     f"Engine counter {key}.", value,

@@ -9,6 +9,8 @@ around them:
   the server shares its persistent cache with CLI runs), optionally
   warm-starts by pre-solving the library models, and binds the socket
   (``port=0`` picks a free port, reported by :meth:`Server.start`).
+  Tracing and logging are process-wide and stay with whoever embeds
+  the server: the CLI configures them once, before the server exists.
 * **Serving** is a keep-alive connection loop: read request, dispatch
   through the app, write response, repeat until the client closes or a
   protocol error forces the connection shut.
@@ -26,14 +28,14 @@ import asyncio
 import contextlib
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from ..engine import Engine, default_cache_dir
 from ..errors import RascadError
 from ..num import SolverOptions
-from ..obs import configure_logging, configure_tracing, get_logger
+from ..obs import get_logger
 from .app import App, LIBRARY_MODELS
 from .protocol import (
     MAX_HEADER_BYTES,
@@ -43,13 +45,22 @@ from .protocol import (
 )
 from .queue import SolveQueue
 
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from ..cluster import ClusterConfig
+
 #: Seconds shutdown waits for in-flight requests before closing.
 DRAIN_TIMEOUT = 10.0
 
 
 @dataclass
 class ServiceConfig:
-    """Everything ``rascad serve`` can configure.
+    """The settings one :class:`Server` owns.
+
+    ``rascad serve`` and ``rascad cluster coordinator|worker`` build
+    this from their flags.  Tracing and logging are process-wide, so
+    they are not here: configure them with
+    :func:`repro.obs.configure_tracing` and
+    :func:`repro.obs.configure_logging` before building the server.
 
     Attributes:
         host: Bind address.
@@ -66,33 +77,13 @@ class ServiceConfig:
             ``cache_dir`` when that is set; with neither configured
             the endpoints answer ``503 jobs_disabled`` (keeps embedded
             and test servers from writing outside their sandbox).
-        trace: Enable tracing (``/debug/traces`` and the
-            ``X-Rascad-Trace-Id`` header) without a JSONL export.
-        trace_dir: Enable tracing *and* export kept spans to
-            ``<trace_dir>/spans.jsonl``.
-        trace_sample: Head-sampling ratio in [0, 1]; errors and slow
-            spans are kept regardless.
-        trace_detail: Also emit per-block solve spans — deep-dive
-            verbosity; the default keeps traced serving cheap.
-        log_level: Level for the ``rascad`` logger namespace.
-        log_json: Emit one JSON object per log line (with trace ids).
         default_solver: Server-wide default solver configuration
             (the ``rascad serve`` solver flags); requests override it
             per-call via their ``method`` string or ``solver`` object.
-        cluster: Run as a cluster coordinator even with no static
-            workers — the fleet then joins dynamically over
-            ``POST /v1/cluster/workers``.
-        cluster_workers: Static worker base URLs; naming any implies
-            coordinator mode.
-        cluster_shard_size: Points per shard when fanning out.
-        cluster_lease_timeout: Seconds without a heartbeat before a
-            dynamic worker drops out of placement.
-        cluster_steal_after: Seconds a shard may run on one worker
-            before an idle worker re-executes it speculatively.
-        cluster_max_shard_attempts: Attempts per shard before the
-            workload fails.
-        cluster_call_timeout: Socket timeout for one shard HTTP call.
-        cluster_fanout_threshold: Minimum sweep size worth sharding.
+        cluster: Run as a cluster coordinator with these settings.
+            ``ClusterConfig()`` names no static workers; the fleet
+            then joins dynamically over ``POST /v1/cluster/workers``.
+            ``None`` (the default) does not coordinate.
         registry_db: Model-registry database path.  Defaults to
             ``registry.sqlite3`` inside ``cache_dir`` when that is
             set (shared with ``rascad models`` CLI runs); with
@@ -123,21 +114,8 @@ class ServiceConfig:
     request_timeout: float = 30.0
     warm_start: bool = False
     jobs_db: Optional[Union[str, Path]] = None
-    trace: bool = False
-    trace_dir: Optional[Union[str, Path]] = None
-    trace_sample: float = 1.0
-    trace_detail: bool = False
-    log_level: str = "info"
-    log_json: bool = False
     default_solver: Optional[SolverOptions] = None
-    cluster: bool = False
-    cluster_workers: Tuple[str, ...] = field(default_factory=tuple)
-    cluster_shard_size: int = 16
-    cluster_lease_timeout: float = 15.0
-    cluster_steal_after: float = 5.0
-    cluster_max_shard_attempts: int = 4
-    cluster_call_timeout: float = 60.0
-    cluster_fanout_threshold: int = 2
+    cluster: Optional[ClusterConfig] = None
     registry_db: Optional[Union[str, Path]] = None
     registry_threshold: float = 1.0
     registry_seed: bool = True
@@ -151,13 +129,6 @@ class Server:
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
-        if self.config.trace or self.config.trace_dir is not None:
-            configure_tracing(
-                enabled=True,
-                trace_dir=self.config.trace_dir,
-                sample_ratio=self.config.trace_sample,
-                detail=self.config.trace_detail,
-            )
         self.engine = Engine(
             jobs=self.config.jobs,
             cache=self.config.cache,
@@ -215,25 +186,16 @@ class Server:
         shards; without any persistent path the table lives in memory
         (embedded and test servers).
         """
-        if not self.config.cluster and not self.config.cluster_workers:
+        cluster_config = self.config.cluster
+        if cluster_config is None:
             return None
         from ..cluster import (
             CLUSTER_DB_FILENAME,
-            ClusterConfig,
             Coordinator,
             Membership,
             ShardStore,
         )
 
-        cluster_config = ClusterConfig(
-            workers=tuple(self.config.cluster_workers),
-            shard_size=self.config.cluster_shard_size,
-            lease_timeout=self.config.cluster_lease_timeout,
-            steal_after=self.config.cluster_steal_after,
-            max_shard_attempts=self.config.cluster_max_shard_attempts,
-            call_timeout=self.config.cluster_call_timeout,
-            fanout_threshold=self.config.cluster_fanout_threshold,
-        )
         if self.config.jobs_db is not None:
             store_path = str(
                 Path(self.config.jobs_db).parent / CLUSTER_DB_FILENAME
@@ -475,9 +437,7 @@ async def _run_server(config: ServiceConfig) -> int:
 
 def serve(config: Optional[ServiceConfig] = None) -> int:
     """Blocking entry point behind ``rascad serve``."""
-    config = config or ServiceConfig()
-    configure_logging(level=config.log_level, json_output=config.log_json)
     try:
-        return asyncio.run(_run_server(config))
+        return asyncio.run(_run_server(config or ServiceConfig()))
     except KeyboardInterrupt:  # pragma: no cover - signal path
         return 0

@@ -10,7 +10,6 @@ from repro.engine import (
     load_stats,
     metrics_payload,
     save_stats,
-    summarize_latencies,
 )
 from repro.engine.stats import STATS_FILENAME, StatsCollector
 
@@ -169,17 +168,6 @@ class TestServiceTelemetry:
         assert snapshot.gauges == {}
         assert snapshot.route_counts == {}
         assert snapshot.latency == {}
-
-    def test_summarize_latencies_empty_window(self):
-        assert summarize_latencies([]) == {"count": 0.0}
-
-    def test_percentiles_are_order_independent(self):
-        forward = summarize_latencies([0.001 * i for i in range(1, 101)])
-        backward = summarize_latencies(
-            [0.001 * i for i in range(100, 0, -1)]
-        )
-        assert forward == backward
-        assert forward["p95"] == 0.095
 
 
 class TestMetricsPayload:

@@ -177,6 +177,32 @@ class TestLibraryAndRouting:
         responses, _ = call([make_request("GET", "/v1/solve")])
         assert responses[0][0] == 405
 
+    def test_invented_methods_share_one_route_label(self):
+        responses, engine = call([
+            make_request(f"M{index:04d}", "/healthz")
+            for index in range(1000)
+        ])
+        assert {status for status, _, _ in responses} == {405}
+        _, payload, _ = responses[0]
+        assert payload["error"]["message"] == (
+            "M0000 is not supported on '/healthz'"
+        )
+        snapshot = engine.stats.snapshot()
+        assert snapshot.route_counts == {"OTHER (unmatched) 405": 1000}
+        assert len(set(snapshot.route_counts) | set(snapshot.latency)) <= 2
+
+    def test_unserved_methods_label_as_other(self):
+        _, engine = call([
+            make_request("DELETE", "/v1/solve"),
+            make_request("DELETE", "/v1/jobs/x"),
+            make_request("GET", "/v1/solve"),
+        ])
+        assert set(engine.stats.snapshot().latency) == {
+            "OTHER (unmatched)",
+            "OTHER /v1/jobs/{id}",
+            "GET (unmatched)",
+        }
+
 
 class TestObservability:
     def test_healthz_reports_ok(self):

@@ -2,6 +2,7 @@
 
 import asyncio
 
+from repro.cluster import ClusterConfig
 from repro.service import Server, ServiceConfig
 
 from .test_server import http_request, run_with_server
@@ -17,9 +18,9 @@ def run_with_fleet(scenario, coordinator_overrides=None):
         worker = Server(ServiceConfig(port=0))
         w_host, w_port = await worker.start()
         overrides = dict(
-            cluster=True,
-            cluster_workers=(f"http://{w_host}:{w_port}",),
-            cluster_shard_size=4,
+            cluster=ClusterConfig(
+                workers=(f"http://{w_host}:{w_port}",), shard_size=4,
+            ),
             **(coordinator_overrides or {}),
         )
         coordinator = Server(ServiceConfig(port=0, **overrides))
@@ -102,7 +103,7 @@ class TestMembershipApi:
             return listing, cluster_status
 
         listing, status_body = run_with_server(
-            scenario, ServiceConfig(port=0, cluster=True)
+            scenario, ServiceConfig(port=0, cluster=ClusterConfig())
         )
         assert [w["id"] for w in listing["workers"]] == ["node-1:8100"]
         assert status_body["totals"]["jobs_completed"] == 0
@@ -116,7 +117,7 @@ class TestMembershipApi:
             )
 
         status, body, _ = run_with_server(
-            scenario, ServiceConfig(port=0, cluster=True)
+            scenario, ServiceConfig(port=0, cluster=ClusterConfig())
         )
         assert status == 400
         assert body["error"]["code"] == "invalid_request"
@@ -129,7 +130,7 @@ class TestMembershipApi:
             )
 
         status, body, _ = run_with_server(
-            scenario, ServiceConfig(port=0, cluster=True)
+            scenario, ServiceConfig(port=0, cluster=ClusterConfig())
         )
         assert status == 503
         assert body["error"]["code"] == "no_workers"

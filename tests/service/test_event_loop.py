@@ -1,7 +1,8 @@
-"""Nothing a ``/v1/solve`` waits on may stall the server's event loop.
+"""Nothing a request waits on may stall the server's event loop.
 
-Each test wedges one stage of a solve on a :class:`threading.Event`
-and, from a separate client thread, requires ``/healthz`` (and, where
+Each test wedges one stage of a request — a solve stage, a registry
+read, the telemetry hub's lock — on a :class:`threading.Event` and,
+from a separate client thread, requires ``/healthz`` (and, where
 relevant, a cached solve of another spec) to answer within a second
 while the wedged request is still stuck.  A stage that ran on the
 event loop would freeze every connection and fail the probe.
@@ -11,6 +12,8 @@ import asyncio
 import json
 import threading
 import time
+
+import pytest
 
 from repro.engine import engine as engine_module
 from repro.library import e10000_model, workgroup_model
@@ -49,22 +52,26 @@ def _probe_while_wedged(entered, release, probes):
         release.set()
 
 
+def _wedge_resolve_spec(monkeypatch):
+    """``(entered, release)`` around a ``resolve_spec`` that waits."""
+    entered = threading.Event()
+    release = threading.Event()
+    resolve_spec = ModelRegistry.resolve_spec
+
+    def blocked_resolve_spec(self, ref):
+        entered.set()
+        release.wait(timeout=10.0)
+        return resolve_spec(self, ref)
+
+    monkeypatch.setattr(ModelRegistry, "resolve_spec", blocked_resolve_spec)
+    return entered, release
+
+
 class TestRegistryResolveOffTheLoop:
     def test_healthz_answers_while_resolve_spec_is_blocked(
         self, monkeypatch
     ):
-        entered = threading.Event()
-        release = threading.Event()
-        resolve_spec = ModelRegistry.resolve_spec
-
-        def blocked_resolve_spec(self, ref):
-            entered.set()
-            release.wait(timeout=10.0)
-            return resolve_spec(self, ref)
-
-        monkeypatch.setattr(
-            ModelRegistry, "resolve_spec", blocked_resolve_spec
-        )
+        entered, release = _wedge_resolve_spec(monkeypatch)
 
         async def scenario(server, host, port):
             url = f"http://{host}:{port}"
@@ -140,3 +147,100 @@ class TestMeasuresMissOffTheLoop:
         counters = engine.stats.snapshot().counters
         assert counters["measures_computed"] == 2
         assert counters["measures_cache_hits"] == 1
+
+
+def _wedged_request_and_health(wedge, method, path, payload=None):
+    """Send one request that wedges, probe ``/healthz``, then release.
+
+    ``wedge(server)`` installs the wedge once the server is up and
+    returns its ``(entered, release)`` events.  Returns ``(health
+    status, probe seconds, wedged request's status)``.
+    """
+
+    async def scenario(server, host, port):
+        entered, release = wedge(server)
+        url = f"http://{host}:{port}"
+        wedged = asyncio.ensure_future(
+            http_request(host, port, method, path, payload)
+        )
+        probes = await asyncio.to_thread(
+            _probe_while_wedged, entered, release,
+            [lambda: _timed_call(url, "GET", "/healthz")],
+        )
+        status, _, _ = await wedged
+        return probes, status
+
+    probes, status = run_with_server(scenario)
+    (health, _, seconds), = probes
+    return health, seconds, status
+
+
+class _HeldLock:
+    """Stands in for a lock another thread holds until ``release``.
+
+    Taking it flags ``entered`` and then waits, as a request does when
+    an ingest holds the hub's lock across its SQLite save.
+    """
+
+    def __init__(self, entered, release):
+        self.entered = entered
+        self.release = release
+        self.lock = threading.Lock()
+
+    def __enter__(self):
+        self.entered.set()
+        self.release.wait(timeout=10.0)
+        self.lock.acquire()
+        return self
+
+    def __exit__(self, *exc_info):
+        self.lock.release()
+
+
+class TestStoreReadsOffTheLoop:
+    def test_model_ref_study_submit_resolves_off_the_loop(
+        self, monkeypatch
+    ):
+        events = _wedge_resolve_spec(monkeypatch)
+        payload = {
+            "model_ref": "workgroup",
+            "name": "wg-study",
+            "variables": [{
+                "path": "Workgroup Server/Fan",
+                "field": "quantity",
+                "values": [2, 3],
+            }],
+            "strategy": "grid",
+        }
+        health, seconds, status = _wedged_request_and_health(
+            lambda server: events, "POST", "/v1/studies", payload
+        )
+        assert health == 200, health
+        assert seconds < PROBE_BOUND
+        assert status == 201
+
+    def test_library_spec_resolves_off_the_loop(self, monkeypatch):
+        events = _wedge_resolve_spec(monkeypatch)
+        health, seconds, status = _wedged_request_and_health(
+            lambda server: events, "GET", "/v1/library/e10000"
+        )
+        assert health == 200, health
+        assert seconds < PROBE_BOUND
+        assert status == 200
+
+    @pytest.mark.parametrize(
+        "path, expected",
+        [("/v1/calibration/proposal", 404), ("/metrics", 200)],
+    )
+    def test_held_hub_lock_does_not_stall_the_loop(self, path, expected):
+        def hold_hub_lock(server):
+            entered, release = threading.Event(), threading.Event()
+            server.telemetry._lock = _HeldLock(entered, release)
+            return entered, release
+
+        health, seconds, status = _wedged_request_and_health(
+            hold_hub_lock, "GET", path
+        )
+        assert health == 200, health
+        assert seconds < PROBE_BOUND
+        assert status == expected

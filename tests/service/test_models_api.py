@@ -10,6 +10,7 @@ two-worker cluster fan-out.
 import asyncio
 import json
 
+from repro.cluster import ClusterConfig
 from repro.library import workgroup_model
 from repro.service import Server, ServiceConfig
 from repro.spec import model_to_spec
@@ -372,8 +373,8 @@ class TestClusterRefIdentity:
                 workers.append(worker)
                 urls.append(f"http://{w_host}:{w_port}")
             coordinator = Server(ServiceConfig(
-                port=0, cluster=True, cluster_workers=tuple(urls),
-                cluster_shard_size=4,
+                port=0,
+                cluster=ClusterConfig(workers=tuple(urls), shard_size=4),
             ))
             host, port = await coordinator.start()
             try:

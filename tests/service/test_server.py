@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.cluster import ClusterConfig
 from repro.core import translate
 from repro.errors import StoreError
 from repro.engine import load_stats
@@ -230,7 +231,7 @@ class TestShutdown:
         config = ServiceConfig(
             port=0,
             cache_dir=tmp_path / "cache" if persistent else None,
-            cluster=True,
+            cluster=ClusterConfig(),
         )
 
         async def scenario(server, host, port):

@@ -363,6 +363,44 @@ class TestServeParser:
         assert args.request_timeout == 30.0
         assert not args.warm_start
 
+    def test_serve_configures_tracing_and_logging_first(
+        self, monkeypatch, tmp_path
+    ):
+        import logging
+
+        import repro.service
+        from repro.obs import configure_logging
+        from repro.obs.logging import JsonFormatter
+        from repro.obs.trace import get_tracer, set_tracer
+
+        seen = {}
+
+        def fake_serve(config):
+            tracer = get_tracer()
+            seen["tracer"] = (
+                tracer.enabled,
+                tracer.exporter.trace_dir,
+                tracer.sample_ratio,
+            )
+            seen["formatters"] = [
+                type(handler.formatter)
+                for handler in logging.getLogger("rascad").handlers
+            ]
+            return 0
+
+        monkeypatch.setattr(repro.service, "serve", fake_serve)
+        previous = get_tracer()
+        try:
+            assert main([
+                "serve", "--trace-dir", str(tmp_path),
+                "--trace-sample", "0.5", "--log-json",
+            ]) == 0
+        finally:
+            set_tracer(previous)
+            configure_logging()
+        assert seen["tracer"] == (True, tmp_path, 0.5)
+        assert seen["formatters"] == [JsonFormatter]
+
 
 class TestJobsCli:
     def _submit(self, spec_path, db, extra=()):
@@ -473,6 +511,37 @@ class TestClusterCli:
         assert args.jobs_db == "/tmp/c.db"
         assert args.fanout_threshold == 2  # default
 
+    def test_coordinator_flags_reach_the_coordinator(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.cluster import ClusterConfig
+        from repro.service import Server, lifecycle
+
+        seen = {}
+
+        async def fake_run_server(config):
+            server = Server(config)
+            seen["config"] = config.cluster
+            seen["coordinator"] = server.coordinator.config
+            await server.shutdown()
+            return 0
+
+        monkeypatch.setattr(lifecycle, "_run_server", fake_run_server)
+        assert main([
+            "cluster", "coordinator", "--cache-dir", str(tmp_path),
+            "--worker", "http://a:8101", "--worker", "http://b:8102",
+            "--shard-size", "8", "--steal-after", "2",
+            "--max-shard-attempts", "6",
+        ]) == 0
+        expected = ClusterConfig(
+            workers=("http://a:8101", "http://b:8102"),
+            shard_size=8,
+            steal_after=2.0,
+            max_shard_attempts=6,
+        )
+        assert seen["config"] == expected
+        assert seen["coordinator"] is seen["config"]
+
     def test_worker_flags_parse(self):
         from repro.cli import build_parser
 
@@ -514,10 +583,11 @@ class TestClusterCli:
     def test_status_against_a_live_coordinator(self, capsys):
         import asyncio
 
+        from repro.cluster import ClusterConfig
         from repro.service import Server, ServiceConfig
 
         async def go():
-            server = Server(ServiceConfig(port=0, cluster=True))
+            server = Server(ServiceConfig(port=0, cluster=ClusterConfig()))
             host, port = await server.start()
             try:
                 return await asyncio.to_thread(
