@@ -282,7 +282,11 @@ class SolveCache:
         if path is None:
             return None
         try:
-            with path.open("rb") as handle:
+            handle = path.open("rb")
+        except FileNotFoundError:
+            return None  # never written: a plain miss, nothing to discard
+        try:
+            with handle:
                 payload = pickle.load(handle)
         except Exception:
             # Unpickling arbitrary corrupt bytes can raise nearly any

@@ -132,6 +132,30 @@ class TestDiskLayer:
         assert cache.get_block("bad") == (None, "miss")
         assert not target.exists()
 
+    def test_missing_entry_is_a_miss_without_unlink(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        cache = SolveCache(cache_dir=tmp_path)
+        cache.put_block("present", 1)
+        corrupt = tmp_path / "blocks" / "bad.pkl"
+        corrupt.write_bytes(b"not a pickle")
+        unlinked = []
+        real_unlink = Path.unlink
+
+        def recording_unlink(path, *args, **kwargs):
+            unlinked.append(path.name)
+            return real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", recording_unlink)
+        fresh = SolveCache(cache_dir=tmp_path)
+        assert fresh.get_block("absent") == (None, "miss")
+        assert unlinked == []
+        assert fresh.get_block("present") == (1, "disk")
+        assert unlinked == []
+        # A damaged entry is still discarded.
+        assert fresh.get_block("bad") == (None, "miss")
+        assert unlinked == ["bad.pkl"] and not corrupt.exists()
+
     def test_format_version_mismatch_is_a_miss(self, tmp_path):
         cache = SolveCache(cache_dir=tmp_path)
         target = tmp_path / "blocks" / "old.pkl"
