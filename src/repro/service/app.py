@@ -845,11 +845,11 @@ class App:
     async def _jobs_item(self, request: Request) -> Response:
         from ..jobs import JobNotFoundError
 
-        store = self._jobs_store()
         tail = request.path[len("/v1/jobs/"):]
         if tail.endswith("/cancel"):
             if request.method != "POST":
                 return self._method_not_allowed(request)
+            store = self._jobs_store()
             job_id = tail[: -len("/cancel")]
             try:
                 record = await asyncio.to_thread(store.cancel, job_id)
@@ -859,6 +859,7 @@ class App:
             return json_response({"job": record.to_dict()})
         if request.method != "GET":
             return self._method_not_allowed(request)
+        store = self._jobs_store()
         try:
             record = await asyncio.to_thread(store.get, tail)
         except JobNotFoundError as error:
@@ -1118,20 +1119,25 @@ class App:
         )
 
     async def _models_item(self, request: Request) -> Response:
-        """Dispatch ``/v1/models/{name}...`` sub-resources."""
-        registry = self._registry_required()
+        """Dispatch ``/v1/models/{name}...`` sub-resources.
+
+        The method is checked before the registry, so an unserved
+        method answers 405 whether or not a registry is attached.
+        """
         tail = request.path[len("/v1/models/"):]
         if tail.endswith("/tags"):
             if request.method != "POST":
                 return self._method_not_allowed(request)
             name = tail[: -len("/tags")]
-            return await self._models_tags(request, registry, name)
+            return await self._models_tags(
+                request, self._registry_required(), name
+            )
         if "/versions/" in tail:
             if request.method != "GET":
                 return self._method_not_allowed(request)
             name, _, selector = tail.partition("/versions/")
             record = await asyncio.to_thread(
-                registry.version_detail, name, selector
+                self._registry_required().version_detail, name, selector
             )
             include_spec = request.query.get("include_spec") in (
                 "1", "true"
@@ -1143,7 +1149,7 @@ class App:
             return self._method_not_allowed(request)
         return json_response({
             "model": await asyncio.to_thread(
-                registry.model_detail, tail
+                self._registry_required().model_detail, tail
             ),
         })
 

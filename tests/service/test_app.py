@@ -204,6 +204,61 @@ class TestLibraryAndRouting:
         }
 
 
+class TestItemRoutesCheckTheMethodFirst:
+    """An unserved method answers 405 whether or not a store is attached."""
+
+    UNSERVED = [
+        ("DELETE", "/v1/jobs/x"),
+        ("POST", "/v1/jobs/x"),
+        ("PUT", "/v1/jobs/x"),
+        ("GET", "/v1/jobs/x/cancel"),
+        ("DELETE", "/v1/jobs/x/cancel"),
+        ("DELETE", "/v1/models/m"),
+        ("POST", "/v1/models/m"),
+        ("GET", "/v1/models/m/tags"),
+        ("DELETE", "/v1/models/m/tags"),
+        ("POST", "/v1/models/m/versions/abc"),
+        ("DELETE", "/v1/models/m/versions/abc"),
+    ]
+
+    def _statuses(self, **stores):
+        responses, _app = run_app(
+            [make_request(method, path) for method, path in self.UNSERVED],
+            **stores,
+        )
+        return [status for status, _payload, _response in responses]
+
+    def test_without_stores(self):
+        assert self._statuses() == [405] * len(self.UNSERVED)
+
+    def test_with_stores(self, tmp_path):
+        from repro.jobs import JobStore
+        from repro.registry import ModelRegistry, RegistryStore
+
+        jobs = JobStore(tmp_path / "jobs.sqlite3")
+        registry = ModelRegistry(RegistryStore(":memory:"), engine=Engine())
+        try:
+            statuses = self._statuses(jobs=jobs, registry=registry)
+        finally:
+            jobs.close()
+            registry.close()
+        assert statuses == [405] * len(self.UNSERVED)
+
+    def test_served_methods_still_need_their_store(self):
+        responses, _app = run_app([
+            make_request("GET", "/v1/jobs/x"),
+            make_request("POST", "/v1/jobs/x/cancel"),
+            make_request("GET", "/v1/models/m"),
+            make_request("POST", "/v1/models/m/tags", {"tag": "t"}),
+            make_request("GET", "/v1/models/m/versions/abc"),
+        ])
+        assert [
+            (status, payload["error"]["code"]) for status, payload, _ in responses
+        ] == (
+            [(503, "jobs_disabled")] * 2 + [(503, "registry_disabled")] * 3
+        )
+
+
 class TestObservability:
     def test_healthz_reports_ok(self):
         responses, _ = call([make_request("GET", "/healthz")])
