@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import os
 import pickle
-from collections import OrderedDict
 from pathlib import Path
-from threading import Lock
-from typing import Callable, Hashable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
+from ..lru import LRU
 from ..store import atomic_write_bytes
 
 #: Bumped whenever the pickled payload layout changes; mismatched disk
@@ -54,83 +53,9 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "rascad"
 
 
-def _unit_weight(value: object) -> int:
-    return 1
-
-
 def _state_weight(value: object) -> int:
     """A block entry's weight: its chain's state count (at least 1)."""
     return max(1, getattr(value, "n_states", 1))
-
-
-class _LRU:
-    """A small thread-safe LRU mapping (key -> object).
-
-    Entries are evicted, least recently used first, until their total
-    ``weigh(value)`` is within ``capacity`` — but the entry just
-    inserted is always kept, even when it alone exceeds the budget.
-    """
-
-    def __init__(
-        self,
-        capacity: int,
-        weigh: Callable[[object], int] = _unit_weight,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._weigh = weigh
-        self._lock = Lock()
-        self._entries: "OrderedDict[Hashable, Tuple[object, int]]" = OrderedDict()
-        self._weight = 0
-
-    def get(self, key: Hashable) -> Optional[object]:
-        with self._lock:
-            try:
-                entry = self._entries.pop(key)
-            except KeyError:
-                return None
-            self._entries[key] = entry  # re-insert as most recent
-            return entry[0]
-
-    def put(self, key: Hashable, value: object) -> None:
-        weight = self._weigh(value)
-        with self._lock:
-            self._discard(key)
-            self._entries[key] = (value, weight)
-            self._weight += weight
-            while self._weight > self.capacity and len(self._entries) > 1:
-                _key, (_value, evicted) = self._entries.popitem(last=False)
-                self._weight -= evicted
-
-    def pop(self, key: Hashable) -> None:
-        with self._lock:
-            self._discard(key)
-
-    def pop_where(self, predicate: Callable[[Hashable], bool]) -> None:
-        """Drop every entry whose key satisfies ``predicate``."""
-        with self._lock:
-            for key in [key for key in self._entries if predicate(key)]:
-                self._discard(key)
-
-    def _discard(self, key: Hashable) -> None:
-        entry = self._entries.pop(key, None)
-        if entry is not None:
-            self._weight -= entry[1]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._weight = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def weight(self) -> int:
-        with self._lock:
-            return self._weight
 
 
 class SolveCache:
@@ -154,9 +79,9 @@ class SolveCache:
         max_system_entries: int = 64,
         cache_dir: Optional[Union[str, Path]] = None,
     ) -> None:
-        self._blocks = _LRU(max_block_states, weigh=_state_weight)
-        self._systems = _LRU(max_system_entries)
-        self._measures = _LRU(MAX_MEASURES_ENTRIES)
+        self._blocks = LRU(max_block_states, weigh=_state_weight)
+        self._systems = LRU(max_system_entries)
+        self._measures = LRU(MAX_MEASURES_ENTRIES)
         self.cache_dir = (
             Path(cache_dir).expanduser() if cache_dir is not None else None
         )

@@ -69,7 +69,7 @@ from ..obs.trace import get_tracer
 from ..units import MINUTES_PER_YEAR, availability_to_yearly_downtime_minutes
 from .cache import MeasuresKey, SolveCache, default_cache_dir
 from .executor import run_batch
-from .keys import block_digest, chain_digest, model_digest, task_seed
+from .keys import DigestMemo, chain_digest, model_digest, task_seed
 from .stats import EngineStats, StatsCollector, save_stats
 
 #: Anything the engine accepts as a solve method: a legacy method name
@@ -112,6 +112,7 @@ class Engine:
             self.cache = None
         self.stats = StatsCollector()
         self.stats.set_jobs(jobs)
+        self._digests = DigestMemo()
 
     @property
     def _worker_cache_config(self) -> Tuple[Optional[Path], bool]:
@@ -145,7 +146,7 @@ class Engine:
                         ),
                         span,
                     )
-                key = block_digest(
+                key = self._digests.block(
                     effective, global_parameters, solve_options
                 )
                 value, layer = self.cache.get_block(key)
@@ -195,7 +196,7 @@ class Engine:
             "engine.solve", method=method.steady_method
         ) as span:
             if self.cache is not None:
-                key = model_digest(model, method)
+                key = self._digests.model(model, method)
                 cached = self.cache.get_system(key)
                 if cached is not None:
                     self.stats.increment("system_cache_hits")
@@ -231,7 +232,7 @@ class Engine:
         if mission is None:
             mission = model.global_parameters.mission_time_hours
         return (
-            model_digest(model, as_options(method)), repr(mission),
+            self._digests.model(model, as_options(method)), repr(mission),
             grid_points,
         )
 

@@ -23,9 +23,10 @@ version for that reason).
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from ..ident import content_digest, digest_int64
+from ..lru import LRU
 
 from ..core.block import DiagramBlockModel, MGBlock, MGDiagram
 from ..core.parameters import BlockParameters, GlobalParameters, Scenario
@@ -65,42 +66,52 @@ def _dataclass_payload(instance: object, skip: frozenset = frozenset()):
     }
 
 
-def canonical_payload(obj: object) -> Dict[str, object]:
-    """The canonical nested structure an object digests from.
-
-    Exposed for tests and debugging; most callers want the digest
-    helpers below.
-    """
+def _parameters_payload(obj: object) -> Dict[str, object]:
     if isinstance(obj, BlockParameters):
         return {
             "kind": "block_parameters",
             "fields": _dataclass_payload(obj, _ANNOTATION_FIELDS),
         }
-    if isinstance(obj, GlobalParameters):
-        return {
-            "kind": "global_parameters",
-            "fields": _dataclass_payload(obj),
-        }
+    return {
+        "kind": "global_parameters",
+        "fields": _dataclass_payload(obj),
+    }
+
+
+def canonical_payload(
+    obj: object,
+    parameters: Callable[[object], Dict[str, object]] = _parameters_payload,
+) -> Dict[str, object]:
+    """The canonical nested structure an object digests from.
+
+    ``parameters`` gives the payload of each block and global parameter
+    value; :class:`DigestMemo` passes its memo.  Exposed for tests and
+    debugging; most callers want the digest helpers below.
+    """
+    if isinstance(obj, (BlockParameters, GlobalParameters)):
+        return parameters(obj)
     if isinstance(obj, MGBlock):
         payload: Dict[str, object] = {
             "kind": "block",
-            "parameters": canonical_payload(obj.parameters),
+            "parameters": parameters(obj.parameters),
         }
         if obj.subdiagram is not None:
-            payload["subdiagram"] = canonical_payload(obj.subdiagram)
+            payload["subdiagram"] = canonical_payload(
+                obj.subdiagram, parameters
+            )
         return payload
     if isinstance(obj, MGDiagram):
         return {
             "kind": "diagram",
             "name": obj.name,
-            "blocks": [canonical_payload(block) for block in obj],
+            "blocks": [canonical_payload(block, parameters) for block in obj],
         }
     if isinstance(obj, DiagramBlockModel):
         return {
             "kind": "model",
             "name": obj.name,
-            "globals": canonical_payload(obj.global_parameters),
-            "root": canonical_payload(obj.root),
+            "globals": parameters(obj.global_parameters),
+            "root": canonical_payload(obj.root, parameters),
         }
     if isinstance(obj, MarkovChain):
         return {
@@ -152,6 +163,62 @@ def block_digest(
         canonical_payload(effective),
         [canonical_payload(global_parameters), method_token(method)],
     )
+
+
+class DigestMemo:
+    """:func:`block_digest` and :func:`model_digest`, memoized per object.
+
+    A sweep or an uncertainty draw rebuilds the model per point but
+    shares every unchanged block's parameter objects, so each of those
+    is canonicalised once per sweep instead of once per point, and an
+    unchanged block's digest is computed once.  The digests are exactly
+    those of the plain functions.
+
+    Entries are keyed by ``id()``, never by equality: dataclass
+    equality holds for ``0.0`` and ``-0.0`` and for ``1``, ``1.0`` and
+    ``True``, which canonicalise to different bytes.  Each entry keeps
+    its objects alive, so no other object can take their ids while the
+    entry is cached.
+    """
+
+    def __init__(self, capacity: int = 1024) -> None:
+        self._payloads = LRU(capacity)
+        self._blocks = LRU(capacity)
+
+    def _payload(self, parameters: object) -> Dict[str, object]:
+        entry = self._payloads.get(id(parameters))
+        if entry is None:
+            entry = (parameters, _parameters_payload(parameters))
+            self._payloads.put(id(parameters), entry)
+        return entry[1]
+
+    def block(
+        self,
+        effective: BlockParameters,
+        global_parameters: GlobalParameters,
+        method: Union[str, SolverOptions] = "direct",
+    ) -> str:
+        """:func:`block_digest`, computed once per argument objects."""
+        key = (id(effective), id(global_parameters), id(method))
+        entry = self._blocks.get(key)
+        if entry is None:
+            digest = _digest(
+                self._payload(effective),
+                [self._payload(global_parameters), method_token(method)],
+            )
+            entry = (effective, global_parameters, method, digest)
+            self._blocks.put(key, entry)
+        return entry[3]
+
+    def model(
+        self,
+        model: DiagramBlockModel,
+        method: Union[str, SolverOptions] = "direct",
+    ) -> str:
+        """:func:`model_digest`, reusing memoized parameter payloads."""
+        return _digest(
+            canonical_payload(model, self._payload), [method_token(method)]
+        )
 
 
 def model_digest(

@@ -11,7 +11,7 @@ allowed for performability-style models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,6 +114,35 @@ class MarkovChain:
         self._rates: Dict[Tuple[str, str], float] = {}
         self._labels: Dict[Tuple[str, str], str] = {}
         self._arcs: Optional[ArcView] = None
+
+    @classmethod
+    def filled(
+        cls,
+        name: str,
+        states: Mapping[str, State],
+        keys: Sequence[Tuple[str, str]],
+        rates: Sequence[float],
+        labels: Mapping[Tuple[str, str], str],
+        arcs: ArcView,
+    ) -> "MarkovChain":
+        """A chain over prebuilt structure, without per-arc calls.
+
+        ``states`` (in order), ``keys`` with their accumulated
+        ``rates``, and ``labels`` are what :meth:`add_state` and
+        :meth:`add_transition` would have stored; ``arcs`` must be the
+        view of exactly those arcs.  The chain owns fresh copies of
+        every mapping, sharing only the immutable :class:`State`
+        objects and the read-only arrays of ``arcs``.
+        """
+        chain = cls.__new__(cls)
+        chain.name = name
+        chain._states = dict(states)
+        chain._order = list(states)
+        chain._index = dict(zip(chain._order, range(len(chain._order))))
+        chain._rates = dict(zip(keys, rates))
+        chain._labels = dict(labels)
+        chain._arcs = arcs
+        return chain
 
     # ------------------------------------------------------------------
     # construction

@@ -2,16 +2,20 @@
 
 import json
 
+import pytest
 from hypothesis import given, settings
 
 from repro.core import BlockParameters, GlobalParameters
 from repro.engine import (
+    Engine,
     block_digest,
     chain_digest,
     model_digest,
     task_seed,
 )
+from repro.engine.keys import DigestMemo
 from repro.gmb import MarkovBuilder
+from repro.num import as_options
 from repro.library import datacenter_model, e10000_model, workgroup_model
 from repro.spec import model_to_spec, parse_spec
 
@@ -91,6 +95,59 @@ class TestBlockDigest:
             a, GlobalParameters(reboot_minutes=5.0)
         )
         assert block_digest(a, g, "direct") != block_digest(a, g, "gth")
+
+
+class TestDigestMemo:
+    """Memoized digests equal the plain functions and never alias."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(random_model())
+    def test_model_digest_matches_the_plain_function(self, model):
+        memo = DigestMemo()
+        for _ in range(2):  # cold, then from memoized payloads
+            assert memo.model(model) == model_digest(model)
+            assert memo.model(model, "gth") == model_digest(model, "gth")
+
+    def test_library_digests_match_the_plain_functions(self):
+        memo = DigestMemo()
+        for factory in (datacenter_model, e10000_model, workgroup_model):
+            model = factory()
+            g = model.global_parameters
+            for _ in range(2):
+                assert memo.model(model) == model_digest(model)
+                for _level, _path, block in model.walk():
+                    assert memo.block(block.parameters, g) == block_digest(
+                        block.parameters, g
+                    )
+
+    @pytest.mark.parametrize(
+        "field, values",
+        [
+            ("p_latent_fault", [0.0, -0.0]),
+            ("transient_fit", [0.0, -0.0]),
+            ("mtbf_hours", [1, 1.0]),
+            ("quantity", [1, 1.0]),
+        ],
+    )
+    def test_equal_but_distinct_values_keep_distinct_sweep_keys(
+        self, field, values
+    ):
+        model = workgroup_model()
+        _level, path, block = next(iter(model.walk()))
+        engine = Engine()
+        engine.sweep_availabilities(model, path, field, values)
+        g = model.global_parameters
+        keys = [
+            block_digest(
+                block.parameters.with_changes(**{field: value}), g,
+                as_options("direct"),
+            )
+            for value in values
+        ]
+        assert keys[0] != keys[1]
+        for key in keys:
+            assert engine.cache.get_block(key)[0] is not None
+        assert engine.stats_snapshot().block_solves >= 2
 
 
 class TestChainDigest:

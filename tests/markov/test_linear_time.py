@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro.core import BlockParameters, GlobalParameters, generate_block_chain
+from repro.core.generator import ChainTemplates
 from repro.semimarkov import SemiMarkovProcess
 
 #: Largest allowed time ratio between depth 256 and depth 128.
@@ -66,13 +67,26 @@ def _generate(depth: int):
     return lambda: generate_block_chain(parameters, globals_)
 
 
+def _build_template(depth: int):
+    """Generation on an empty template cache: the full structure build.
+
+    ``generate_block_chain`` refills a cached template after its first
+    call, so this case keeps the build itself guarded.
+    """
+    parameters = e7_parameters(depth)
+    globals_ = GlobalParameters()
+    return lambda: ChainTemplates().chain(parameters, globals_)
+
+
 def _embed(depth: int):
     chain = generate_block_chain(e7_parameters(depth), GlobalParameters())
     return lambda: SemiMarkovProcess.from_markov_chain(chain)
 
 
 @pytest.mark.parametrize(
-    "make_call", [_generate, _embed], ids=["generate", "embed"]
+    "make_call",
+    [_generate, _embed, _build_template],
+    ids=["generate", "embed", "build-template"],
 )
 def test_doubling_depth_at_most_doubles_time(make_call):
     small, large = best_seconds([make_call(depth) for depth in DEPTHS])
