@@ -175,19 +175,38 @@ class ChainTemplate:
     contributions (summed in the order the generator added them), and
     the index arrays of the sorted :class:`ArcView`.  The pruning and
     validation that built it are not repeated: with every rate
-    positive they depend on the structure alone.
+    positive they depend on the structure alone.  The arrays are laid
+    out on the first fill, so a signature used once costs no more than
+    its build.
     """
 
-    def __init__(self, chain: MarkovChain, recorder: _Recorder) -> None:
+    def __init__(
+        self,
+        chain: MarkovChain,
+        arcs: List[Tuple[str, str, int]],
+        read: np.ndarray,
+    ) -> None:
         self.states = dict(chain._states)
         self.keys = tuple(chain._rates)
         self.labels = dict(chain._labels)
-        self.read = np.unique(np.asarray(recorder.read, dtype=np.intp))
+        self.read = read
+        self._arcs = arcs
+        self._layout: Optional[Tuple] = None
+
+    @property
+    def n_arcs(self) -> int:
+        return len(self.keys)
+
+    def _lay_out(self) -> Tuple:
+        """(first terms, later rounds, sort order, sources, targets)."""
+        layout = self._layout
+        if layout is not None:
+            return layout
         position = {key: i for i, key in enumerate(self.keys)}
         first: List[int] = [0] * len(self.keys)
         seen = [0] * len(self.keys)
         later: List[Tuple[List[int], List[int]]] = []
-        for source, target, term in recorder.arcs:
+        for source, target, term in self._arcs:
             arc = position.get((source, target))
             if arc is None:
                 continue  # pruned with its unreachable endpoint
@@ -200,13 +219,6 @@ class ChainTemplate:
                 later.append(([], []))
             later[rank - 1][0].append(arc)
             later[rank - 1][1].append(term)
-        self.first = np.asarray(first, dtype=np.intp)
-        # Round r adds every arc's (r+1)-th contribution; no arc repeats
-        # within a round, so the sums run in generation order.
-        self.later = [
-            (np.asarray(arcs, dtype=np.intp), np.asarray(terms, dtype=np.intp))
-            for arcs, terms in later
-        ]
         index = {name: i for i, name in enumerate(self.states)}
         sources = np.fromiter(
             (index[src] for src, _dst in self.keys), np.intp, len(self.keys)
@@ -214,15 +226,23 @@ class ChainTemplate:
         targets = np.fromiter(
             (index[dst] for _src, dst in self.keys), np.intp, len(self.keys)
         )
-        self.order = np.lexsort((targets, sources))
-        self.sources = sources[self.order]
-        self.targets = targets[self.order]
-        self.sources.setflags(write=False)
-        self.targets.setflags(write=False)
-
-    @property
-    def n_arcs(self) -> int:
-        return len(self.keys)
+        order = np.lexsort((targets, sources))
+        sources, targets = sources[order], targets[order]
+        sources.setflags(write=False)
+        targets.setflags(write=False)
+        layout = (
+            np.asarray(first, dtype=np.intp),
+            # Round r adds every arc's (r+1)-th contribution; no arc
+            # repeats within a round, so sums run in generation order.
+            [
+                (np.asarray(arcs, dtype=np.intp),
+                 np.asarray(terms, dtype=np.intp))
+                for arcs, terms in later
+            ],
+            order, sources, targets,
+        )
+        self._layout = layout
+        return layout
 
     def fill(self, name: str, rates: np.ndarray) -> Optional[MarkovChain]:
         """The chain at ``rates``, or None unless every term read is > 0.
@@ -232,12 +252,13 @@ class ChainTemplate:
         """
         if not (rates[self.read] > 0.0).all():
             return None
-        values = rates[self.first]
-        for arcs, terms in self.later:
+        first, later, order, sources, targets = self._lay_out()
+        values = rates[first]
+        for arcs, terms in later:
             values[arcs] += rates[terms]
-        ordered = values[self.order]
+        ordered = values[order]
         ordered.setflags(write=False)
-        view = ArcView(len(self.states), self.sources, self.targets, ordered)
+        view = ArcView(len(self.states), sources, targets, ordered)
         return MarkovChain.filled(
             name, self.states, self.keys, values.tolist(), self.labels, view
         )
@@ -284,8 +305,11 @@ class ChainTemplates:
         if signature.model_type:
             chain = _prune_unreachable(chain, "Ok")
         chain.validate()
-        if template is None and (rates[recorder.read] > 0.0).all():
-            self._entries.put(signature, ChainTemplate(chain, recorder))
+        read = np.unique(np.asarray(recorder.read, dtype=np.intp))
+        if template is None and (rates[read] > 0.0).all():
+            self._entries.put(
+                signature, ChainTemplate(chain, recorder.arcs, read)
+            )
         return chain
 
 
