@@ -26,7 +26,7 @@ annotated inline below.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -291,7 +291,10 @@ class ChainTemplates:
         self, parameters: BlockParameters, global_parameters: GlobalParameters
     ) -> MarkovChain:
         signature = structure_signature(parameters)
-        rates_of, build = _GENERATORS[signature.model_type > 0]
+        rates_of, build = (
+            (_redundant_rates, _build_redundant) if signature.model_type
+            else (_type0_rates, _build_type0)
+        )
         rates = rates_of(parameters, global_parameters, signature)
         name = f"{parameters.name}#type{signature.model_type}"
         template = self._entries.get(signature)
@@ -638,19 +641,6 @@ def _build_redundant(
             arc(f"ServiceError{j}", success_target, _EPS,
                 "repair from incorrect diagnosis")
 
-
-#: (rate vector, structure builder) for Type 0 and for Types 1-4.
-_GENERATORS: Dict[
-    bool,
-    Tuple[
-        Callable[[BlockParameters, GlobalParameters, StructureSignature],
-                 np.ndarray],
-        Callable[[MarkovChain, _Recorder, StructureSignature], None],
-    ],
-] = {
-    False: (_type0_rates, _build_type0),
-    True: (_redundant_rates, _build_redundant),
-}
 
 #: The process-wide template cache behind :func:`generate_block_chain`.
 _TEMPLATES = ChainTemplates()

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -201,3 +203,42 @@ def test_the_cache_stays_within_its_bound():
         generate_block_chain(cpu(quantity=depth + 2), G)
     shared = generator._TEMPLATES
     assert shared.weight <= generator.TEMPLATE_CACHE_ARCS or len(shared) == 1
+
+
+def test_concurrent_fills_match_fresh_builds():
+    """Threads sharing one cache never see a half-built template."""
+    templates = ChainTemplates()
+    points = [
+        cpu(quantity=quantity, mtbf_hours=mtbf)
+        for quantity in (4, 6, 8)
+        for mtbf in (30_000.0, 45_000.0, 60_000.0, 75_000.0)
+    ]
+    expected = [fresh(point) for point in points]
+    failures = []
+
+    def worker(offset):
+        try:
+            for step in range(3 * len(points)):
+                index = (offset + step) % len(points)
+                assert_same_chain(
+                    templates.chain(points[index], G), expected[index]
+                )
+        except Exception as error:  # noqa: BLE001 - reported below
+            failures.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(offset,))
+            for offset in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(templates) == 3
