@@ -69,7 +69,13 @@ from ..obs.trace import get_tracer
 from ..units import MINUTES_PER_YEAR, availability_to_yearly_downtime_minutes
 from .cache import MeasuresKey, SolveCache, default_cache_dir
 from .executor import run_batch
-from .keys import DigestMemo, chain_digest, model_digest, task_seed
+from .keys import (
+    DigestMemo,
+    block_digest,
+    chain_digest,
+    model_digest,
+    task_seed,
+)
 from .stats import EngineStats, StatsCollector, save_stats
 
 #: Anything the engine accepts as a solve method: a legacy method name
@@ -112,7 +118,6 @@ class Engine:
             self.cache = None
         self.stats = StatsCollector()
         self.stats.set_jobs(jobs)
-        self._digests = DigestMemo()
 
     @property
     def _worker_cache_config(self) -> Tuple[Optional[Path], bool]:
@@ -124,9 +129,18 @@ class Engine:
     # ------------------------------------------------------------------
     # cached solving
     # ------------------------------------------------------------------
-    def chain_solver(self, method: MethodLike = "direct") -> ChainSolver:
-        """A memoizing chain solver for :func:`repro.core.translate`."""
+    def chain_solver(
+        self,
+        method: MethodLike = "direct",
+        digests: Optional[DigestMemo] = None,
+    ) -> ChainSolver:
+        """A memoizing chain solver for :func:`repro.core.translate`.
+
+        A batch passes its ``digests`` memo, so blocks it shares across
+        points are hashed once.
+        """
         options = as_options(method)
+        block_key = digests.block if digests is not None else block_digest
 
         def solver(
             effective: BlockParameters,
@@ -146,9 +160,7 @@ class Engine:
                         ),
                         span,
                     )
-                key = self._digests.block(
-                    effective, global_parameters, solve_options
-                )
+                key = block_key(effective, global_parameters, solve_options)
                 value, layer = self.cache.get_block(key)
                 if value is not None:
                     self.stats.increment("block_cache_hits")
@@ -189,14 +201,19 @@ class Engine:
             return self._solve(model, method)
 
     def _solve(
-        self, model: DiagramBlockModel, method: MethodLike
+        self,
+        model: DiagramBlockModel,
+        method: MethodLike,
+        digests: Optional[DigestMemo] = None,
     ) -> SystemSolution:
         method = as_options(method)
         with get_tracer().span(
             "engine.solve", method=method.steady_method
         ) as span:
             if self.cache is not None:
-                key = self._digests.model(model, method)
+                key = (
+                    digests.model if digests is not None else model_digest
+                )(model, method)
                 cached = self.cache.get_system(key)
                 if cached is not None:
                     self.stats.increment("system_cache_hits")
@@ -205,7 +222,7 @@ class Engine:
             solution = translate(
                 model,
                 method=method,
-                chain_solver=self.chain_solver(method),
+                chain_solver=self.chain_solver(method, digests),
             )
             self.stats.increment("system_solves")
             if self.cache is not None:
@@ -232,7 +249,7 @@ class Engine:
         if mission is None:
             mission = model.global_parameters.mission_time_hours
         return (
-            self._digests.model(model, as_options(method)), repr(mission),
+            model_digest(model, as_options(method)), repr(mission),
             grid_points,
         )
 
@@ -320,7 +337,12 @@ class Engine:
         if not models:
             return []
         if self.jobs == 1 or len(models) == 1:
-            return [self.solve(model, method) for model in models]
+            digests = DigestMemo()
+            solutions = []
+            for model in models:
+                with self.stats.timer("solve"):
+                    solutions.append(self._solve(model, method, digests))
+            return solutions
         cache_dir, use_cache = self._worker_cache_config
         with self.stats.timer("solve"):
             solutions = run_batch(
@@ -391,12 +413,14 @@ class Engine:
 
         The one serial-or-pool fork for point tasks.  A serial engine
         runs every task inline on itself, so its cache serves each
-        point; with ``jobs > 1`` the items fan out over the pool, where
+        point and one digest memo hashes the blocks the points share
+        once; with ``jobs > 1`` the items fan out over the pool, where
         each worker solves on its process-local engine mirroring this
         engine's cache policy.  Callers own the stage timer.
         """
         if self.jobs == 1:
-            return [task(*item, self) for item in items]
+            digests = DigestMemo()
+            return [task(*item, self, digests=digests) for item in items]
         cache_dir, use_cache = self._worker_cache_config
         return run_batch(
             task,
@@ -599,6 +623,7 @@ def _sweep_point_task(
     engine: Optional[Engine] = None,
     cache_dir: Optional[Path] = None,
     use_cache: bool = True,
+    digests: Optional[DigestMemo] = None,
 ) -> float:
     from ..analysis.parametric import (
         with_block_changes,
@@ -611,7 +636,7 @@ def _sweep_point_task(
         variant = with_global_changes(model, **{field: value})
     else:
         variant = with_block_changes(model, path, **{field: value})
-    return engine._solve(variant, method).availability
+    return engine._solve(variant, method, digests).availability
 
 
 def _solve_model_task(
@@ -630,10 +655,11 @@ def _availability_task(
     engine: Optional[Engine] = None,
     cache_dir: Optional[Path] = None,
     use_cache: bool = True,
+    digests: Optional[DigestMemo] = None,
 ) -> float:
     if engine is None:
         engine = _process_engine(cache_dir, use_cache)
-    return engine._solve(model, method).availability
+    return engine._solve(model, method, digests).availability
 
 
 def _replication_task(
@@ -644,6 +670,7 @@ def _replication_task(
     engine: Optional[Engine] = None,
     cache_dir: Optional[Path] = None,
     use_cache: bool = True,
+    digests: Optional[DigestMemo] = None,
 ) -> float:
     """One simulation replication; it solves nothing, so the engine
     arguments every point task receives go unused."""

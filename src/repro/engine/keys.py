@@ -23,10 +23,9 @@ version for that reason).
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..ident import content_digest, digest_int64
-from ..lru import LRU
 
 from ..core.block import DiagramBlockModel, MGBlock, MGDiagram
 from ..core.parameters import BlockParameters, GlobalParameters, Scenario
@@ -166,30 +165,32 @@ def block_digest(
 
 
 class DigestMemo:
-    """:func:`block_digest` and :func:`model_digest`, memoized per object.
+    """:func:`block_digest` and :func:`model_digest` for one batch.
 
     A sweep or an uncertainty draw rebuilds the model per point but
-    shares every unchanged block's parameter objects, so each of those
-    is canonicalised once per sweep instead of once per point, and an
-    unchanged block's digest is computed once.  The digests are exactly
-    those of the plain functions.
+    shares every unchanged block's parameter objects, so with one memo
+    per batch each of those is canonicalised once per sweep instead of
+    once per point, and an unchanged block's digest is computed once.
+    The digests are exactly those of the plain functions.
 
     Entries are keyed by ``id()``, never by equality: dataclass
     equality holds for ``0.0`` and ``-0.0`` and for ``1``, ``1.0`` and
     ``True``, which canonicalise to different bytes.  Each entry keeps
     its objects alive, so no other object can take their ids while the
-    entry is cached.
+    memo lives.  A memo lives only as long as its batch and serves one
+    thread; a long-lived one would keep every request's parameters
+    alive.
     """
 
-    def __init__(self, capacity: int = 1024) -> None:
-        self._payloads = LRU(capacity)
-        self._blocks = LRU(capacity)
+    def __init__(self) -> None:
+        self._payloads: Dict[int, Tuple[object, Dict[str, object]]] = {}
+        self._blocks: Dict[Tuple[int, int, int], Tuple[object, ...]] = {}
 
     def _payload(self, parameters: object) -> Dict[str, object]:
         entry = self._payloads.get(id(parameters))
         if entry is None:
             entry = (parameters, _parameters_payload(parameters))
-            self._payloads.put(id(parameters), entry)
+            self._payloads[id(parameters)] = entry
         return entry[1]
 
     def block(
@@ -207,7 +208,7 @@ class DigestMemo:
                 [self._payload(global_parameters), method_token(method)],
             )
             entry = (effective, global_parameters, method, digest)
-            self._blocks.put(key, entry)
+            self._blocks[key] = entry
         return entry[3]
 
     def model(
