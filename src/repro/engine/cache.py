@@ -208,8 +208,11 @@ class SolveCache:
             return None
         try:
             handle = path.open("rb")
-        except FileNotFoundError:
-            return None  # never written: a plain miss, nothing to discard
+        except OSError:
+            # Never written, or not openable right now (permissions in a
+            # shared cache dir, no free descriptors): a plain miss, and
+            # nothing says the entry itself is damaged.
+            return None
         try:
             with handle:
                 payload = pickle.load(handle)

@@ -156,6 +156,33 @@ class TestDiskLayer:
         assert fresh.get_block("bad") == (None, "miss")
         assert unlinked == ["bad.pkl"] and not corrupt.exists()
 
+    @pytest.mark.parametrize(
+        "error",
+        [PermissionError(13, "denied"), OSError(24, "too many open files"),
+         IsADirectoryError(21, "is a directory")],
+        ids=["permission", "emfile", "directory"],
+    )
+    def test_an_entry_that_cannot_be_opened_is_a_kept_miss(
+        self, tmp_path, monkeypatch, error
+    ):
+        from pathlib import Path
+
+        SolveCache(cache_dir=tmp_path).put_block("shared", 1)
+        entry = tmp_path / "blocks" / "shared.pkl"
+        real_open = Path.open
+
+        def failing_open(path, *args, **kwargs):
+            if path == entry:
+                raise error
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", failing_open)
+        reader = SolveCache(cache_dir=tmp_path)
+        assert reader.get_block("shared") == (None, "miss")
+        assert entry.exists()  # readable again once the cause is gone
+        monkeypatch.setattr(Path, "open", real_open)
+        assert reader.get_block("shared") == (1, "disk")
+
     def test_format_version_mismatch_is_a_miss(self, tmp_path):
         cache = SolveCache(cache_dir=tmp_path)
         target = tmp_path / "blocks" / "old.pkl"
