@@ -11,6 +11,7 @@ allowed for performability-style models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,12 +28,21 @@ class State:
         reward: Reward rate; 1.0 = up, 0.0 = down, intermediate values
             model degraded performability levels.
         meta: Free-form annotations (e.g. which redundancy level the MG
-            generator assigned the state to).
+            generator assigned the state to), held as a read-only copy:
+            chains generated from one structure share their states.
     """
 
     name: str
     reward: float = 1.0
     meta: Mapping[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle; the plain copy it views does,
+        # and the constructor wraps it again.
+        return (State, (self.name, self.reward, dict(self.meta)))
 
     @property
     def is_up(self) -> bool:
@@ -158,7 +168,7 @@ class MarkovChain:
             raise ModelError(f"duplicate state {name!r} in chain {self.name!r}")
         if reward < 0:
             raise ModelError(f"state {name!r} has negative reward {reward}")
-        state = State(name=name, reward=reward, meta=dict(meta or {}))
+        state = State(name=name, reward=reward, meta=meta or {})
         self._states[name] = state
         self._index[name] = len(self._order)
         self._order.append(name)
