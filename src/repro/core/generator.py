@@ -169,7 +169,8 @@ class _Recorder:
 class ChainTemplate:
     """One chain structure, refilled with each parameter set's rates.
 
-    Holds the states (shared, immutable :class:`State` objects), the
+    Holds the states (:class:`State` objects, read-only down to their
+    ``meta``, so every chain filled from it can share them), the
     arc keys in insertion order with their joined labels, the term
     each arc's first contribution takes plus the terms of any parallel
     contributions (summed in the order the generator added them), and
@@ -274,9 +275,9 @@ class ChainTemplates:
     build is never kept as a template.
     """
 
-    def __init__(self, max_arcs: int = TEMPLATE_CACHE_ARCS) -> None:
+    def __init__(self) -> None:
         self._entries = LRU(
-            max_arcs, weigh=lambda template: max(1, template.n_arcs)
+            TEMPLATE_CACHE_ARCS, weigh=lambda template: max(1, template.n_arcs)
         )
 
     def __len__(self) -> int:
@@ -284,7 +285,7 @@ class ChainTemplates:
 
     @property
     def weight(self) -> int:
-        """Arcs currently held (the quantity ``max_arcs`` bounds)."""
+        """Arcs currently held (``TEMPLATE_CACHE_ARCS`` bounds it)."""
         return self._entries.weight
 
     def chain(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import sys
 import threading
 
@@ -173,18 +174,28 @@ def test_a_point_with_a_zero_rate_never_becomes_the_template():
 
 def test_mutating_a_filled_chain_leaves_template_and_siblings_untouched():
     templates = ChainTemplates()
-    templates.chain(cpu(), G)
+    built = templates.chain(cpu(), G)
     template = templates._entries.get(structure_signature(cpu()))
     keys, labels = template.keys, dict(template.labels)
     states = dict(template.states)
+    metas = {name: dict(state.meta) for name, state in states.items()}
     first = templates.chain(cpu(mtbf_hours=60_000.0), G)
     second = templates.chain(cpu(mtbf_hours=60_000.0), G)
     first.add_state("Extra", reward=0.0)
     first.add_transition("Ok", "Extra", 1.0, label="added")
     first.add_transition("Ok", "PF1", 5.0, label="added")
+    # Shared states are read-only down to their annotations.
+    for chain in (built, first):
+        with pytest.raises(TypeError):
+            chain.state("PF1").meta["level"] = 99
+        with pytest.raises(TypeError):
+            del chain.state("Ok").meta["kind"]
     assert template.keys == keys
     assert template.labels == labels
     assert template.states == states
+    assert {
+        name: dict(state.meta) for name, state in template.states.items()
+    } == metas
     assert "Extra" not in second and "Extra" not in template.states
     assert "added" not in " ".join(second._labels.values())
     assert_same_chain(second, fresh(cpu(mtbf_hours=60_000.0)))
@@ -193,16 +204,32 @@ def test_mutating_a_filled_chain_leaves_template_and_siblings_untouched():
     )
 
 
+def test_a_filled_chain_round_trips_through_pickle():
+    templates = ChainTemplates()
+    templates.chain(cpu(), G)
+    filled = templates.chain(cpu(mtbf_hours=60_000.0), G)
+    restored = pickle.loads(pickle.dumps(filled))
+    assert_same_chain(restored, filled)
+    with pytest.raises(TypeError):
+        restored.state("PF1").meta["level"] = 99
+
+
 def test_the_cache_stays_within_its_bound():
-    templates = ChainTemplates(max_arcs=400)
-    for depth in range(1, 25):
-        templates.chain(cpu(quantity=depth + 2), G)
-        assert templates.weight <= 400 or len(templates) == 1
-    assert 1 <= len(templates) < 24
-    for depth in range(1, 40):
-        generate_block_chain(cpu(quantity=depth + 2), G)
-    shared = generator._TEMPLATES
-    assert shared.weight <= generator.TEMPLATE_CACHE_ARCS or len(shared) == 1
+    templates = ChainTemplates()
+    signatures, built = [], 0
+    for depth in range(1, 400):
+        parameters = cpu(quantity=depth + 2)
+        built += templates.chain(parameters, G).n_transitions
+        signatures.append(structure_signature(parameters))
+        assert templates.weight <= generator.TEMPLATE_CACHE_ARCS
+        if built > generator.TEMPLATE_CACHE_ARCS + 2_000:
+            break
+    assert built > generator.TEMPLATE_CACHE_ARCS
+    # The least recently used templates went; the newest stayed.
+    assert len(templates) < len(signatures)
+    assert templates._entries.get(signatures[0]) is None
+    assert templates._entries.get(signatures[-1]) is not None
+    assert templates.weight > generator.TEMPLATE_CACHE_ARCS - 2_000
 
 
 def test_concurrent_fills_match_fresh_builds():
