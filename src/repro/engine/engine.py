@@ -71,7 +71,6 @@ from .cache import MeasuresKey, SolveCache, default_cache_dir
 from .executor import run_batch
 from .keys import (
     DigestMemo,
-    block_digest,
     chain_digest,
     model_digest,
     task_seed,
@@ -131,16 +130,15 @@ class Engine:
     # ------------------------------------------------------------------
     def chain_solver(
         self,
-        method: MethodLike = "direct",
-        digests: Optional[DigestMemo] = None,
+        method: MethodLike,
+        digests: DigestMemo,
     ) -> ChainSolver:
         """A memoizing chain solver for :func:`repro.core.translate`.
 
-        A batch passes its ``digests`` memo, so blocks it shares across
-        points are hashed once.
+        Block keys come from the caller's ``digests`` memo, so a batch
+        hashes the blocks its points share once.
         """
         options = as_options(method)
-        block_key = digests.block if digests is not None else block_digest
 
         def solver(
             effective: BlockParameters,
@@ -160,7 +158,9 @@ class Engine:
                         ),
                         span,
                     )
-                key = block_key(effective, global_parameters, solve_options)
+                key = digests.block(
+                    effective, global_parameters, solve_options
+                )
                 value, layer = self.cache.get_block(key)
                 if value is not None:
                     self.stats.increment("block_cache_hits")
@@ -198,22 +198,20 @@ class Engine:
         Cached solutions are shared objects — treat them as immutable.
         """
         with self.stats.timer("solve"):
-            return self._solve(model, method)
+            return self._solve(model, method, DigestMemo())
 
     def _solve(
         self,
         model: DiagramBlockModel,
         method: MethodLike,
-        digests: Optional[DigestMemo] = None,
+        digests: DigestMemo,
     ) -> SystemSolution:
         method = as_options(method)
         with get_tracer().span(
             "engine.solve", method=method.steady_method
         ) as span:
             if self.cache is not None:
-                key = (
-                    digests.model if digests is not None else model_digest
-                )(model, method)
+                key = digests.model(model, method)
                 cached = self.cache.get_system(key)
                 if cached is not None:
                     self.stats.increment("system_cache_hits")
@@ -636,7 +634,8 @@ def _sweep_point_task(
         variant = with_global_changes(model, **{field: value})
     else:
         variant = with_block_changes(model, path, **{field: value})
-    return engine._solve(variant, method, digests).availability
+    solution = engine._solve(variant, method, digests or DigestMemo())
+    return solution.availability
 
 
 def _solve_model_task(
@@ -646,7 +645,7 @@ def _solve_model_task(
     use_cache: bool = True,
 ) -> SystemSolution:
     engine = _process_engine(cache_dir, use_cache)
-    return engine._solve(model, method)
+    return engine._solve(model, method, DigestMemo())
 
 
 def _availability_task(
@@ -659,7 +658,8 @@ def _availability_task(
 ) -> float:
     if engine is None:
         engine = _process_engine(cache_dir, use_cache)
-    return engine._solve(model, method, digests).availability
+    solution = engine._solve(model, method, digests or DigestMemo())
+    return solution.availability
 
 
 def _replication_task(

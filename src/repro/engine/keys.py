@@ -23,7 +23,7 @@ version for that reason).
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..ident import content_digest, digest_int64
 
@@ -77,62 +77,6 @@ def _parameters_payload(obj: object) -> Dict[str, object]:
     }
 
 
-def canonical_payload(
-    obj: object,
-    parameters: Callable[[object], Dict[str, object]] = _parameters_payload,
-) -> Dict[str, object]:
-    """The canonical nested structure an object digests from.
-
-    ``parameters`` gives the payload of each block and global parameter
-    value; :class:`DigestMemo` passes its memo.  Exposed for tests and
-    debugging; most callers want the digest helpers below.
-    """
-    if isinstance(obj, (BlockParameters, GlobalParameters)):
-        return parameters(obj)
-    if isinstance(obj, MGBlock):
-        payload: Dict[str, object] = {
-            "kind": "block",
-            "parameters": parameters(obj.parameters),
-        }
-        if obj.subdiagram is not None:
-            payload["subdiagram"] = canonical_payload(
-                obj.subdiagram, parameters
-            )
-        return payload
-    if isinstance(obj, MGDiagram):
-        return {
-            "kind": "diagram",
-            "name": obj.name,
-            "blocks": [canonical_payload(block, parameters) for block in obj],
-        }
-    if isinstance(obj, DiagramBlockModel):
-        return {
-            "kind": "model",
-            "name": obj.name,
-            "globals": parameters(obj.global_parameters),
-            "root": canonical_payload(obj.root, parameters),
-        }
-    if isinstance(obj, MarkovChain):
-        return {
-            "kind": "chain",
-            "name": obj.name,
-            "states": [
-                {
-                    "name": state.name,
-                    "reward": _scalar(float(state.reward)),
-                }
-                for state in obj
-            ],
-            "transitions": sorted(
-                [t.source, t.target, _scalar(float(t.rate))]
-                for t in obj.transitions()
-            ),
-        }
-    raise EngineError(
-        f"cannot canonicalize object of type {type(obj).__name__}"
-    )
-
-
 def _digest(payload: Dict[str, object], context: List[object]) -> str:
     return content_digest({"payload": payload, "context": context})
 
@@ -148,30 +92,16 @@ def method_token(method: Union[str, SolverOptions]) -> str:
     return as_options(method).cache_token()
 
 
-def block_digest(
-    effective: BlockParameters,
-    global_parameters: GlobalParameters,
-    method: Union[str, SolverOptions] = "direct",
-) -> str:
-    """Cache key for one block-chain solve.
-
-    Two calls share a key exactly when :func:`repro.core.translator.
-    solve_block_chain` would return bit-identical results for them.
-    """
-    return _digest(
-        canonical_payload(effective),
-        [canonical_payload(global_parameters), method_token(method)],
-    )
-
-
 class DigestMemo:
-    """:func:`block_digest` and :func:`model_digest` for one batch.
+    """Canonical payloads and cache keys, memoized for one batch.
 
-    A sweep or an uncertainty draw rebuilds the model per point but
-    shares every unchanged block's parameter objects, so with one memo
-    per batch each of those is canonicalised once per sweep instead of
-    once per point, and an unchanged block's digest is computed once.
-    The digests are exactly those of the plain functions.
+    This is the one implementation behind :func:`canonical_payload`,
+    :func:`block_digest` and :func:`model_digest`, which each use a
+    throwaway memo.  The engine gives every solve, and every sweep,
+    uncertainty draw or study round, a memo of its own: points rebuild
+    the model but share every unchanged block's parameter objects, so
+    each of those is canonicalised once per batch and an unchanged
+    block's key is computed once.
 
     Entries are keyed by ``id()``, never by equality: dataclass
     equality holds for ``0.0`` and ``-0.0`` and for ``1``, ``1.0`` and
@@ -183,15 +113,57 @@ class DigestMemo:
     """
 
     def __init__(self) -> None:
-        self._payloads: Dict[int, Tuple[object, Dict[str, object]]] = {}
+        self._parameters: Dict[int, Tuple[object, Dict[str, object]]] = {}
         self._blocks: Dict[Tuple[int, int, int], Tuple[object, ...]] = {}
 
-    def _payload(self, parameters: object) -> Dict[str, object]:
-        entry = self._payloads.get(id(parameters))
-        if entry is None:
-            entry = (parameters, _parameters_payload(parameters))
-            self._payloads[id(parameters)] = entry
-        return entry[1]
+    def payload(self, obj: object) -> Dict[str, object]:
+        """The canonical nested structure ``obj`` digests from."""
+        if isinstance(obj, (BlockParameters, GlobalParameters)):
+            entry = self._parameters.get(id(obj))
+            if entry is None:
+                entry = (obj, _parameters_payload(obj))
+                self._parameters[id(obj)] = entry
+            return entry[1]
+        if isinstance(obj, MGBlock):
+            payload: Dict[str, object] = {
+                "kind": "block",
+                "parameters": self.payload(obj.parameters),
+            }
+            if obj.subdiagram is not None:
+                payload["subdiagram"] = self.payload(obj.subdiagram)
+            return payload
+        if isinstance(obj, MGDiagram):
+            return {
+                "kind": "diagram",
+                "name": obj.name,
+                "blocks": [self.payload(block) for block in obj],
+            }
+        if isinstance(obj, DiagramBlockModel):
+            return {
+                "kind": "model",
+                "name": obj.name,
+                "globals": self.payload(obj.global_parameters),
+                "root": self.payload(obj.root),
+            }
+        if isinstance(obj, MarkovChain):
+            return {
+                "kind": "chain",
+                "name": obj.name,
+                "states": [
+                    {
+                        "name": state.name,
+                        "reward": _scalar(float(state.reward)),
+                    }
+                    for state in obj
+                ],
+                "transitions": sorted(
+                    [t.source, t.target, _scalar(float(t.rate))]
+                    for t in obj.transitions()
+                ),
+            }
+        raise EngineError(
+            f"cannot canonicalize object of type {type(obj).__name__}"
+        )
 
     def block(
         self,
@@ -199,13 +171,17 @@ class DigestMemo:
         global_parameters: GlobalParameters,
         method: Union[str, SolverOptions] = "direct",
     ) -> str:
-        """:func:`block_digest`, computed once per argument objects."""
+        """Cache key for one block-chain solve.
+
+        Two calls share a key exactly when :func:`repro.core.translator.
+        solve_block_chain` would return bit-identical results for them.
+        """
         key = (id(effective), id(global_parameters), id(method))
         entry = self._blocks.get(key)
         if entry is None:
             digest = _digest(
-                self._payload(effective),
-                [self._payload(global_parameters), method_token(method)],
+                self.payload(effective),
+                [self.payload(global_parameters), method_token(method)],
             )
             entry = (effective, global_parameters, method, digest)
             self._blocks[key] = entry
@@ -216,17 +192,39 @@ class DigestMemo:
         model: DiagramBlockModel,
         method: Union[str, SolverOptions] = "direct",
     ) -> str:
-        """:func:`model_digest`, reusing memoized parameter payloads."""
-        return _digest(
-            canonical_payload(model, self._payload), [method_token(method)]
-        )
+        """Cache key for a whole-model solve (``translate``)."""
+        return _digest(self.payload(model), [method_token(method)])
+
+
+def canonical_payload(obj: object) -> Dict[str, object]:
+    """The canonical nested structure an object digests from.
+
+    Exposed for tests and debugging; most callers want the digest
+    helpers below.
+    """
+    return DigestMemo().payload(obj)
+
+
+def block_digest(
+    effective: BlockParameters,
+    global_parameters: GlobalParameters,
+    method: Union[str, SolverOptions] = "direct",
+) -> str:
+    """Cache key for one block-chain solve.
+
+    The same key :meth:`DigestMemo.block` gives, from a throwaway memo.
+    """
+    return DigestMemo().block(effective, global_parameters, method)
 
 
 def model_digest(
     model: DiagramBlockModel, method: Union[str, SolverOptions] = "direct"
 ) -> str:
-    """Cache key for a whole-model solve (``translate``)."""
-    return _digest(canonical_payload(model), [method_token(method)])
+    """Cache key for a whole-model solve (``translate``).
+
+    The same key :meth:`DigestMemo.model` gives, from a throwaway memo.
+    """
+    return DigestMemo().model(model, method)
 
 
 def chain_digest(

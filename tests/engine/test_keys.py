@@ -98,7 +98,8 @@ class TestBlockDigest:
 
 
 class TestDigestMemo:
-    """Memoized digests equal the plain functions and never alias."""
+    """A memo reused across calls gives a fresh memo's digests and never
+    aliases equal but distinct values."""
 
     @settings(max_examples=25, deadline=None)
     @given(random_model())
