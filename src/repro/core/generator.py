@@ -309,7 +309,7 @@ class ChainTemplates:
         if signature.model_type:
             chain = _prune_unreachable(chain, "Ok")
         chain.validate()
-        read = np.unique(np.asarray(recorder.read, dtype=np.intp))
+        read = np.array(sorted(set(recorder.read)), dtype=np.intp)
         if template is None and (rates[read] > 0.0).all():
             self._entries.put(
                 signature, ChainTemplate(chain, recorder.arcs, read)
@@ -419,8 +419,8 @@ def _redundant_rates(
 
     Each term is the generator's expression with its operands in the
     same order (``active * lam_p * (1 - plf)`` multiplies left to
-    right, elementwise over the levels), so every rate is bit-identical
-    to a scalar evaluation.
+    right), evaluated in Python floats: a short list beats array
+    arithmetic on the few levels a block has.
     """
     n = parameters.quantity
     depth = parameters.redundancy_depth  # D = N - K
@@ -440,25 +440,22 @@ def _redundant_rates(
         parameters.service_response_hours + parameters.mttr_hours
     )
     # Units still active at levels 0..D.
-    active = np.arange(n, n - depth - 1, -1, dtype=float)
-    with np.errstate(all="ignore"):  # inf * 0 is NaN, as for floats
-        detected = active[:depth] * lam_p * (1.0 - plf)
-        transient = active * lam_t
-        return np.concatenate((
-            [
-                delta, delta * (1.0 - pspf), delta * pspf,
-                alpha * (1.0 - pspf), alpha * pspf, sigma,
-                mu_deferred * pcd, mu_deferred * (1.0 - pcd),
-                mu_immediate * pcd, mu_immediate * (1.0 - pcd),
-                rho, eps, (n - depth) * lam_p,
-            ],
-            detected,
-            detected * (1.0 - pspf),
-            detected * pspf,
-            active[:depth] * lam_p * plf,
-            transient,
-            transient * pspf,
-        ))
+    active = [float(n - level) for level in range(depth + 1)]
+    detected = [units * lam_p * (1.0 - plf) for units in active[:depth]]
+    transient = [units * lam_t for units in active]
+    return np.array([
+        delta, delta * (1.0 - pspf), delta * pspf,
+        alpha * (1.0 - pspf), alpha * pspf, sigma,
+        mu_deferred * pcd, mu_deferred * (1.0 - pcd),
+        mu_immediate * pcd, mu_immediate * (1.0 - pcd),
+        rho, eps, (n - depth) * lam_p,
+        *detected,
+        *[rate * (1.0 - pspf) for rate in detected],
+        *[rate * pspf for rate in detected],
+        *[units * lam_p * plf for units in active[:depth]],
+        *transient,
+        *[rate * pspf for rate in transient],
+    ])
 
 
 def _build_redundant(
