@@ -90,11 +90,21 @@ class BlockParameters:
     def __post_init__(self) -> None:
         if not self.name:
             raise ParameterError("block name must be non-empty")
-        if self.quantity < 1 or int(self.quantity) != self.quantity:
+        if self.quantity < 1 or not float(self.quantity).is_integer():
             raise ParameterError(
                 f"{self.name}: quantity must be a positive integer, "
                 f"got {self.quantity}"
             )
+        if not float(self.min_required).is_integer():
+            raise ParameterError(
+                f"{self.name}: minimum required quantity must be an "
+                f"integer, got {self.min_required}"
+            )
+        # Sweeps carry N and K as numbers (JSON, float lists); an
+        # integral float is the integer it spells, so the generator and
+        # every digest see the same block either way.
+        object.__setattr__(self, "quantity", int(self.quantity))
+        object.__setattr__(self, "min_required", int(self.min_required))
         if not 1 <= self.min_required <= self.quantity:
             raise ParameterError(
                 f"{self.name}: minimum required quantity must satisfy "

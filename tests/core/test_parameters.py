@@ -32,6 +32,17 @@ class TestBlockParameterValidation:
         with pytest.raises(ParameterError, match="quantity"):
             BlockParameters(name="x", quantity=0)
 
+    def test_integral_float_n_and_k_become_ints(self):
+        p = BlockParameters(name="x", quantity=3.0, min_required=2.0)
+        assert (p.quantity, p.min_required) == (3, 2)
+        assert type(p.quantity) is int and type(p.min_required) is int
+
+    def test_non_integral_n_and_k_rejected(self):
+        with pytest.raises(ParameterError, match="positive integer"):
+            BlockParameters(name="x", quantity=2.5)
+        with pytest.raises(ParameterError, match="must be an integer"):
+            BlockParameters(name="x", quantity=3, min_required=1.5)
+
     def test_k_greater_than_n_rejected(self):
         with pytest.raises(ParameterError, match="1 <= K <= N"):
             BlockParameters(name="x", quantity=2, min_required=3)

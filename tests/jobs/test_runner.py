@@ -96,6 +96,20 @@ class TestSweepExecution:
         assert got == [p.availability for p in expected]
         assert record.result["result_digest"]
 
+    def test_sweep_over_min_required_succeeds(self, harness):
+        store, checkpointer, engine = harness
+        block = "E10000 Server/CPU Module"
+        spec = sweep_spec(params={
+            "field": "min_required", "block": block, "values": [62, 63],
+        })
+        outcome, record = run_once(spec, store, checkpointer, engine)
+        assert outcome == "succeeded", record.error
+        expected = engine.sweep_block_field(
+            e10000_model(), block, "min_required", [62, 63]
+        )
+        got = [p["availability"] for p in record.result["points"]]
+        assert got == [p.availability for p in expected]
+
     def test_checkpoint_cleared_after_success(self, harness):
         store, checkpointer, engine = harness
         _, record = run_once(sweep_spec(count=3), store, checkpointer,

@@ -121,6 +121,26 @@ class TestSweepAndValidate:
         first, second = payload["points"]
         assert second["availability"] > first["availability"]
 
+    def test_sweep_over_quantity_matches_an_integer_engine_sweep(self):
+        model = workgroup_model()
+        block = f"{model.name}/CPU Module"
+        responses, _ = call([
+            make_request("POST", "/v1/sweep", {
+                "spec": model_to_spec(model),
+                "block": block,
+                "field": "quantity",
+                "values": [2, 3],
+            })
+        ])
+        status, payload, _ = responses[0]
+        assert status == 200, payload
+        expected = Engine().sweep_block_field(
+            model, block, "quantity", [2, 3]
+        )
+        assert [point["availability"] for point in payload["points"]] == [
+            point.availability for point in expected
+        ]
+
     def test_sweep_rejects_non_numeric_values(self):
         spec = model_to_spec(workgroup_model())
         responses, _ = call([
