@@ -5,52 +5,8 @@ parsed :class:`~repro.service.protocol.Request` to one
 :class:`~repro.service.protocol.Response`, so tests can drive it
 without sockets and the lifecycle layer stays a thin connection loop.
 
-Routes:
-
-==============================  ==============================================
-``POST /v1/solve``              spec JSON -> full measure set (queued, deduped)
-``POST /v1/sweep``              parametric sweep over one block/global field
-``POST /v1/validate``           Monte-Carlo cross-check of the analytic
-                                solution
-``POST /v1/jobs``               submit a durable background job (``202``;
-                                ``200`` when deduplicated to an existing job)
-``GET /v1/jobs``                list jobs, filterable by state/kind
-``GET /v1/jobs/{id}``           one job's state machine position and result
-``POST /v1/jobs/{id}/cancel``   cancel a queued or running job
-``GET /v1/models``              registry model summaries
-``POST /v1/models``             publish a spec as a version (``201``; the
-                                regression gate answers ``409
-                                regression_detected``)
-``GET /v1/models/{n}``          one model's tags and version history
-``GET /v1/models/{n}/versions/{d}``  one immutable version (lineage diff,
-                                evaluation; ``?include_spec=1`` adds the
-                                stored spec)
-``POST /v1/models/{n}/tags``    move a tag (``{"tag", "digest"|"ref"}``)
-                                or roll it back (``{"tag", "rollback":
-                                true}``)
-``GET /v1/library``             names of the built-in library models
-``GET /v1/library/{n}``         one library model as a spec document
-``POST /v1/cluster/workers``    register (and heartbeat) a worker with a
-                                coordinator
-``GET /v1/cluster/workers``     the coordinator's fleet table
-``GET /v1/cluster/status``      coordinator totals, config, active
-                                workloads
-``POST /v1/events``             batch field-event ingest (atomic; ``429
-                                backlog_full`` under admission pressure,
-                                ``400 out_of_order`` / ``bad_request``
-                                for broken payloads)
-``GET /v1/calibration``         estimator status, fitted rates, last
-                                proposal
-``GET /v1/calibration/proposal``  the stored calibration proposal
-``POST /v1/calibration/propose``  fit + drift-detect against a model
-                                (``409 no_drift`` when nothing crossed)
-``POST /v1/calibration/publish``  publish the proposal to the registry
-                                (tagging runs the regression gate)
-``GET /healthz``                liveness + queue gauges
-``GET /metrics``                JSON metrics; Prometheus text with
-                                ``?format=prometheus`` (or
-                                ``Accept: text/plain``)
-==============================  ==============================================
+Every route is one ``(method, template, handler)`` row of
+:attr:`App.ROUTES`; docs/service.md lists them, one line per row.
 
 The job endpoints are the online face of :mod:`repro.jobs`: the service
 only enqueues, inspects, and cancels — execution belongs to
@@ -159,9 +115,79 @@ MAX_REPLICATIONS = 512
 #: larger value lists than a single process will compute inline.
 MAX_CLUSTER_SWEEP_VALUES = 4096
 
-#: The HTTP methods some route serves; metrics label any other
-#: method ``OTHER``.
-_HTTP_METHODS = frozenset(("GET", "POST"))
+#: The rows a path matches, by method: ``(handler, metrics label)``.
+_Served = Dict[str, Tuple[Callable, str]]
+
+
+class RouteTable:
+    """``(method, template, handler)`` rows, matched in one pass.
+
+    A ``{param}`` segment of a template matches one non-empty path
+    segment without a ``/`` and reaches the handler as a positional
+    argument, in template order.  :meth:`match` gives a request its
+    handler, path parameters and metrics label together.  A served
+    request is labelled ``"{method} {template}"``; anything else is
+    ``"{GET|POST|OTHER} (unmatched)"``, the method set coming from the
+    rows, so a client inventing methods or paths cannot grow the route
+    counters or the latency histograms without bound.  A path that
+    some row serves under another method gets ``not_allowed``, any
+    other path ``not_found``.
+    """
+
+    def __init__(
+        self,
+        rows: Tuple[Tuple[str, str, Callable], ...],
+        not_allowed: Callable,
+        not_found: Callable,
+    ) -> None:
+        self.rows = rows
+        self.methods = frozenset(method for method, _, _ in rows)
+        self._not_allowed = not_allowed
+        self._not_found = not_found
+        # Exact paths resolve with one dict lookup; templates are keyed
+        # by their segments, ``None`` standing for a parameter.
+        self._exact: Dict[str, _Served] = {}
+        self._templates: Dict[Tuple[Optional[str], ...], _Served] = {}
+        for method, template, handler in rows:
+            if "{" in template:
+                served = self._templates.setdefault(tuple(
+                    None if part.startswith("{") else part
+                    for part in template.split("/")
+                ), {})
+            else:
+                served = self._exact.setdefault(template, {})
+            served[method] = (handler, f"{method} {template}")
+
+    def match(
+        self, method: str, path: str
+    ) -> Tuple[Callable, Tuple[str, ...], str]:
+        """``(handler, params, label)`` for one request."""
+        params: Tuple[str, ...] = ()
+        served = self._exact.get(path)
+        if served is None:
+            served, params = self._match_template(path)
+        entry = served and served.get(method)
+        if entry:
+            return entry[0], params, entry[1]
+        if method not in self.methods:
+            method = "OTHER"
+        handler = self._not_allowed if served else self._not_found
+        return handler, (), f"{method} (unmatched)"
+
+    def _match_template(self, path: str):
+        parts = path.split("/")
+        for segments, served in self._templates.items():
+            if len(segments) != len(parts):
+                continue
+            params = []
+            for want, got in zip(segments, parts):
+                if want is None and got:
+                    params.append(got)
+                elif want != got:
+                    break
+            else:
+                return served, tuple(params)
+        return None, ()
 
 
 def _field(
@@ -227,29 +253,6 @@ class App:
         self.started_at = time.monotonic()
         self.in_flight = 0
         self.in_flight_peak = 0
-        self._routes: Dict[str, Callable] = {
-            "POST /v1/solve": self._solve,
-            "POST /v1/sweep": self._sweep,
-            "POST /v1/validate": self._validate,
-            "POST /v1/jobs": self._jobs_submit,
-            "GET /v1/jobs": self._jobs_index,
-            "POST /v1/studies": self._studies_submit,
-            "GET /v1/studies": self._studies_index,
-            "GET /v1/models": self._models_index,
-            "POST /v1/models": self._models_publish,
-            "GET /v1/library": self._library_index,
-            "GET /v1/cluster/workers": self._cluster_workers,
-            "POST /v1/cluster/workers": self._cluster_register,
-            "GET /v1/cluster/status": self._cluster_status,
-            "POST /v1/events": self._events_ingest,
-            "GET /v1/calibration": self._calibration_status,
-            "GET /v1/calibration/proposal": self._calibration_proposal,
-            "POST /v1/calibration/propose": self._calibration_propose,
-            "POST /v1/calibration/publish": self._calibration_publish,
-            "GET /healthz": self._healthz,
-            "GET /metrics": self._metrics,
-            "GET /debug/traces": self._debug_traces,
-        }
 
     # ------------------------------------------------------------------
     # dispatch
@@ -262,7 +265,9 @@ class App:
         the ``X-Rascad-Trace-Id`` response header, so a caller can pull
         the full tree from ``/debug/traces`` (or the JSONL export).
         """
-        route = self._route_label(request)
+        handler, params, route = self.ROUTES.match(
+            request.method, request.path
+        )
         stats = self.engine.stats
         self.in_flight += 1
         stats.set_gauge("in_flight", self.in_flight)
@@ -285,7 +290,9 @@ class App:
                 path=request.path,
             ) as span:
                 try:
-                    response = await self._dispatch(request)
+                    response = await _maybe_await(
+                        handler(self, request, *params)
+                    )
                 except QueueFullError as error:
                     response = error_response(
                         429, "queue_full", str(error),
@@ -315,68 +322,15 @@ class App:
         stats.record_latency(route, watch.elapsed)
         return response
 
-    def _route_label(self, request: Request) -> str:
-        """The metrics label: known routes literally, others bucketed.
-
-        Every route is GET or POST, so any other method labels as
-        ``OTHER``: a client inventing methods cannot grow the route
-        counters or the latency histograms without bound.
-        """
-        method = request.method
-        if method not in _HTTP_METHODS:
-            method = "OTHER"
-        path = request.path
-        if path.startswith("/v1/library/"):
-            return f"{method} /v1/library/{{name}}"
-        if path.startswith("/v1/jobs/"):
-            if path.endswith("/cancel"):
-                return f"{method} /v1/jobs/{{id}}/cancel"
-            return f"{method} /v1/jobs/{{id}}"
-        if path.startswith("/v1/studies/"):
-            if path.endswith("/front"):
-                return f"{method} /v1/studies/{{id}}/front"
-            if "/candidates/" in path:
-                return f"{method} /v1/studies/{{id}}/candidates/{{index}}"
-            return f"{method} /v1/studies/{{id}}"
-        if path.startswith("/v1/models/"):
-            tail = path[len("/v1/models/"):]
-            if tail.endswith("/tags"):
-                return f"{method} /v1/models/{{name}}/tags"
-            if "/versions/" in tail:
-                return f"{method} /v1/models/{{name}}/versions/{{digest}}"
-            return f"{method} /v1/models/{{name}}"
-        key = f"{method} {path}"
-        if key in self._routes:
-            return key
-        return f"{method} (unmatched)"
-
-    async def _dispatch(self, request: Request) -> Response:
-        if request.path.startswith("/v1/library/"):
-            if request.method != "GET":
-                return self._method_not_allowed(request)
-            return await self._library(request.path[len("/v1/library/"):])
-        if request.path.startswith("/v1/jobs/"):
-            return await self._jobs_item(request)
-        if request.path.startswith("/v1/studies/"):
-            return await self._studies_item(request)
-        if request.path.startswith("/v1/models/"):
-            return await self._models_item(request)
-        handler = self._routes.get(f"{request.method} {request.path}")
-        if handler is not None:
-            return await _maybe_await(handler(request))
-        known_paths = {
-            key.split(" ", 1)[1] for key in self._routes
-        }
-        if request.path in known_paths:
-            return self._method_not_allowed(request)
-        return error_response(
-            404, "not_found", f"no route for {request.path!r}"
-        )
-
     def _method_not_allowed(self, request: Request) -> Response:
         return error_response(
             405, "method_not_allowed",
             f"{request.method} is not supported on {request.path!r}",
+        )
+
+    def _not_found(self, request: Request) -> Response:
+        return error_response(
+            404, "not_found", f"no route for {request.path!r}"
         )
 
     # ------------------------------------------------------------------
@@ -842,32 +796,27 @@ class App:
             "counts": await asyncio.to_thread(store.counts),
         })
 
-    async def _jobs_item(self, request: Request) -> Response:
+    @staticmethod
+    async def _job_record(action: Callable, job_id: str):
+        """``action(job_id)`` on a worker thread; unknown ids are 404."""
         from ..jobs import JobNotFoundError
 
-        tail = request.path[len("/v1/jobs/"):]
-        if tail.endswith("/cancel"):
-            if request.method != "POST":
-                return self._method_not_allowed(request)
-            store = self._jobs_store()
-            job_id = tail[: -len("/cancel")]
-            try:
-                record = await asyncio.to_thread(store.cancel, job_id)
-            except JobNotFoundError as error:
-                return error_response(404, "job_not_found", str(error))
-            self.engine.stats.increment("jobs_cancel_requests")
-            return json_response({"job": record.to_dict()})
-        if request.method != "GET":
-            return self._method_not_allowed(request)
-        store = self._jobs_store()
         try:
-            record = await asyncio.to_thread(store.get, tail)
+            return await asyncio.to_thread(action, job_id)
         except JobNotFoundError as error:
-            return error_response(404, "job_not_found", str(error))
+            raise ProtocolError(404, "job_not_found", str(error)) from None
+
+    async def _job(self, request: Request, job_id: str) -> Response:
+        record = await self._job_record(self._jobs_store().get, job_id)
         include_spec = request.query.get("include_spec") in ("1", "true")
         return json_response(
             {"job": record.to_dict(include_spec=include_spec)}
         )
+
+    async def _job_cancel(self, request: Request, job_id: str) -> Response:
+        record = await self._job_record(self._jobs_store().cancel, job_id)
+        self.engine.stats.increment("jobs_cancel_requests")
+        return json_response({"job": record.to_dict()})
 
     # ------------------------------------------------------------------
     # design-space study endpoints
@@ -1030,52 +979,56 @@ class App:
             "counts": await asyncio.to_thread(self.studies.counts),
         })
 
-    async def _studies_item(self, request: Request) -> Response:
-        from ..studies import front_rows
-
-        if request.method != "GET":
-            return self._method_not_allowed(request)
-        tail = request.path[len("/v1/studies/"):]
-        parts = tail.split("/")
-        study_id = parts[0]
+    async def _study(self, request: Request, study_id: str) -> Response:
         record = await asyncio.to_thread(self.studies.get, study_id)
-        if len(parts) == 1:
-            return json_response({"study": record})
+        return json_response({"study": record})
+
+    async def _study_result(self, study_id: str) -> Dict[str, object]:
+        """A finished study's result; 409 while it has none yet."""
+        record = await asyncio.to_thread(self.studies.get, study_id)
         result = record.get("result")
         if not isinstance(result, dict):
-            return error_response(
+            raise ProtocolError(
                 409, "study_not_finished",
                 f"study {study_id} is {record.get('state')}; "
                 "no result yet",
             )
-        if parts[1:] == ["front"]:
-            return json_response({
-                "study_id": study_id,
-                "front": front_rows(result),
-                "winner": result.get("winner"),
-                "result_digest": result.get("result_digest"),
-            })
-        if len(parts) == 3 and parts[1] == "candidates":
-            try:
-                index = int(parts[2])
-            except ValueError:
-                raise ProtocolError(
-                    400, "invalid_request",
-                    "candidate index must be an integer",
-                ) from None
-            for row in result.get("candidates", []):
-                if row.get("index") == index:
-                    return json_response({
-                        "study_id": study_id,
-                        "candidate": row,
-                        "on_front": index in result.get("front", []),
-                    })
-            return error_response(
-                404, "not_found",
-                f"study {study_id} has no candidate {index}",
-            )
+        return result
+
+    async def _study_front(
+        self, request: Request, study_id: str
+    ) -> Response:
+        from ..studies import front_rows
+
+        result = await self._study_result(study_id)
+        return json_response({
+            "study_id": study_id,
+            "front": front_rows(result),
+            "winner": result.get("winner"),
+            "result_digest": result.get("result_digest"),
+        })
+
+    async def _study_candidate(
+        self, request: Request, study_id: str, index: str
+    ) -> Response:
+        result = await self._study_result(study_id)
+        try:
+            position = int(index)
+        except ValueError:
+            raise ProtocolError(
+                400, "invalid_request",
+                "candidate index must be an integer",
+            ) from None
+        for row in result.get("candidates", []):
+            if row.get("index") == position:
+                return json_response({
+                    "study_id": study_id,
+                    "candidate": row,
+                    "on_front": position in result.get("front", []),
+                })
         return error_response(
-            404, "not_found", f"no route for {request.path!r}"
+            404, "not_found",
+            f"study {study_id} has no candidate {position}",
         )
 
     # ------------------------------------------------------------------
@@ -1118,45 +1071,27 @@ class App:
             result.to_dict(), status=201 if result.created else 200
         )
 
-    async def _models_item(self, request: Request) -> Response:
-        """Dispatch ``/v1/models/{name}...`` sub-resources.
-
-        The method is checked before the registry, so an unserved
-        method answers 405 whether or not a registry is attached.
-        """
-        tail = request.path[len("/v1/models/"):]
-        if tail.endswith("/tags"):
-            if request.method != "POST":
-                return self._method_not_allowed(request)
-            name = tail[: -len("/tags")]
-            return await self._models_tags(
-                request, self._registry_required(), name
-            )
-        if "/versions/" in tail:
-            if request.method != "GET":
-                return self._method_not_allowed(request)
-            name, _, selector = tail.partition("/versions/")
-            record = await asyncio.to_thread(
-                self._registry_required().version_detail, name, selector
-            )
-            include_spec = request.query.get("include_spec") in (
-                "1", "true"
-            )
-            return json_response({
-                "version": record.to_dict(include_spec=include_spec),
-            })
-        if request.method != "GET":
-            return self._method_not_allowed(request)
+    async def _model(self, request: Request, name: str) -> Response:
         return json_response({
             "model": await asyncio.to_thread(
-                self._registry_required().model_detail, tail
+                self._registry_required().model_detail, name
             ),
         })
 
-    async def _models_tags(
-        self, request: Request, registry: "ModelRegistry", name: str
+    async def _model_version(
+        self, request: Request, name: str, digest: str
     ) -> Response:
+        record = await asyncio.to_thread(
+            self._registry_required().version_detail, name, digest
+        )
+        include_spec = request.query.get("include_spec") in ("1", "true")
+        return json_response({
+            "version": record.to_dict(include_spec=include_spec),
+        })
+
+    async def _model_tags(self, request: Request, name: str) -> Response:
         """Move a tag to a version, or roll it back one step."""
+        registry = self._registry_required()
         payload = request.json()
         tag = _field(payload, "tag", str)
         rollback = _field(
@@ -1206,14 +1141,9 @@ class App:
             return json_response({"models": names})
         return json_response({"models": sorted(LIBRARY_MODELS)})
 
-    async def _library(self, name: str) -> Response:
+    async def _library(self, request: Request, name: str) -> Response:
         if self.registry is not None:
-            try:
-                spec = await asyncio.to_thread(
-                    self.registry.resolve_spec, name
-                )
-            except Exception as error:  # noqa: BLE001 - mapped envelope
-                return error_for_exception(error)
+            spec = await asyncio.to_thread(self.registry.resolve_spec, name)
             return json_response(spec)
         factory = LIBRARY_MODELS.get(name)
         if factory is None:
@@ -1365,6 +1295,44 @@ class App:
             body=render_prometheus(payload).encode("utf-8"),
             content_type="text/plain; version=0.0.4",
         )
+
+    #: Every route the service answers, one row each.
+    ROUTES = RouteTable(
+        (
+            ("POST", "/v1/solve", _solve),
+            ("POST", "/v1/sweep", _sweep),
+            ("POST", "/v1/validate", _validate),
+            ("POST", "/v1/jobs", _jobs_submit),
+            ("GET", "/v1/jobs", _jobs_index),
+            ("GET", "/v1/jobs/{id}", _job),
+            ("POST", "/v1/jobs/{id}/cancel", _job_cancel),
+            ("POST", "/v1/studies", _studies_submit),
+            ("GET", "/v1/studies", _studies_index),
+            ("GET", "/v1/studies/{id}", _study),
+            ("GET", "/v1/studies/{id}/front", _study_front),
+            ("GET", "/v1/studies/{id}/candidates/{index}", _study_candidate),
+            ("GET", "/v1/models", _models_index),
+            ("POST", "/v1/models", _models_publish),
+            ("GET", "/v1/models/{name}", _model),
+            ("GET", "/v1/models/{name}/versions/{digest}", _model_version),
+            ("POST", "/v1/models/{name}/tags", _model_tags),
+            ("GET", "/v1/library", _library_index),
+            ("GET", "/v1/library/{name}", _library),
+            ("POST", "/v1/cluster/workers", _cluster_register),
+            ("GET", "/v1/cluster/workers", _cluster_workers),
+            ("GET", "/v1/cluster/status", _cluster_status),
+            ("POST", "/v1/events", _events_ingest),
+            ("GET", "/v1/calibration", _calibration_status),
+            ("GET", "/v1/calibration/proposal", _calibration_proposal),
+            ("POST", "/v1/calibration/propose", _calibration_propose),
+            ("POST", "/v1/calibration/publish", _calibration_publish),
+            ("GET", "/healthz", _healthz),
+            ("GET", "/metrics", _metrics),
+            ("GET", "/debug/traces", _debug_traces),
+        ),
+        not_allowed=_method_not_allowed,
+        not_found=_not_found,
+    )
 
 
 def solution_payload(

@@ -219,7 +219,6 @@ class TestLibraryAndRouting:
         ])
         assert set(engine.stats.snapshot().latency) == {
             "OTHER (unmatched)",
-            "OTHER /v1/jobs/{id}",
             "GET (unmatched)",
         }
 
