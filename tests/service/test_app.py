@@ -223,32 +223,84 @@ class TestLibraryAndRouting:
         }
 
 
+#: The methods each route table template is probed with.
+_METHODS = ("GET", "POST", "PUT", "DELETE")
+
+
+def _fill(template, value=None):
+    """``template`` with each ``{param}`` set to ``value`` (default: a
+    valid segment)."""
+    parts = []
+    for part in template.split("/"):
+        if part.startswith("{") and value is not None:
+            part = value
+        elif part.startswith("{"):
+            part = "0" if part == "{index}" else "x"
+        parts.append(part)
+    return "/".join(parts)
+
+
+def _served():
+    """``{template: {methods}}`` from the route table."""
+    served = {}
+    for method, template, _handler in App.ROUTES.rows:
+        served.setdefault(template, set()).add(method)
+    return served
+
+
 class TestItemRoutesCheckTheMethodFirst:
-    """An unserved method answers 405 whether or not a store is attached."""
+    """Every route table template answers an unserved method with 405 and
+    a malformed path under its prefix with 404, whatever stores are
+    attached."""
 
     UNSERVED = [
-        ("DELETE", "/v1/jobs/x"),
-        ("POST", "/v1/jobs/x"),
-        ("PUT", "/v1/jobs/x"),
-        ("GET", "/v1/jobs/x/cancel"),
-        ("DELETE", "/v1/jobs/x/cancel"),
-        ("DELETE", "/v1/models/m"),
-        ("POST", "/v1/models/m"),
-        ("GET", "/v1/models/m/tags"),
-        ("DELETE", "/v1/models/m/tags"),
-        ("POST", "/v1/models/m/versions/abc"),
-        ("DELETE", "/v1/models/m/versions/abc"),
+        (method, _fill(template))
+        for template, served in _served().items()
+        for method in _METHODS
+        if method not in served
     ]
 
-    def _statuses(self, **stores):
+    MALFORMED = [
+        (method, path)
+        for template in _served()
+        if "{" in template
+        for path in (
+            _fill(template) + "/extra",
+            _fill(template, value=""),
+            _fill(template) + "/",
+        )
+        for method in _METHODS
+    ]
+
+    @staticmethod
+    def _answers(requests, **stores):
         responses, _app = run_app(
-            [make_request(method, path) for method, path in self.UNSERVED],
+            [make_request(method, path) for method, path in requests],
             **stores,
         )
-        return [status for status, _payload, _response in responses]
+        return [
+            (status, payload["error"]["code"])
+            for status, payload, _response in responses
+        ]
+
+    def _check(self, **stores):
+        assert self._answers(self.UNSERVED, **stores) == (
+            [(405, "method_not_allowed")] * len(self.UNSERVED)
+        )
+        assert self._answers(self.MALFORMED, **stores) == (
+            [(404, "not_found")] * len(self.MALFORMED)
+        )
+
+    def test_the_probes_cover_every_template(self):
+        assert {path for _method, path in self.UNSERVED} == {
+            _fill(template) for template in _served()
+        }
+        assert len(self.MALFORMED) == 4 * 3 * sum(
+            "{" in template for template in _served()
+        )
 
     def test_without_stores(self):
-        assert self._statuses() == [405] * len(self.UNSERVED)
+        self._check()
 
     def test_with_stores(self, tmp_path):
         from repro.jobs import JobStore
@@ -257,11 +309,19 @@ class TestItemRoutesCheckTheMethodFirst:
         jobs = JobStore(tmp_path / "jobs.sqlite3")
         registry = ModelRegistry(RegistryStore(":memory:"), engine=Engine())
         try:
-            statuses = self._statuses(jobs=jobs, registry=registry)
+            self._check(jobs=jobs, registry=registry)
         finally:
             jobs.close()
             registry.close()
-        assert statuses == [405] * len(self.UNSERVED)
+
+    def test_unserved_and_unmatched_requests_share_three_labels(self):
+        _, app = run_app([
+            make_request(method, path)
+            for method, path in self.UNSERVED + self.MALFORMED
+        ])
+        assert set(app.engine.stats.snapshot().latency) == {
+            "GET (unmatched)", "POST (unmatched)", "OTHER (unmatched)",
+        }
 
     def test_served_methods_still_need_their_store(self):
         responses, _app = run_app([
