@@ -2,7 +2,9 @@
 
 import asyncio
 import json
+import re
 import time
+from pathlib import Path
 
 from repro.core import translate
 from repro.engine import Engine
@@ -246,6 +248,22 @@ def _served():
     for method, template, _handler in App.ROUTES.rows:
         served.setdefault(template, set()).add(method)
     return served
+
+
+class TestRoutesDoc:
+    def test_docs_list_each_route_table_row_once(self):
+        text = (
+            Path(__file__).resolve().parents[2] / "docs" / "service.md"
+        ).read_text()
+        section = text.split("\n## Routes\n", 1)[1].split("\n## ", 1)[0]
+        listed = re.findall(r"^- `([A-Z]+ /\S*)`", section, re.MULTILINE)
+        rows = [
+            f"{method} {template}"
+            for method, template, _handler in App.ROUTES.rows
+        ]
+        assert len(listed) == len(set(listed))
+        assert set(listed) == set(rows)
+        assert len(rows) == len(set(rows))
 
 
 class TestItemRoutesCheckTheMethodFirst:
