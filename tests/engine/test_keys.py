@@ -127,7 +127,6 @@ class TestDigestMemo:
             ("p_latent_fault", [0.0, -0.0]),
             ("transient_fit", [0.0, -0.0]),
             ("mtbf_hours", [1, 1.0]),
-            ("quantity", [1, 1.0]),
         ],
     )
     def test_equal_but_distinct_values_keep_distinct_sweep_keys(
@@ -149,6 +148,29 @@ class TestDigestMemo:
         for key in keys:
             assert engine.cache.get_block(key)[0] is not None
         assert engine.stats_snapshot().block_solves >= 2
+
+
+    def test_integral_float_quantity_keys_as_the_integer_block(self):
+        # N and K are integers: BlockParameters normalises 1.0 to 1, so
+        # both spellings are one block, one key and one solve.
+        model = workgroup_model()
+        _level, path, block = next(iter(model.walk()))
+        engine = Engine()
+        engine.sweep_availabilities(model, path, "quantity", [1, 1.0])
+        g = model.global_parameters
+        keys = {
+            block_digest(
+                block.parameters.with_changes(quantity=value), g,
+                as_options("direct"),
+            )
+            for value in (1, 1.0)
+        }
+        assert len(keys) == 1
+        once = Engine()
+        once.sweep_availabilities(model, path, "quantity", [1])
+        assert engine.stats_snapshot().block_solves == (
+            once.stats_snapshot().block_solves
+        )
 
 
 class TestChainDigest:
