@@ -180,11 +180,11 @@ class Server:
         """The cluster coordinator, or ``None`` (not coordinating).
 
         The shard ledger lives in its own ``cluster.sqlite3`` beside
-        the jobs database (each store file carries exactly one
-        ``user_version`` migration chain), so a killed coordinator
-        restarted against the same path resumes from the completed
-        shards; without any persistent path the table lives in memory
-        (embedded and test servers).
+        the jobs database — ``cluster-ledger.sqlite3`` when the jobs
+        database itself has that name, because a store file holds one
+        schema — so a killed coordinator restarted against the same
+        path resumes from the completed shards; without any persistent
+        path the table lives in memory (embedded and test servers).
         """
         cluster_config = self.config.cluster
         if cluster_config is None:
@@ -197,9 +197,12 @@ class Server:
         )
 
         if self.config.jobs_db is not None:
-            store_path = str(
-                Path(self.config.jobs_db).parent / CLUSTER_DB_FILENAME
-            )
+            jobs_db = Path(self.config.jobs_db)
+            store_path = str(jobs_db.with_name(
+                CLUSTER_DB_FILENAME
+                if jobs_db.name != CLUSTER_DB_FILENAME
+                else "cluster-ledger.sqlite3"
+            ))
         elif self.config.cache_dir is not None:
             store_path = str(
                 Path(self.config.cache_dir) / CLUSTER_DB_FILENAME

@@ -17,17 +17,29 @@ A migration's ``apply`` is either a SQL script (split on ``;`` —
 statements in this codebase never embed semicolons in literals) or a
 callable taking the open connection, for steps that need Python logic
 (conditional DDL against pre-versioning files, data backfills).
+
+Every store's chain starts at version 1, so ``user_version`` alone
+cannot tell one store's file from another's.  The header's
+``PRAGMA application_id`` carries that: each schema stamps a stable id
+derived from its name, and a store refuses a file another schema has
+stamped.  Files written before the stamp existed are adopted only when
+they already hold one of the schema's own tables.
 """
 
 from __future__ import annotations
 
 import sqlite3
+import zlib
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple, Union
 
 from ..errors import StoreError
 
 Apply = Union[str, Callable[[sqlite3.Connection], None]]
+
+#: Schema name by application id, for naming a file's owner in errors.
+_OWNERS: Dict[int, str] = {}
 
 
 @dataclass(frozen=True)
@@ -61,6 +73,14 @@ class Schema:
                 )
         self.name = name
         self.migrations: Tuple[Migration, ...] = tuple(migrations)
+        #: The ``PRAGMA application_id`` this schema stamps on its files.
+        self.application_id = zlib.crc32(name.encode("utf-8")) & 0x7FFFFFFF
+        owner = _OWNERS.setdefault(self.application_id, name)
+        if owner != name:
+            raise StoreError(
+                f"schemas {owner!r} and {name!r} derive the same "
+                "application id; rename one"
+            )
 
     @property
     def version(self) -> int:
@@ -79,17 +99,62 @@ class Schema:
             )
         return [m for m in self.migrations if m.version > current]
 
+    @cached_property
+    def tables(self) -> FrozenSet[str]:
+        """The tables the full chain creates (probed in memory)."""
+        probe = sqlite3.connect(":memory:")
+        try:
+            self.apply(probe)
+            return frozenset(_tables(probe))
+        finally:
+            probe.close()
+
+    def claim(self, conn: sqlite3.Connection) -> None:
+        """Stamp ``conn``'s file as this schema's, or refuse it.
+
+        A file stamped by another schema raises :class:`StoreError`
+        naming both.  An unstamped file that is already migrated
+        predates the stamp: it is adopted when it holds one of this
+        schema's tables, and refused otherwise.
+        """
+        owner = int(conn.execute("PRAGMA application_id").fetchone()[0])
+        if owner == self.application_id:
+            return
+        if owner:
+            other = _OWNERS.get(owner, f"application id {owner}")
+            raise StoreError(
+                f"database belongs to schema {other!r}; refusing to "
+                f"open it as schema {self.name!r} (each store needs "
+                "its own file)"
+            )
+        version = int(conn.execute("PRAGMA user_version").fetchone()[0])
+        if version:
+            found = _tables(conn)
+            if not found & self.tables:
+                raise StoreError(
+                    f"database at schema version {version} holds "
+                    f"another store's tables ({', '.join(sorted(found))}); "
+                    f"refusing to open it as schema {self.name!r} "
+                    "(each store needs its own file)"
+                )
+        conn.execute(f"PRAGMA application_id = {self.application_id}")
+
     def apply(self, conn: sqlite3.Connection) -> int:
         """Bring ``conn``'s database to the current version.
 
         Returns the number of migrations applied.  Each step runs in
         its own immediate transaction; the ``user_version`` bump
-        commits atomically with the step's statements.
+        commits atomically with the step's statements, and the file
+        is :meth:`claim`-ed before and within every step.
         """
         steps = self.pending(conn)
+        self.claim(conn)
         for migration in steps:
             conn.execute("BEGIN IMMEDIATE")
             try:
+                # Re-claimed under the write lock: another schema may
+                # have stamped a fresh file since the check above.
+                self.claim(conn)
                 if callable(migration.apply):
                     migration.apply(conn)
                 else:
@@ -103,6 +168,16 @@ class Schema:
                 conn.rollback()
                 raise
         return len(steps)
+
+
+def _tables(conn: sqlite3.Connection) -> FrozenSet[str]:
+    return frozenset(
+        row[0]
+        for row in conn.execute(
+            "SELECT name FROM sqlite_master "
+            "WHERE type = 'table' AND name NOT LIKE 'sqlite_%'"
+        )
+    )
 
 
 def _statements(script: str) -> List[str]:

@@ -136,6 +136,26 @@ class TestMembershipApi:
         assert body["error"]["code"] == "no_workers"
 
 
+class TestLedgerPath:
+    def test_ledger_never_shares_the_jobs_database_file(self, tmp_path):
+        for name, ledger in (
+            ("jobs.sqlite3", "cluster.sqlite3"),
+            ("cluster.sqlite3", "cluster-ledger.sqlite3"),
+        ):
+            jobs_db = tmp_path / name / name
+            server = Server(ServiceConfig(
+                port=0, jobs_db=jobs_db, cluster=ClusterConfig(),
+            ))
+            try:
+                assert server.coordinator.store.path == str(
+                    jobs_db.with_name(ledger)
+                )
+                assert server.jobs.db.path == jobs_db
+            finally:
+                server.coordinator.store.close()
+                server.jobs.close()
+
+
 class TestFanOut:
     def test_fanned_out_sweep_is_bit_identical_to_the_worker(self):
         async def scenario(worker, coordinator):

@@ -108,3 +108,64 @@ class TestApply:
                 )
             }
         assert {"a", "b"} <= names
+
+
+class TestOwnership:
+    def test_two_stores_refuse_to_share_one_file(self, tmp_path):
+        from repro.cluster import ShardStore
+        from repro.jobs import JobStore
+
+        path = tmp_path / "shared.sqlite3"
+        JobStore(path).close()
+        with pytest.raises(StoreError, match="'jobs'.*'cluster'"):
+            ShardStore(str(path))
+        # The first store's file is untouched and still opens.
+        JobStore(path).close()
+
+    def test_fresh_file_is_stamped_with_the_schema_id(self, tmp_path):
+        schema = Schema("s", [V1])
+        store = SqliteStore(tmp_path / "s.sqlite3", schema)
+        with store.connection() as conn:
+            stamped = conn.execute("PRAGMA application_id").fetchone()[0]
+        assert stamped == schema.application_id != 0
+
+    def test_unstamped_file_of_this_schema_is_adopted(self, tmp_path):
+        path = tmp_path / "s.sqlite3"
+        conn = sqlite3.connect(str(path))
+        conn.execute("CREATE TABLE items (id TEXT PRIMARY KEY)")
+        conn.execute("INSERT INTO items (id) VALUES ('kept')")
+        conn.execute("PRAGMA user_version = 1")
+        conn.commit()
+        conn.close()
+        schema = Schema("s", [V1, V2])
+        store = SqliteStore(path, schema)
+        assert store.user_version() == 2
+        with store.connection() as conn:
+            assert conn.execute(
+                "PRAGMA application_id"
+            ).fetchone()[0] == schema.application_id
+            assert conn.execute("SELECT id FROM items").fetchone()[0] == (
+                "kept"
+            )
+
+    def test_unstamped_file_of_another_schema_is_refused(self, tmp_path):
+        path = tmp_path / "s.sqlite3"
+        conn = sqlite3.connect(str(path))
+        conn.execute("CREATE TABLE other (id TEXT)")
+        conn.execute("PRAGMA user_version = 1")
+        conn.commit()
+        conn.close()
+        with pytest.raises(StoreError, match="other"):
+            SqliteStore(path, Schema("s", [V1]))
+        conn = sqlite3.connect(str(path))
+        assert conn.execute("PRAGMA application_id").fetchone()[0] == 0
+        conn.close()
+
+    def test_colliding_schema_ids_are_rejected(self, monkeypatch):
+        import repro.store.schema as schema_module
+
+        monkeypatch.setitem(
+            schema_module._OWNERS, Schema("s", [V1]).application_id, "z"
+        )
+        with pytest.raises(StoreError, match="same application id"):
+            Schema("s", [V1])
