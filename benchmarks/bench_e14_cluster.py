@@ -32,14 +32,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 from _smoke_common import Fleet  # noqa: E402
 
-from repro.cluster import (  # noqa: E402
-    ClusterConfig,
-    Coordinator,
-    Membership,
-    SweepWorkload,
-)
+from repro.cluster import ClusterConfig, Coordinator, Membership  # noqa: E402
 from repro.engine import Engine  # noqa: E402
-from repro.jobs import result_digest  # noqa: E402
+from repro.jobs import JobSpec, plan_job, result_digest  # noqa: E402
 from repro.library import datacenter_model  # noqa: E402
 from repro.spec import model_to_spec  # noqa: E402
 
@@ -61,23 +56,23 @@ def _values(points):
     return [start + step * i for i in range(points)]
 
 
-def _reference_digest(spec, values):
-    """The single-process engine run's digest-stamped payload."""
-    model = datacenter_model()
-    engine = Engine(jobs=1, cache=False)
-    points = engine.sweep_block_field(model, BLOCK, FIELD, values)
-    workload = SweepWorkload(
-        spec, FIELD, values, block=BLOCK, model_name=model.name
+def _plan(spec, values):
+    """The jobs sweep plan; its in-process engine is single-threaded."""
+    return plan_job(
+        JobSpec(
+            kind="sweep",
+            spec=spec,
+            params={"field": FIELD, "block": BLOCK, "values": values},
+        ),
+        datacenter_model(),
+        Engine(jobs=1, cache=False),
     )
-    payload = workload.aggregate([
-        {
-            "value": point.value,
-            "availability": point.availability,
-            "yearly_downtime_minutes": point.yearly_downtime_minutes,
-        }
-        for point in points
-    ])
-    return result_digest(payload)
+
+
+def _reference_digest(spec, values):
+    """The single-process run's result digest."""
+    plan = _plan(spec, values)
+    return result_digest(plan.aggregate(plan.solve_range(0, plan.total)))
 
 
 def _fleet_run(count, spec, values):
@@ -100,13 +95,13 @@ def _fleet_run(count, spec, values):
                 call_timeout=300.0,
             )
             coordinator = Coordinator(Membership(), config=config)
-            workload = SweepWorkload(
-                spec, FIELD, values, block=BLOCK,
-                model_name="Data Center System",
-            )
+            plan = _plan(spec, values)
             start = time.perf_counter()
-            merged = coordinator.run_workload(workload, timeout=600.0)
+            merged = plan.aggregate(
+                coordinator.run_workload(plan, timeout=600.0)
+            )
             elapsed = time.perf_counter() - start
+            merged["result_digest"] = result_digest(merged)
             return elapsed, merged
         except BaseException:
             fleet.dump_logs()

@@ -33,16 +33,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.cluster import ClusterConfig, Coordinator, Membership  # noqa: E402
 from repro.cluster.membership import worker_id_for  # noqa: E402
-from repro.cluster.workloads import StudyWorkload  # noqa: E402
 from repro.engine import Engine  # noqa: E402
 from repro.jobs import Checkpointer, JobSpec, JobStore, execute_job  # noqa: E402
 from repro.library import workgroup_model  # noqa: E402
+from repro.num import SolverOptions  # noqa: E402
 from repro.spec import model_to_spec, parse_spec  # noqa: E402
-from repro.studies import (  # noqa: E402
-    INVALID_AVAILABILITY,
-    parse_study,
-    run_study,
-)
+from repro.studies import parse_study, round_evaluator, run_study  # noqa: E402
 
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_e16_studies.json"
 
@@ -73,23 +69,20 @@ def study_for(quick):
 
 
 class EngineClient:
-    """A cluster worker client that solves shards on a local engine."""
+    """A cluster worker client that answers ``/v1/solve`` on a local
+    engine."""
 
     def __init__(self, url, engine):
         self.url = url
         self.worker_id = worker_id_for(url)
         self.engine = engine
 
-    def execute_shard(self, workload, lo, hi, trace_header=None):
-        bodies = []
-        for _path, payload in workload.calls(lo, hi):
-            model = parse_spec(dict(payload["spec"]))
-            solution = self.engine.solve(model, "direct")
-            bodies.append({
-                "model": model.name,
-                "availability": solution.availability,
-            })
-        return bodies
+    def call(self, path, payload, trace_header=None):
+        model = parse_spec(dict(payload["spec"]))
+        solution = self.engine.solve(
+            model, SolverOptions.from_dict(payload["solver"])
+        )
+        return {"model": model.name, "availability": solution.availability}
 
 
 def clustered_run(quick, worker_count):
@@ -104,30 +97,14 @@ def clustered_run(quick, worker_count):
         config=config,
         client_factory=lambda url, timeout=None: EngineClient(url, engine),
     )
-    state = {"round": 0}
-
-    def evaluate(candidates):
-        round_index = state["round"]
-        state["round"] += 1
-        valid = [
-            (position, candidate)
-            for position, candidate in enumerate(candidates)
-            if candidate.model is not None
-        ]
-        workload = StudyWorkload(
-            "bench-e16", round_index,
-            [model_to_spec(c.model) for _p, c in valid],
-        )
-        merged = coordinator.run_workload(workload, timeout=300)
-        availabilities = [INVALID_AVAILABILITY] * len(candidates)
-        for (position, _c), availability in zip(
-            valid, merged["availabilities"]
-        ):
-            availabilities[position] = float(availability)
-        return availabilities
+    study = study_for(quick)
+    evaluate = round_evaluator(
+        engine, study, "bench-e16",
+        lambda plan: coordinator.run_workload(plan, timeout=300),
+    )
 
     start = time.perf_counter()
-    result = run_study(study_for(quick), evaluate=evaluate)
+    result = run_study(study, evaluate=evaluate)
     return result, time.perf_counter() - start
 
 

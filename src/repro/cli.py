@@ -679,7 +679,7 @@ def _cmd_cluster_status(args: argparse.Namespace) -> int:
               f"{row.get('in_flight', 0):>10}")
     active = status.get("active", [])
     for entry in active:
-        print(f"active: {entry.get('kind')} {entry.get('workload')} "
+        print(f"active: {entry.get('workload')} "
               f"{entry.get('done')}/{entry.get('shards')} shards")
     return 0
 

@@ -1,10 +1,15 @@
 """Sharded multi-worker execution — coordinator, fleet, fault tolerance.
 
 The cluster layer scales the service horizontally: a **coordinator**
-splits sweeps and study rounds into content-digest-keyed shards, fans
-them out over a fleet of ordinary :mod:`repro.service` **workers** via
-the existing HTTP API, and merges the shard results (and the workers'
-mergeable histograms) into one response.
+splits a workload into content-digest-keyed shards, fans them out over
+a fleet of ordinary :mod:`repro.service` **workers** via the existing
+HTTP API, and merges the shard points (and the workers' mergeable
+histograms).  It knows no job kinds: each sharded kind — a sweep
+(:func:`repro.jobs.runner.sweep_plan`), a study round
+(:func:`repro.studies.round_plan`) — has one :class:`repro.jobs.Plan`
+definition with two executors, ``solve_range`` in process and
+``fleet_range`` over worker routes, and the caller aggregates the
+merged points with the plan's own ``aggregate``.
 
 Design invariant: *placement never changes the answer*.  Solves are
 deterministic, shards tile the workload positionally, scheduling
@@ -17,10 +22,9 @@ resumed from its SQLite shard table.
 * :mod:`.config` — :class:`ClusterConfig` and the error hierarchy.
 * :mod:`.sharding` — shard planning, rendezvous placement, stealing.
 * :mod:`.membership` — worker registry with heartbeat leases.
-* :mod:`.workloads` — the shardable workload shapes.
 * :mod:`.client` — HTTP clients both directions, failure-classified.
 * :mod:`.coordinator` — the durable shard table and the scheduler.
-* :mod:`.merge` — positional result merge and metrics roll-up.
+* :mod:`.merge` — positional point merge and metrics roll-up.
 """
 
 from .client import (
@@ -42,7 +46,6 @@ from .merge import (
     merge_histograms,
     merge_points,
     merge_worker_metrics,
-    merged_payload,
 )
 from .sharding import (
     Shard,
@@ -53,7 +56,6 @@ from .sharding import (
     rendezvous_score,
     shard_id,
 )
-from .workloads import StudyWorkload, SweepWorkload
 
 __all__ = [
     "ClusterConfig",
@@ -67,8 +69,6 @@ __all__ = [
     "ShardFailedError",
     "CLUSTER_DB_FILENAME",
     "ShardStore",
-    "StudyWorkload",
-    "SweepWorkload",
     "WorkerCallError",
     "WorkerClient",
     "WorkerInfo",
@@ -76,7 +76,6 @@ __all__ = [
     "merge_histograms",
     "merge_points",
     "merge_worker_metrics",
-    "merged_payload",
     "pick_shard",
     "plan_shards",
     "preferred_worker",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from ..obs import TRACE_PARENT_HEADER, get_logger
 from ..service.client import ClientError, call as http_call, server_address
@@ -102,20 +102,6 @@ class WorkerClient(_Peer):
         if trace_header:
             headers[TRACE_PARENT_HEADER] = trace_header
         return self._call("POST", path, payload, headers)
-
-    def execute_shard(
-        self,
-        workload,
-        lo: int,
-        hi: int,
-        trace_header: Optional[str] = None,
-    ) -> List[Dict[str, object]]:
-        """Run one shard's calls in order and extract its points."""
-        bodies = [
-            self.call(path, payload, trace_header=trace_header)
-            for path, payload in workload.calls(lo, hi)
-        ]
-        return workload.extract(bodies, lo, hi)
 
     def healthy(self) -> bool:
         try:

@@ -7,10 +7,14 @@ replans the identical shard set on restart — shard ids are content
 digests — and finds the completed rows already in place: only the
 unfinished remainder re-executes.
 
-:class:`Coordinator` runs one dispatch thread per live worker.  Each
+:class:`Coordinator` knows no job kinds.  It takes a
+:class:`repro.jobs.Plan` — a ``(digest, total)`` plus the kind's fleet
+executor — and runs one dispatch thread per live worker.  Each
 thread claims shards by rendezvous preference (its own assignment
-first, then stealing), executes them over HTTP, and commits results
-first-write-wins.  Liveness is heartbeat leases for dynamic workers and
+first, then stealing), runs the plan's worker calls for the shard's
+range, and commits its points first-write-wins.  The merged points go
+back to the caller, which aggregates them with the kind's one
+aggregate.  Liveness is heartbeat leases for dynamic workers and
 dispatch-observed failure for static ones; a shard held by a dead or
 slow worker goes back on the market.  None of this can change the
 answer: solves are deterministic, the merge is positional, and a
@@ -22,7 +26,8 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs import carrier_to_header, get_logger, get_tracer, monotonic
 from ..store import Migration, Schema, SqliteStore
@@ -34,7 +39,7 @@ from .config import (
     ShardFailedError,
 )
 from .membership import Membership
-from .merge import merged_payload
+from .merge import merge_points
 from .sharding import Shard, pick_shard, plan_shards
 
 _SCHEMA = """
@@ -71,7 +76,8 @@ class ShardStore:
     The same idea as the jobs checkpoint table, one level up: rows are
     keyed by content-digest shard id, ``complete`` is first-write-wins,
     and a fresh coordinator ``plan()`` against an existing table is a
-    resume, not a restart.
+    resume, not a restart.  A result is the shard's point values, a
+    JSON list of numbers.
     """
 
     def __init__(self, path: str = ":memory:") -> None:
@@ -88,8 +94,11 @@ class ShardStore:
         """Upsert a job's shard rows; completed rows survive as-is.
 
         Also releases rows a previous coordinator left ``running`` —
-        the process holding those leases is gone.  Returns the state
-        counts after planning, so the caller can log the resume.
+        the process holding those leases is gone — and re-opens
+        ``done`` rows whose result is not a list of numbers: older
+        ledgers stored one point document per value, which must never
+        merge into a payload.  Returns the state counts after planning,
+        so the caller can log the resume.
         """
         now = time.time()
         with self.db.transaction(immediate=True) as conn:
@@ -101,6 +110,20 @@ class ShardStore:
                     (shard.id, job, shard.index, shard.lo, shard.hi,
                      now),
                 )
+            stale = [
+                (now, row["id"])
+                for row in conn.execute(
+                    "SELECT id, result FROM cluster_shards "
+                    "WHERE job = ? AND state = 'done'",
+                    (job,),
+                )
+                if not _is_points(json.loads(row["result"] or "null"))
+            ]
+            conn.executemany(
+                "UPDATE cluster_shards SET state = 'pending', "
+                "result = NULL, updated_at = ? WHERE id = ?",
+                stale,
+            )
             conn.execute(
                 "UPDATE cluster_shards SET state = 'pending', "
                 "worker = NULL, lease_at = NULL, updated_at = ? "
@@ -206,10 +229,19 @@ class ShardStore:
         return [dict(row) for row in rows]
 
 
+def _is_points(result: object) -> bool:
+    """Whether a stored result is a point-value list."""
+    return isinstance(result, list) and all(
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        for value in result
+    )
+
+
 class _JobState:
     """In-memory dispatch state of one running workload (store-backed)."""
 
-    def __init__(self, shards: Sequence[Shard]) -> None:
+    def __init__(self, digest: str, shards: Sequence[Shard]) -> None:
+        self.digest = digest
         self.shards = {shard.id: shard for shard in shards}
         self.condition = threading.Condition()
         self.done: set = set()
@@ -224,7 +256,7 @@ class _JobState:
 
 
 class Coordinator:
-    """Fans workloads out over the fleet and folds the results back."""
+    """Runs plans' ranges over the fleet and merges their points."""
 
     def __init__(
         self,
@@ -246,7 +278,9 @@ class Coordinator:
         self.shards_completed = 0
         self.shards_stolen = 0
         self.shards_retried = 0
-        self._active: Dict[str, Dict[str, object]] = {}
+        # One entry per run: identical workloads may be in flight at
+        # once (a client retrying a timed-out request).
+        self._active: List[_JobState] = []
         self._active_lock = threading.Lock()
         for url in self.config.workers:
             self.membership.register(url, static=True)
@@ -256,33 +290,29 @@ class Coordinator:
     # ------------------------------------------------------------------
     def run_workload(
         self, workload, timeout: Optional[float] = None
-    ) -> Dict[str, object]:
-        """Execute a workload across the fleet; returns the merged payload.
+    ) -> List[float]:
+        """Run a plan across the fleet; returns its merged points.
 
-        Blocks until every shard completes, raises on an exhausted
-        shard (:class:`ShardFailedError`), a fleet with nobody alive
+        ``workload`` is a :class:`repro.jobs.Plan` (anything with
+        ``digest``, ``total`` and ``fleet_range``).  Blocks until
+        every shard completes, raises on an exhausted shard
+        (:class:`ShardFailedError`), a fleet with nobody alive
         (:class:`NoWorkersError`), or the deadline.
         """
         tracer = get_tracer()
-        shards = plan_shards(
-            workload.digest, workload.total, self.config.shard_size
-        )
-        counts = self.store.plan(workload.digest, shards)
-        state = _JobState(shards)
-        for shard_id in self.store.results(workload.digest):
+        digest = workload.digest
+        shards = plan_shards(digest, workload.total, self.config.shard_size)
+        counts = self.store.plan(digest, shards)
+        state = _JobState(digest, shards)
+        for shard_id in self.store.results(digest):
             if shard_id in state.shards:
                 state.done.add(shard_id)
         resumed = len(state.done)
         with self._active_lock:
-            self._active[workload.digest] = {
-                "kind": workload.kind,
-                "shards": len(shards),
-                "state": state,
-            }
+            self._active.append(state)
         job_span = tracer.start_span(
             "cluster.job",
-            kind=workload.kind,
-            workload=workload.digest,
+            workload=digest,
             shards=len(shards),
             resumed=resumed,
             points=workload.total,
@@ -291,7 +321,7 @@ class Coordinator:
             self._log.info(
                 "resuming workload",
                 extra={
-                    "workload": workload.digest,
+                    "workload": digest,
                     "done": resumed,
                     "total": len(shards),
                     "stored": counts,
@@ -300,32 +330,32 @@ class Coordinator:
         error: Optional[BaseException] = None
         try:
             self._dispatch(workload, state, job_span, timeout)
-            results = self.store.results(workload.digest)
-            payload = merged_payload(workload, shards, results)
+            points = merge_points(shards, self.store.results(digest))
             self.jobs_completed += 1
             if self.stats is not None:
                 self.stats.increment("cluster_jobs_completed")
-            return payload
+            return points
         except BaseException as exc:
             error = exc
             raise
         finally:
             tracer.finish(job_span, error=error)
             with self._active_lock:
-                self._active.pop(workload.digest, None)
+                self._active.remove(state)
 
     def status(self) -> Dict[str, object]:
         """The coordinator's live view for ``GET /v1/cluster/status``."""
         with self._active_lock:
             active = [
                 {
-                    "workload": digest,
-                    "kind": entry["kind"],
-                    "shards": entry["shards"],
-                    "done": len(entry["state"].done),
-                    "running": len(entry["state"].running),
+                    "workload": state.digest,
+                    "shards": len(state.shards),
+                    "done": len(state.done),
+                    "running": len(state.running),
                 }
-                for digest, entry in sorted(self._active.items())
+                for state in sorted(
+                    self._active, key=lambda state: state.digest
+                )
             ]
         return {
             "workers": self.membership.snapshot(),
@@ -397,7 +427,7 @@ class Coordinator:
                 )
             if deadline is not None and monotonic() > deadline:
                 raise ClusterError(
-                    f"workload {workload.digest} missed its "
+                    f"workload {state.digest} missed its "
                     f"{timeout:.1f}s deadline"
                 )
             with state.condition:
@@ -472,7 +502,11 @@ class Coordinator:
                 state.running[shard.id] = (worker_id, monotonic())
                 state.attempts[shard.id] += 1
                 attempt = state.attempts[shard.id]
-            self.store.lease(shard.id, worker_id)
+            if not self.store.lease(shard.id, worker_id):
+                # Another run of the same workload already committed
+                # this shard: it is done in the store, so it is done.
+                self._finish(state, shard, worker_id)
+                continue
             if stolen_from is not None:
                 self.shards_stolen += 1
                 self.membership.record(worker_id, "shards_stolen")
@@ -497,8 +531,10 @@ class Coordinator:
                     "detail": tracer.detail,
                 })
             try:
-                points = client.execute_shard(
-                    workload, shard.lo, shard.hi, trace_header=header
+                points = workload.fleet_range(
+                    partial(client.call, trace_header=header),
+                    shard.lo,
+                    shard.hi,
                 )
             except WorkerCallError as error:
                 tracer.finish(span, error=error)
@@ -536,17 +572,22 @@ class Coordinator:
                 return
             tracer.finish(span)
             self.membership.record(worker_id, "in_flight", -1)
-            won = self.store.complete(shard.id, points)
-            with state.condition:
-                if won:
-                    state.done.add(shard.id)
-                holder = state.running.get(shard.id)
-                if holder is not None and holder[0] == worker_id:
-                    del state.running[shard.id]
-                state.condition.notify_all()
-            if won:
+            # A lost commit (a thief, or another run of the same
+            # workload, finished first) still leaves the shard done.
+            if self.store.complete(shard.id, points):
                 self.shards_completed += 1
                 self.membership.record(worker_id, "shards_done")
                 self.membership.heartbeat(worker_id)
                 if self.stats is not None:
                     self.stats.increment("cluster_shards_completed")
+            self._finish(state, shard, worker_id)
+
+    @staticmethod
+    def _finish(state: _JobState, shard: Shard, worker_id: str) -> None:
+        """Mark ``shard`` done for this run and drop our hold on it."""
+        with state.condition:
+            state.done.add(shard.id)
+            holder = state.running.get(shard.id)
+            if holder is not None and holder[0] == worker_id:
+                del state.running[shard.id]
+            state.condition.notify_all()

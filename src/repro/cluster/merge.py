@@ -1,13 +1,13 @@
-"""Folding shard results back into one response.
+"""Folding shard results back into one point list.
 
 The merge is *positional*: shard ``[lo, hi)`` owns points ``lo..hi-1``
 of the workload, so assembling the final point list is concatenation in
 ``lo`` order with coverage checks — no arithmetic that could depend on
 shard placement, retry count, or which worker's duplicate execution of
-a stolen shard landed first.  The merged payload carries the same
-``result_digest`` (from :mod:`repro.jobs.types`) a single-process jobs
-run of the identical workload computes, which is how the smoke test and
-the benchmark assert bit-identity.
+a stolen shard landed first.  The caller aggregates the merged points
+with the kind's own :class:`repro.jobs.Plan` aggregate, the function a
+single-process jobs run of the identical workload uses, which is how
+the smoke test and the benchmark assert bit-identity.
 
 Worker telemetry merges the same way the observability layer was built
 for: per-worker ``/metrics`` latency histograms are fixed-bucket and
@@ -16,18 +16,17 @@ mergeable (:class:`repro.obs.Histogram`), counters are additive.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional
 
-from ..jobs.types import result_digest
 from ..obs.histogram import Histogram
 from .config import ClusterError
 from .sharding import Shard
 
 
 def merge_points(
-    shards: Sequence[Shard],
-    results: Mapping[str, List[Mapping[str, object]]],
-) -> List[Mapping[str, object]]:
+    shards: Iterable[Shard],
+    results: Mapping[str, List[float]],
+) -> List[float]:
     """Concatenate per-shard point lists in workload order.
 
     ``results`` maps shard id -> that shard's points.  Raises
@@ -35,7 +34,7 @@ def merge_points(
     a merge must never silently drop or duplicate points.
     """
     ordered = sorted(shards, key=lambda shard: shard.lo)
-    merged: List[Mapping[str, object]] = []
+    merged: List[float] = []
     for shard in ordered:
         points = results.get(shard.id)
         if points is None:
@@ -55,17 +54,6 @@ def merge_points(
             )
         merged.extend(points)
     return merged
-
-
-def merged_payload(
-    workload,
-    shards: Sequence[Shard],
-    results: Mapping[str, List[Mapping[str, object]]],
-) -> Dict[str, object]:
-    """The final result payload, digest-stamped like a jobs result."""
-    payload = workload.aggregate(merge_points(shards, results))
-    payload["result_digest"] = result_digest(payload)
-    return payload
 
 
 def merge_histograms(

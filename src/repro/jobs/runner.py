@@ -13,6 +13,16 @@ the *complete* value list, a run that crashes (SIGKILL) or is preempted
 (SIGTERM) and later resumed by any worker produces a result payload
 bit-identical to an uninterrupted run — and re-solves only the points
 past the last checkpoint.
+
+A :class:`Plan` is each kind's one definition, and it has two
+executors.  ``solve_range`` computes a ``[lo, hi)`` range of points in
+process; kinds a :class:`repro.cluster.Coordinator` can shard (sweeps
+here, study rounds in :func:`repro.studies.round_plan`) also name
+their workload for its digest and compute the same range over the
+worker HTTP routes with ``fleet_range``.  Either way the points go
+through the one ``aggregate``, so a ``rascad jobs`` sweep result and a
+coordinator-merged ``/v1/sweep`` body are the same bytes by
+construction.
 """
 
 from __future__ import annotations
@@ -22,8 +32,9 @@ import signal
 import socket
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
@@ -49,6 +60,7 @@ from .types import (
     JobSpec,
     distribution_from_dict,
     result_digest,
+    workload_digest,
 )
 
 #: Points solved between durable checkpoints (and heartbeats).
@@ -90,6 +102,10 @@ class Checkpointer:
             pass
 
 
+#: One worker ``POST``: ``call(path, payload)`` answers the JSON body.
+WorkerCall = Callable[[str, Dict[str, object]], Mapping[str, object]]
+
+
 @dataclass
 class Plan:
     """A job decomposed into point computations plus an aggregation.
@@ -100,12 +116,26 @@ class Plan:
     ``resume``, when set, is called once with the checkpointed value
     prefix before any solving, so plans that carry internal search
     state (again: studies) can replay it.
+
+    Shardable kinds also set ``workload``, the document their
+    :attr:`digest` covers (built on demand: in-process runs never need
+    it), and ``fleet_range(call, lo, hi)``, which computes exactly
+    ``solve_range(lo, hi)``'s values through worker routes.
     """
 
     total: int
     solve_range: Callable[[int, int], List[float]]
-    aggregate: Callable[[List[float]], Dict[str, object]]
+    aggregate: Callable[[List[float]], Any]
     resume: Optional[Callable[[List[float]], None]] = None
+    workload: Optional[Callable[[], Dict[str, object]]] = None
+    fleet_range: Optional[Callable[[WorkerCall, int, int], List[float]]] = (
+        None
+    )
+
+    @cached_property
+    def digest(self) -> str:
+        """The workload digest shard ids derive from (``wl-...``)."""
+        return workload_digest(self.workload())
 
 
 def _require(params, key: str, kind_name: str):
@@ -183,16 +213,60 @@ def _plan_sweep(
     spec: JobSpec, model: DiagramBlockModel, engine: Engine
 ) -> Plan:
     params = spec.params
-    field = str(_require(params, "field", "sweep"))
-    values = _float_list(_require(params, "values", "sweep"),
-                         "params.values")
-    block = params.get("block")
-    method = _solver_options(params, "sweep")
+    return sweep_plan(
+        model,
+        engine,
+        spec.spec,
+        str(_require(params, "field", "sweep")),
+        _float_list(_require(params, "values", "sweep"), "params.values"),
+        params.get("block"),
+        _solver_options(params, "sweep"),
+    )
+
+
+def sweep_plan(
+    model: DiagramBlockModel,
+    engine: Engine,
+    spec_doc: Mapping[str, object],
+    field: str,
+    values: List[float],
+    block: Optional[str],
+    method: SolverOptions,
+) -> Plan:
+    """A sweep of one field: a point per value, its availability.
+
+    The fleet executor sends one ``/v1/sweep`` per range with the
+    value slice and the fully resolved solver pinned, so every worker
+    computes with the same numerics.  ``spec_doc`` is the model's
+    resolved document, so the digest never depends on how a client
+    spelled the model.
+    """
+    solver = method.to_dict()
 
     def solve_range(lo: int, hi: int) -> List[float]:
         return engine.sweep_availabilities(
             model, block, field, values[lo:hi], method
         )
+
+    def fleet_range(call: WorkerCall, lo: int, hi: int) -> List[float]:
+        payload: Dict[str, object] = {
+            "spec": spec_doc,
+            "field": field,
+            "values": values[lo:hi],
+            "solver": solver,
+            # Shard requests never fan out again, even if the worker
+            # happens to be a coordinator itself.
+            "cluster": False,
+        }
+        if block is not None:
+            payload["block"] = block
+        points = call("/v1/sweep", payload).get("points")
+        if not isinstance(points, list) or len(points) != hi - lo:
+            count = len(points) if isinstance(points, list) else 0
+            raise SpecError(
+                f"worker returned {count} points for range [{lo}, {hi})"
+            )
+        return [float(point["availability"]) for point in points]
 
     def aggregate(availabilities: List[float]) -> Dict[str, object]:
         return {
@@ -203,7 +277,16 @@ def _plan_sweep(
             ),
         }
 
-    return Plan(len(values), solve_range, aggregate)
+    def workload() -> Dict[str, object]:
+        return {
+            "kind": "sweep", "spec": spec_doc, "field": field,
+            "block": block, "values": values, "solver": solver,
+        }
+
+    return Plan(
+        len(values), solve_range, aggregate,
+        workload=workload, fleet_range=fleet_range,
+    )
 
 
 def _plan_uncertainty(

@@ -277,6 +277,12 @@ def result_digest(payload: Mapping[str, object]) -> str:
     return content_digest(payload)
 
 
+def workload_digest(document: Mapping[str, object]) -> str:
+    """The ``wl-`` id of a shardable workload document; cluster shard
+    ids derive from it."""
+    return digest_id("wl", document, 32)
+
+
 def job_counts(records: "List[JobRecord]") -> Dict[str, int]:
     """Per-state totals for a record list (metrics helper)."""
     counts = {state: 0 for state in JOB_STATES}

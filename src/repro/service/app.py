@@ -549,29 +549,26 @@ class App:
         field_name: str,
         values: List[float],
     ) -> Response:
-        """Fan one sweep out over the fleet and merge the shards.
+        """Fan one sweep out over the fleet and aggregate the points.
 
-        The workload pins the request's fully resolved solver options,
-        so every worker solves with identical numerics whatever its own
-        defaults are — a precondition for the bit-identity guarantee.
-        ``spec_doc`` is the already-resolved document (inline spec or
-        registry ref), so shard digests never depend on how the client
-        spelled the model.
+        The sweep is a jobs sweep plan, so the body is the
+        ``result_digest``-stamped payload a ``rascad jobs`` sweep of
+        the same request stores.  ``spec_doc`` is the already-resolved
+        document (inline spec or registry ref), so shard digests never
+        depend on how the client spelled the model.
         """
-        from ..cluster import SweepWorkload
+        from ..jobs.runner import sweep_plan
+        from ..jobs.types import result_digest
 
-        workload = SweepWorkload(
-            dict(spec_doc),
-            field_name,
-            values,
-            block=block,
-            solver=method.to_dict(),
-            model_name=model.name,
+        plan = sweep_plan(
+            model, self.engine, spec_doc, field_name, values, block, method
         )
         timeout = _field(payload, "timeout_seconds", float, required=False)
-        merged = await asyncio.to_thread(
-            self._coordinator().run_workload, workload, timeout
+        points = await asyncio.to_thread(
+            self._coordinator().run_workload, plan, timeout
         )
+        merged = plan.aggregate(points)
+        merged["result_digest"] = result_digest(merged)
         self.engine.stats.increment("cluster_sweeps")
         return json_response(merged)
 
@@ -853,57 +850,25 @@ class App:
         return document
 
     def _study_evaluator(self, study: "StudySpec", timeout):
-        """Per-round evaluation, fanned over the cluster when one is
-        attached and the round is worth sharding.
-
-        Candidates ship as plain batch solves with the study's solver
-        pinned, so a fleet-evaluated round returns bit-identical
-        availabilities to a local :meth:`Engine.solve_many` — the
-        merged front digest equals the single-process digest.
-        """
-        from ..cluster import StudyWorkload
-        from ..studies import INVALID_AVAILABILITY, study_digest
-        from ..studies.runner import evaluate_candidates
+        """Per-round evaluation, fanned over the cluster when the
+        round has enough valid candidates to be worth sharding."""
+        from ..studies import round_evaluator, study_digest
 
         coordinator = self.cluster
-        study_id = study_digest(study, database=self.database)
-        solver = SolverOptions(steady_method=study.method).to_dict()
-        state = {"round": 0}
 
-        def evaluate(candidates):
-            round_index = state["round"]
-            state["round"] += 1
-            valid = [
-                (position, candidate)
-                for position, candidate in enumerate(candidates)
-                if candidate.model is not None
-            ]
-            if (
-                coordinator is None
-                or len(valid) < coordinator.config.fanout_threshold
-            ):
-                return evaluate_candidates(
-                    self.engine, candidates, study.method
-                )
-            workload = StudyWorkload(
-                study_id,
-                round_index,
-                [
-                    model_to_spec(candidate.model)
-                    for _position, candidate in valid
-                ],
-                solver=solver,
-            )
-            merged = coordinator.run_workload(workload, timeout)
-            availabilities = [INVALID_AVAILABILITY] * len(candidates)
-            for (position, _candidate), availability in zip(
-                valid, merged["availabilities"]
-            ):
-                availabilities[position] = float(availability)
+        def execute(plan) -> List[float]:
+            if plan.total < coordinator.config.fanout_threshold:
+                return plan.solve_range(0, plan.total)
+            values = coordinator.run_workload(plan, timeout)
             self.engine.stats.increment("cluster_study_rounds")
-            return availabilities
+            return values
 
-        return evaluate
+        return round_evaluator(
+            self.engine,
+            study,
+            study_digest(study, database=self.database),
+            execute,
+        )
 
     def _run_study_sync(
         self, study: "StudySpec", use_cluster: bool, timeout

@@ -18,7 +18,8 @@ Layers:
 * :mod:`~repro.studies.pareto` — dominance and the non-dominated
   front.
 * :mod:`~repro.studies.runner` — the search loop over
-  ``Engine.solve_many`` plus the pure trace-to-result aggregation.
+  ``Engine.solve_many``, one round's plan for in-process or cluster
+  evaluation, plus the pure trace-to-result aggregation.
 * :mod:`~repro.studies.store` — persisted study records for the
   service.
 """
@@ -35,6 +36,8 @@ from .runner import (
     candidate_row,
     evaluate_candidates,
     front_rows,
+    round_evaluator,
+    round_plan,
     run_study,
 )
 from .spec import (
@@ -82,6 +85,8 @@ __all__ = [
     "pareto_front",
     "register_strategy",
     "replay",
+    "round_evaluator",
+    "round_plan",
     "run_study",
     "study_digest",
 ]

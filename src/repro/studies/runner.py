@@ -8,7 +8,8 @@ The runner is deliberately split in two:
   hits the engine's content-addressed cache — re-running a study is
   nearly free), and collect the flat availability trace.  An
   ``evaluate`` hook lets the service swap in a cluster fan-out per
-  round without touching the search logic.
+  round without touching the search logic: a round is one
+  :func:`round_plan`, run in process or over the fleet.
 * :func:`aggregate_study` — a *pure function* from the study spec and
   the complete value trace to the result payload: candidate rows with
   lineage diffs, the non-dominated cost/downtime front, the winner,
@@ -20,13 +21,17 @@ The runner is deliberately split in two:
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import count
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.block import DiagramBlockModel
 from ..database import PartsDatabase, builtin_database
 from ..engine import Engine
+from ..jobs.runner import Plan, WorkerCall
+from ..num import SolverOptions
 from ..obs.trace import get_tracer
-from ..spec import parse_spec
+from ..spec import model_to_spec, parse_spec
 from ..units import availability_to_yearly_downtime_minutes
 from .candidates import (
     Candidate,
@@ -42,30 +47,98 @@ from .strategies import GridStrategy, Strategy, make_strategy, replay
 Evaluator = Callable[[List[Candidate]], List[float]]
 
 
+def round_plan(
+    engine: Engine,
+    candidates: Sequence[Candidate],
+    method: str = "direct",
+    study_id: str = "",
+    round_index: int = 0,
+) -> Plan:
+    """One study round: a point per *valid* candidate, its availability.
+
+    The in-process executor solves the valid candidates through
+    :meth:`Engine.solve_many` as a single batch (cache-checked, fanned
+    out when the engine has workers); the fleet executor sends one
+    ``/v1/solve`` per valid candidate with the study's solver pinned.
+    ``aggregate`` places the values back at their candidates'
+    positions, and invalid candidates keep the 0.0 sentinel without a
+    solve.  The workload digest pins ``(study_id, round_index)``.
+    """
+    positions = [
+        position
+        for position, candidate in enumerate(candidates)
+        if candidate.model is not None
+    ]
+    models = [candidates[position].model for position in positions]
+    solver = SolverOptions(steady_method=method).to_dict()
+
+    @cache
+    def specs() -> List[Dict[str, object]]:
+        return [model_to_spec(model) for model in models]
+
+    def solve_range(lo: int, hi: int) -> List[float]:
+        return [
+            solution.availability
+            for solution in engine.solve_many(models[lo:hi], method)
+        ]
+
+    def fleet_range(call: WorkerCall, lo: int, hi: int) -> List[float]:
+        return [
+            float(call("/v1/solve", {"spec": spec, "solver": solver})[
+                "availability"
+            ])
+            for spec in specs()[lo:hi]
+        ]
+
+    def aggregate(values: List[float]) -> List[float]:
+        availabilities = [INVALID_AVAILABILITY] * len(candidates)
+        for position, availability in zip(positions, values):
+            availabilities[position] = availability
+        return availabilities
+
+    def workload() -> Dict[str, object]:
+        return {
+            "kind": "study", "study_id": study_id, "round": round_index,
+            "specs": specs(), "solver": solver,
+        }
+
+    return Plan(
+        len(models), solve_range, aggregate,
+        workload=workload, fleet_range=fleet_range,
+    )
+
+
 def evaluate_candidates(
     engine: Engine,
     candidates: Sequence[Candidate],
     method: str = "direct",
 ) -> List[float]:
-    """One study round through the engine.
+    """One study round through the engine, in process."""
+    plan = round_plan(engine, candidates, method)
+    return plan.aggregate(plan.solve_range(0, plan.total))
 
-    Valid candidates go through :meth:`Engine.solve_many` as a single
-    batch (cache-checked, fanned out when the engine has workers);
-    invalid candidates keep the 0.0 sentinel without a solve.
+
+def round_evaluator(
+    engine: Engine,
+    study: StudySpec,
+    study_id: str,
+    execute: Callable[[Plan], List[float]],
+) -> Evaluator:
+    """A :func:`run_study` hook that runs each round through ``execute``.
+
+    Every round becomes a :func:`round_plan`; ``execute(plan)``
+    returns its point values (the cluster fan-out, for instance), and
+    the plan's aggregate places them at their candidates.
     """
-    valid = [
-        (position, candidate.model)
-        for position, candidate in enumerate(candidates)
-        if candidate.model is not None
-    ]
-    availabilities = [INVALID_AVAILABILITY] * len(candidates)
-    if valid:
-        solutions = engine.solve_many(
-            [model for _position, model in valid], method
+    rounds = count()
+
+    def evaluate(candidates: List[Candidate]) -> List[float]:
+        plan = round_plan(
+            engine, candidates, study.method, study_id, next(rounds)
         )
-        for (position, _model), solution in zip(valid, solutions):
-            availabilities[position] = solution.availability
-    return availabilities
+        return plan.aggregate(execute(plan))
+
+    return evaluate
 
 
 def run_study(

@@ -8,6 +8,7 @@ sockets become deterministic event choreography.
 """
 
 import hashlib
+import json
 import threading
 import time
 
@@ -26,9 +27,7 @@ from repro.cluster.sharding import plan_shards
 
 
 class FakeWorkload:
-    """An engine-free workload: points are just their own values."""
-
-    kind = "fake"
+    """An engine-free plan: each point's value is its own index."""
 
     def __init__(self, total=12, tag="t"):
         self.values = [float(i) for i in range(total)]
@@ -40,11 +39,8 @@ class FakeWorkload:
     def total(self):
         return len(self.values)
 
-    def calls(self, lo, hi):
-        return [("/fake", {"lo": lo, "hi": hi})]
-
-    def aggregate(self, points):
-        return {"kind": "fake", "points": [dict(p) for p in points]}
+    def fleet_range(self, call, lo, hi):
+        return call("/fake", {"lo": lo, "hi": hi})["values"]
 
 
 class ScriptedClient:
@@ -56,15 +52,13 @@ class ScriptedClient:
         self._behaviors = behaviors
         self._calls = calls
 
-    def execute_shard(self, workload, lo, hi, trace_header=None):
+    def call(self, path, payload, trace_header=None):
+        lo, hi = payload["lo"], payload["hi"]
         behavior = self._behaviors.get(self.worker_id)
         if behavior is not None:
             behavior(lo, hi)
         self._calls.append((self.worker_id, lo, hi))
-        return [
-            {"value": value, "worker": self.worker_id}
-            for value in workload.values[lo:hi]
-        ]
+        return {"values": [float(i) for i in range(lo, hi)]}
 
 
 def make_coordinator(
@@ -85,19 +79,14 @@ def make_coordinator(
     return coordinator, calls
 
 
-def merged_values(payload):
-    return [point["value"] for point in payload["points"]]
-
-
 class TestHappyPath:
     def test_two_workers_cover_the_whole_range_in_order(self):
         coordinator, calls = make_coordinator(
             ["http://a:1", "http://b:1"]
         )
         workload = FakeWorkload(total=22)
-        payload = coordinator.run_workload(workload, timeout=30)
-        assert merged_values(payload) == workload.values
-        assert payload["result_digest"]
+        points = coordinator.run_workload(workload, timeout=30)
+        assert points == workload.values
         assert coordinator.jobs_completed == 1
         assert coordinator.shards_completed == 6
         # Every executed range landed exactly once in the result.
@@ -136,8 +125,8 @@ class TestFailures:
             behaviors={"bad:1": bad, "good:1": good},
         )
         workload = FakeWorkload(total=12)
-        payload = coordinator.run_workload(workload, timeout=30)
-        assert merged_values(payload) == workload.values
+        points = coordinator.run_workload(workload, timeout=30)
+        assert points == workload.values
         assert {worker for worker, _, _ in calls} == {"good:1"}
         assert coordinator.membership.get("bad:1").state == "dead"
         assert coordinator.shards_retried >= 1
@@ -198,7 +187,7 @@ class TestFailures:
         coordinator, _ = make_coordinator(["http://a:1"])
         workload = FakeWorkload(total=4)
         shards = plan_shards(workload.digest, workload.total, 4)
-        state = _JobState(shards)
+        state = _JobState(workload.digest, shards)
         state.attempts[shards[0].id] = (
             coordinator.config.max_shard_attempts
         )
@@ -226,20 +215,56 @@ class TestStealing:
         )
         workload = FakeWorkload(total=8)
         try:
-            payload = coordinator.run_workload(workload, timeout=30)
+            points = coordinator.run_workload(workload, timeout=30)
         finally:
             release_slow.set()
-        assert merged_values(payload) == workload.values
+        assert points == workload.values
         assert coordinator.shards_stolen >= 1
         assert coordinator.membership.get("fast:1").shards_stolen >= 1
         # Let the stuck worker finish; its late completion must lose.
         time.sleep(0.1)
         results = coordinator.store.results(workload.digest)
         assert sorted(
-            value
-            for points in results.values()
-            for value in (p["value"] for p in points)
+            value for points in results.values() for value in points
         ) == workload.values
+
+    def test_identical_workloads_in_flight_at_once_both_finish(self):
+        """A retried request runs the same workload again while the
+        first run is still going: the shards one run commits are done
+        for the other, and both merge the same points."""
+        active = []
+
+        def slow(lo, hi):
+            active.append(len(coordinator.status()["active"]))
+            time.sleep(0.03)
+
+        coordinator, _ = make_coordinator(
+            ["http://a:1", "http://b:1"],
+            behaviors={"a:1": slow, "b:1": slow},
+            shard_size=2,
+        )
+        results, errors = [], []
+
+        def run():
+            try:
+                results.append(coordinator.run_workload(
+                    FakeWorkload(total=16, tag="same"), timeout=30
+                ))
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        assert errors == []
+        assert len(results) == 2
+        assert json.dumps(results[0]) == json.dumps(results[1])
+        assert results[0] == FakeWorkload(total=16).values
+        # Each run had its own status entry while both were in flight.
+        assert max(active) == 2
+        assert coordinator.status()["active"] == []
 
 
 class TestResume:
@@ -249,19 +274,40 @@ class TestResume:
         store = ShardStore()
         store.plan(workload.digest, shards)
         store.lease(shards[0].id, "previous:1")
+        store.complete(
+            shards[0].id, workload.values[shards[0].lo:shards[0].hi]
+        )
+
+        coordinator, calls = make_coordinator(
+            ["http://a:1"], store=store
+        )
+        points = coordinator.run_workload(workload, timeout=30)
+        assert points == workload.values
+        executed = {(lo, hi) for _, lo, hi in calls}
+        assert (shards[0].lo, shards[0].hi) not in executed
+        assert len(executed) == 2
+
+    def test_a_row_in_the_point_document_format_never_merges(self):
+        """Ledgers once stored a document per point; such a row is
+        re-executed, not merged into the result."""
+        workload = FakeWorkload(total=8)
+        shards = plan_shards(workload.digest, workload.total, 4)
+        store = ShardStore()
+        store.plan(workload.digest, shards)
+        store.lease(shards[0].id, "previous:1")
         store.complete(shards[0].id, [
-            {"value": value, "worker": "previous:1"}
+            {"value": value, "availability": 0.5}
             for value in workload.values[shards[0].lo:shards[0].hi]
         ])
 
         coordinator, calls = make_coordinator(
             ["http://a:1"], store=store
         )
-        payload = coordinator.run_workload(workload, timeout=30)
-        assert merged_values(payload) == workload.values
-        executed = {(lo, hi) for _, lo, hi in calls}
-        assert (shards[0].lo, shards[0].hi) not in executed
-        assert len(executed) == 2
+        points = coordinator.run_workload(workload, timeout=30)
+        assert points == workload.values
+        assert (shards[0].lo, shards[0].hi) in {
+            (lo, hi) for _, lo, hi in calls
+        }
 
 
 class TestStatus:

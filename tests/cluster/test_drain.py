@@ -13,9 +13,8 @@ import signal
 import pytest
 
 from repro.cluster.coordinator import ShardStore
-from repro.cluster.merge import merged_payload
+from repro.cluster.merge import merge_points
 from repro.cluster.sharding import plan_shards
-from repro.cluster.workloads import SweepWorkload
 from repro.engine import Engine
 from repro.jobs import (
     Checkpointer,
@@ -25,8 +24,9 @@ from repro.jobs import (
     WorkerConfig,
     execute_job,
 )
-from repro.jobs.types import result_digest
+from repro.jobs.runner import sweep_plan
 from repro.library import e10000_model
+from repro.num import as_options
 from repro.spec import model_to_spec
 
 BLOCK = "E10000 Server/Operating System"
@@ -61,25 +61,18 @@ def preserved_handlers():
         signal.signal(signum, handler)
 
 
-def sweep_points(engine, values):
-    return [
-        {
-            "value": point.value,
-            "availability": point.availability,
-            "yearly_downtime_minutes": point.yearly_downtime_minutes,
-        }
-        for point in engine.sweep_block_field(
-            e10000_model(), BLOCK, FIELD, values
-        )
-    ]
+def sweep(engine):
+    """The sweep's one plan, solving in process on ``engine``."""
+    return sweep_plan(
+        e10000_model(), engine, model_to_spec(e10000_model()), FIELD,
+        VALUES, BLOCK, as_options("direct"),
+    )
 
 
 def test_drained_shard_is_released_and_finished_elsewhere(
     tmp_path, preserved_handlers
 ):
-    workload = SweepWorkload(
-        model_to_spec(e10000_model()), FIELD, VALUES, block=BLOCK
-    )
+    workload = sweep(Engine(jobs=1, cache_dir=tmp_path / "cache-ref"))
     shards = plan_shards(workload.digest, workload.total, 4)
     shard_store = ShardStore(str(tmp_path / "cluster.sqlite3"))
     shard_store.plan(workload.digest, shards)
@@ -90,11 +83,11 @@ def test_drained_shard_is_released_and_finished_elsewhere(
     job_store = JobStore(tmp_path / "jobs.sqlite3")
     job_spec = JobSpec(
         kind="sweep",
-        spec=workload.spec,
+        spec=model_to_spec(e10000_model()),
         params={
             "field": FIELD,
             "block": BLOCK,
-            "values": workload.values[first.lo:first.hi],
+            "values": VALUES[first.lo:first.hi],
         },
     )
     record, _ = job_store.submit(job_spec)
@@ -131,31 +124,26 @@ def test_drained_shard_is_released_and_finished_elsewhere(
         resumed, job_store, engine_b,
         Checkpointer(tmp_path / "checkpoints"),
     ) == "succeeded"
-    finished = job_store.get(record.id)
-    assert shard_store.complete(
-        first.id, finished.result["points"]
-    ) is True
+    finished = [
+        point["availability"]
+        for point in job_store.get(record.id).result["points"]
+    ]
+    assert shard_store.complete(first.id, finished) is True
 
     # Node A comes back from the dead with a stale duplicate: it loses.
-    assert shard_store.complete(
-        first.id, finished.result["points"]
-    ) is False
+    assert shard_store.complete(first.id, finished) is False
 
     # Node B finishes the remaining shard and the merge is
     # bit-identical to an uninterrupted single-process run.
     second = shards[1]
     assert shard_store.lease(second.id, "node-b:8100") == 1
     assert shard_store.complete(
-        second.id, sweep_points(engine_b, VALUES[second.lo:second.hi])
+        second.id, sweep(engine_b).solve_range(second.lo, second.hi)
     ) is True
-    payload = merged_payload(
-        workload, shards, shard_store.results(workload.digest)
+    payload = workload.aggregate(
+        merge_points(shards, shard_store.results(workload.digest))
     )
 
-    reference = workload.aggregate(
-        sweep_points(Engine(jobs=1, cache_dir=tmp_path / "cache-ref"),
-                     VALUES)
-    )
-    reference["result_digest"] = result_digest(reference)
+    reference = workload.aggregate(workload.solve_range(0, workload.total))
     assert payload == reference
     shard_store.close()

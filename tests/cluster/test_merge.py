@@ -1,4 +1,4 @@
-"""Positional merges, digest stamping, and telemetry roll-ups."""
+"""Positional merges and telemetry roll-ups."""
 
 import pytest
 
@@ -7,11 +7,8 @@ from repro.cluster.merge import (
     merge_histograms,
     merge_points,
     merge_worker_metrics,
-    merged_payload,
 )
 from repro.cluster.sharding import plan_shards
-from repro.cluster.workloads import SweepWorkload
-from repro.jobs.types import result_digest
 from repro.obs.histogram import Histogram
 
 DIGEST = "wl-0123456789abcdef0123456789abcdef"
@@ -19,7 +16,7 @@ DIGEST = "wl-0123456789abcdef0123456789abcdef"
 
 def shard_results(shards, values):
     return {
-        shard.id: [{"value": float(v)} for v in values[shard.lo:shard.hi]]
+        shard.id: [float(v) for v in values[shard.lo:shard.hi]]
         for shard in shards
     }
 
@@ -30,7 +27,7 @@ class TestMergePoints:
         shards = plan_shards(DIGEST, len(values), 10)
         results = shard_results(shards, values)
         merged = merge_points(reversed(shards), results)
-        assert [p["value"] for p in merged] == [float(v) for v in values]
+        assert merged == [float(v) for v in values]
 
     def test_missing_shard_raises(self):
         shards = plan_shards(DIGEST, 20, 10)
@@ -51,27 +48,6 @@ class TestMergePoints:
         results = shard_results(shards, list(range(20)))
         with pytest.raises(ClusterError, match="does not tile"):
             merge_points(shards[1:], results)
-
-
-class TestMergedPayload:
-    def test_digest_matches_the_jobs_formula(self):
-        spec = {"name": "m", "diagram": {"name": "m", "blocks": []}}
-        workload = SweepWorkload(
-            spec, "mtbf_hours", [1.0, 2.0, 3.0], model_name="m"
-        )
-        shards = plan_shards(workload.digest, workload.total, 2)
-        results = {
-            shards[0].id: [
-                {"value": 1.0, "availability": 0.9},
-                {"value": 2.0, "availability": 0.95},
-            ],
-            shards[1].id: [{"value": 3.0, "availability": 0.99}],
-        }
-        payload = merged_payload(workload, shards, results)
-        assert [p["value"] for p in payload["points"]] == [1.0, 2.0, 3.0]
-        expected = dict(payload)
-        expected.pop("result_digest")
-        assert payload["result_digest"] == result_digest(expected)
 
 
 class TestMergeHistograms:

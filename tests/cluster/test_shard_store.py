@@ -32,7 +32,7 @@ class TestPlanning:
     def test_replanning_preserves_done_rows(self, store):
         shards = planned(store)
         store.lease(shards[0].id, "node-1:8100")
-        store.complete(shards[0].id, [{"value": 1.0}])
+        store.complete(shards[0].id, [1.0])
         store.plan(DIGEST, shards)
         counts = store.counts(DIGEST)
         assert counts == {"done": 1, "pending": len(shards) - 1}
@@ -60,9 +60,9 @@ class TestLifecycle:
     def test_complete_is_first_write_wins(self, store):
         shards = planned(store)
         store.lease(shards[0].id, "a:1")
-        assert store.complete(shards[0].id, [{"value": 1.0}]) is True
-        assert store.complete(shards[0].id, [{"value": 9.0}]) is False
-        assert store.results(DIGEST)[shards[0].id] == [{"value": 1.0}]
+        assert store.complete(shards[0].id, [1.0]) is True
+        assert store.complete(shards[0].id, [9.0]) is False
+        assert store.results(DIGEST)[shards[0].id] == [1.0]
 
     def test_lease_of_a_done_shard_returns_zero(self, store):
         shards = planned(store)
@@ -101,7 +101,7 @@ class TestResume:
         shards = plan_shards(DIGEST, 20, 10)
         first.plan(DIGEST, shards)
         first.lease(shards[0].id, "a:1")
-        first.complete(shards[0].id, [{"value": 1.0}, {"value": 2.0}])
+        first.complete(shards[0].id, [1.0, 2.0])
         first.lease(shards[1].id, "a:1")  # in flight at the crash
         first.close()
 
@@ -109,9 +109,7 @@ class TestResume:
         second.plan(DIGEST, plan_shards(DIGEST, 20, 10))
         counts = second.counts(DIGEST)
         assert counts == {"done": 1, "pending": 1}
-        assert second.results(DIGEST)[shards[0].id] == [
-            {"value": 1.0}, {"value": 2.0}
-        ]
+        assert second.results(DIGEST)[shards[0].id] == [1.0, 2.0]
         second.close()
 
     def test_jobs_are_isolated_by_digest(self, store):

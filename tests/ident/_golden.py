@@ -27,7 +27,6 @@ def compute_golden() -> Dict[str, object]:
         rendezvous_score,
         shard_id,
     )
-    from repro.cluster.workloads import SweepWorkload
     from repro.engine.keys import (
         block_digest,
         chain_digest,
@@ -35,7 +34,12 @@ def compute_golden() -> Dict[str, object]:
         task_seed,
     )
     from repro.jobs.retry import backoff_delay
-    from repro.jobs.types import JobSpec, job_digest, result_digest
+    from repro.jobs.types import (
+        JobSpec,
+        job_digest,
+        result_digest,
+        workload_digest,
+    )
     from repro.library import e10000_model, workgroup_model
     from repro.registry.types import spec_digest
     from repro.spec import model_to_spec
@@ -89,10 +93,11 @@ def compute_golden() -> Dict[str, object]:
     golden["rendezvous_score_s_w"] = rendezvous_score(
         "shard-aaaa", "worker-1"
     )
-    workload = SweepWorkload(
-        spec_doc, "mtbf_hours", [1000.0, 2000.0, 3000.0]
-    )
-    golden["workload_digest_sweep"] = workload.digest
+    # A sweep plan's workload document, here without a pinned solver.
+    golden["workload_digest_sweep"] = workload_digest({
+        "kind": "sweep", "spec": spec_doc, "field": "mtbf_hours",
+        "block": None, "values": [1000.0, 2000.0, 3000.0], "solver": None,
+    })
 
     # registry
     golden["spec_digest_workgroup"] = spec_digest(model)

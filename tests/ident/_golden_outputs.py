@@ -22,7 +22,7 @@ import json
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict
 
 OS_BLOCK = "Workgroup Server/Operating System"
 FAN = "Workgroup Server/Fan"
@@ -145,14 +145,11 @@ class _InProcessWorker:
         self.worker_id = worker_id_for(url)
         self._app = app
 
-    def execute_shard(self, workload, lo, hi, trace_header=None):
-        bodies: List[Dict[str, object]] = []
-        for path, payload in workload.calls(lo, hi):
-            response = asyncio.run(self._app.handle(_post(path, payload)))
-            if response.status != 200:
-                raise RuntimeError(response.body.decode())
-            bodies.append(json.loads(response.body))
-        return workload.extract(bodies, lo, hi)
+    def call(self, path, payload, trace_header=None):
+        response = asyncio.run(self._app.handle(_post(path, payload)))
+        if response.status != 200:
+            raise RuntimeError(response.body.decode())
+        return json.loads(response.body)
 
 
 def _service_bodies() -> Dict[str, object]:

@@ -287,18 +287,78 @@ class TestPlans:
         assert 0.0 < result["simulated_mean"] <= 1.0
         assert isinstance(result["agreement"], bool)
 
-    def test_sweep_requires_field(self, harness):
+    @pytest.mark.parametrize(
+        "params, match",
+        [
+            ({"values": [1.0]}, "params.field"),
+            ({"field": "mtbf_hours", "values": []}, "params.values"),
+        ],
+    )
+    def test_sweep_requires_field(self, harness, params, match):
         _, _, engine = harness
         spec = JobSpec(
             kind="sweep",
             spec=model_to_spec(e10000_model()),
-            params={"values": [1.0]},
+            params=params,
         )
         model = parse_spec(json.loads(json.dumps(dict(spec.spec))))
         from repro.errors import SpecError
 
-        with pytest.raises(SpecError, match="params.field"):
+        with pytest.raises(SpecError, match=match):
             plan_job(spec, model, engine)
+
+    def test_sweep_digest_covers_the_workload_document(self, harness):
+        from repro.jobs.types import workload_digest
+        from repro.num import as_options
+
+        _, _, engine = harness
+        spec = sweep_spec(count=4)
+        plan = plan_job(spec, e10000_model(), engine)
+        assert plan.digest == workload_digest({
+            "kind": "sweep", "spec": spec.spec, "field": "mtbf_hours",
+            "block": "E10000 Server/Operating System",
+            "values": spec.params["values"],
+            "solver": as_options("direct").to_dict(),
+        })
+        assert plan.digest.startswith("wl-")
+        other = plan_job(sweep_spec(count=5), e10000_model(), engine)
+        assert other.digest != plan.digest
+
+    def test_sweep_fleet_range_sends_the_value_slice(self, harness):
+        from repro.num import as_options
+
+        _, _, engine = harness
+        spec = sweep_spec(count=4, params={"method": "gth"})
+        plan = plan_job(spec, e10000_model(), engine)
+        local = plan.solve_range(1, 3)
+        sent = []
+
+        def call(path, payload):
+            sent.append((path, payload))
+            return {"points": [{"availability": a} for a in local]}
+
+        assert plan.fleet_range(call, 1, 3) == local
+        [(path, payload)] = sent
+        assert path == "/v1/sweep"
+        assert payload["values"] == spec.params["values"][1:3]
+        assert payload["block"] == "E10000 Server/Operating System"
+        assert payload["solver"] == as_options("gth").to_dict()
+        # Shards must never fan out again on a coordinator worker.
+        assert payload["cluster"] is False
+
+    @pytest.mark.parametrize(
+        "body, count",
+        [({"points": [{"availability": 0.9}]}, 1), ({"points": None}, 0)],
+    )
+    def test_sweep_fleet_range_validates_the_point_count(
+        self, harness, body, count
+    ):
+        from repro.errors import SpecError
+
+        _, _, engine = harness
+        plan = plan_job(sweep_spec(count=4), e10000_model(), engine)
+        with pytest.raises(SpecError, match=f"returned {count} points"):
+            plan.fleet_range(lambda path, payload: body, 1, 3)
 
 
 class TestMalformedParams:

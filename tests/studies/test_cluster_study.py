@@ -8,11 +8,19 @@ without sockets, deterministic under any shard placement.
 
 from repro.cluster import ClusterConfig, Coordinator, Membership
 from repro.cluster.membership import worker_id_for
-from repro.cluster.workloads import StudyWorkload
 from repro.engine import Engine
 from repro.library import workgroup_model
+from repro.num import SolverOptions
 from repro.spec import model_to_spec, parse_spec
-from repro.studies import INVALID_AVAILABILITY, parse_study, run_study
+from repro.studies import (
+    INVALID_AVAILABILITY,
+    Candidate,
+    evaluate_candidates,
+    parse_study,
+    round_evaluator,
+    round_plan,
+    run_study,
+)
 
 FAN = "Workgroup Server/Fan"
 PSU = "Workgroup Server/Power Supply"
@@ -34,26 +42,20 @@ def study_for(strategy="grid", **extra):
 
 
 class EngineClient:
-    """A worker client that solves shard calls on a local engine."""
+    """A worker client that answers ``/v1/solve`` on a local engine."""
 
     def __init__(self, url, engine):
         self.url = url
         self.worker_id = worker_id_for(url)
         self.engine = engine
 
-    def execute_shard(self, workload, lo, hi, trace_header=None):
-        bodies = []
-        for _path, payload in workload.calls(lo, hi):
-            model = parse_spec(dict(payload["spec"]))
-            solution = self.engine.solve(model, "direct")
-            # Only availability flows into the round's aggregate; the
-            # other point fields ride along as the service would send
-            # them, but a study never reads them.
-            bodies.append({
-                "model": model.name,
-                "availability": solution.availability,
-            })
-        return bodies
+    def call(self, path, payload, trace_header=None):
+        assert path == "/v1/solve"
+        model = parse_spec(dict(payload["spec"]))
+        solution = self.engine.solve(
+            model, SolverOptions.from_dict(payload["solver"])
+        )
+        return {"model": model.name, "availability": solution.availability}
 
 
 def make_coordinator(worker_count):
@@ -72,33 +74,27 @@ def make_coordinator(worker_count):
 
 
 def cluster_run(study, worker_count):
-    """run_study with per-round coordinator fan-out (the service's
-    evaluator shape, without the HTTP front end)."""
+    """run_study with every round's plan run by a coordinator (the
+    service's evaluator, without the HTTP front end)."""
     coordinator = make_coordinator(worker_count)
-    state = {"round": 0, "rounds_fanned": 0}
+    state = {"rounds_fanned": 0}
 
-    def evaluate(candidates):
-        round_index = state["round"]
-        state["round"] += 1
-        valid = [
-            (position, candidate)
-            for position, candidate in enumerate(candidates)
-            if candidate.model is not None
-        ]
-        workload = StudyWorkload(
-            "study-test", round_index,
-            [model_to_spec(c.model) for _p, c in valid],
-        )
-        merged = coordinator.run_workload(workload, timeout=60)
+    def execute(plan):
         state["rounds_fanned"] += 1
-        availabilities = [INVALID_AVAILABILITY] * len(candidates)
-        for (position, _c), availability in zip(
-            valid, merged["availabilities"]
-        ):
-            availabilities[position] = float(availability)
-        return availabilities
+        return coordinator.run_workload(plan, timeout=60)
 
+    evaluate = round_evaluator(Engine(), study, "study-test", execute)
     return run_study(study, evaluate=evaluate), state
+
+
+def candidates():
+    """Two valid candidates around an invalid one."""
+    model = workgroup_model()
+    return [
+        Candidate((0,), model, 1.0, ()),
+        Candidate((1,), None, 2.0, ()),
+        Candidate((2,), model, 3.0, ()),
+    ]
 
 
 class TestClusterBitIdentity:
@@ -130,18 +126,36 @@ class TestClusterBitIdentity:
         assert clustered == local
 
     def test_workload_digest_pins_study_and_round(self):
-        spec = model_to_spec(workgroup_model())
-        a = StudyWorkload("study-x", 0, [spec])
-        b = StudyWorkload("study-x", 1, [spec])
-        c = StudyWorkload("study-y", 0, [spec])
+        engine = Engine()
+        a = round_plan(engine, candidates(), "direct", "study-x", 0)
+        b = round_plan(engine, candidates(), "direct", "study-x", 1)
+        c = round_plan(engine, candidates(), "direct", "study-y", 0)
         assert len({a.digest, b.digest, c.digest}) == 3
 
-    def test_round_aggregate_shape(self):
-        spec = model_to_spec(workgroup_model())
-        workload = StudyWorkload("study-x", 2, [spec, spec])
-        payload = workload.aggregate([
-            {"availability": 0.9}, {"availability": 0.99},
-        ])
-        assert payload["kind"] == "study_round"
-        assert payload["round"] == 2
-        assert payload["availabilities"] == [0.9, 0.99]
+    def test_one_solve_call_per_valid_candidate(self):
+        engine = Engine()
+        plan = round_plan(engine, candidates(), "gth", "study-x", 0)
+        assert plan.total == 2
+        sent = []
+
+        def call(path, payload):
+            sent.append((path, payload))
+            return {"availability": 0.5 + len(sent) / 10}
+
+        assert plan.fleet_range(call, 0, 2) == [0.6, 0.7]
+        assert [path for path, _ in sent] == ["/v1/solve"] * 2
+        assert all(
+            payload["spec"] == model_to_spec(workgroup_model())
+            and payload["solver"]
+            == SolverOptions(steady_method="gth").to_dict()
+            for _, payload in sent
+        )
+
+    def test_round_aggregate_keeps_the_invalid_sentinel(self):
+        plan = round_plan(Engine(), candidates(), "direct", "study-x", 2)
+        assert plan.aggregate([0.9, 0.99]) == [
+            0.9, INVALID_AVAILABILITY, 0.99,
+        ]
+        local = evaluate_candidates(Engine(), candidates())
+        assert local[1] == INVALID_AVAILABILITY
+        assert local[0] == local[2] > 0.0

@@ -5,8 +5,8 @@ Exercises the cluster layer's fault-tolerance guarantee end to end,
 with real processes and real sockets:
 
 1. Compute the uninterrupted single-process reference payload for a
-   200-point E10000 sweep (the same ``result_digest``-stamped shape a
-   jobs run emits).
+   200-point E10000 sweep: the jobs sweep plan solved in process and
+   stamped with its ``result_digest``, as a jobs run stores it.
 2. Start a real coordinator subprocess (``rascad cluster
    coordinator``) and two real worker subprocesses (``rascad cluster
    worker``) that register dynamically and heartbeat.
@@ -35,12 +35,9 @@ from pathlib import Path
 from _smoke_common import Fleet, free_port, subprocess_env
 
 from repro.analysis import expand_values  # noqa: E402
-from repro.cluster import (  # noqa: E402
-    CoordinatorClient,
-    SweepWorkload,
-)
+from repro.cluster import CoordinatorClient  # noqa: E402
 from repro.engine import Engine  # noqa: E402
-from repro.jobs import result_digest  # noqa: E402
+from repro.jobs import JobSpec, plan_job, result_digest  # noqa: E402
 from repro.library import e10000_model  # noqa: E402
 from repro.spec import model_to_spec  # noqa: E402
 
@@ -53,21 +50,17 @@ LEASE_TIMEOUT = 4.0
 
 
 def reference_payload(base: Path, spec: dict, values: list) -> dict:
-    """The single-process run: bare engine sweep, jobs-shaped payload."""
-    model = e10000_model()
-    engine = Engine(jobs=1, cache_dir=base / "ref-cache")
-    points = engine.sweep_block_field(model, BLOCK, FIELD, values)
-    workload = SweepWorkload(
-        spec, FIELD, values, block=BLOCK, model_name=model.name
+    """The single-process run: the jobs sweep plan, solved in process."""
+    plan = plan_job(
+        JobSpec(
+            kind="sweep",
+            spec=spec,
+            params={"field": FIELD, "block": BLOCK, "values": values},
+        ),
+        e10000_model(),
+        Engine(jobs=1, cache_dir=base / "ref-cache"),
     )
-    payload = workload.aggregate([
-        {
-            "value": point.value,
-            "availability": point.availability,
-            "yearly_downtime_minutes": point.yearly_downtime_minutes,
-        }
-        for point in points
-    ])
+    payload = plan.aggregate(plan.solve_range(0, plan.total))
     payload["result_digest"] = result_digest(payload)
     return payload
 
