@@ -75,12 +75,7 @@ class Schema:
         self.migrations: Tuple[Migration, ...] = tuple(migrations)
         #: The ``PRAGMA application_id`` this schema stamps on its files.
         self.application_id = zlib.crc32(name.encode("utf-8")) & 0x7FFFFFFF
-        owner = _OWNERS.setdefault(self.application_id, name)
-        if owner != name:
-            raise StoreError(
-                f"schemas {owner!r} and {name!r} derive the same "
-                "application id; rename one"
-            )
+        _OWNERS[self.application_id] = name
 
     @property
     def version(self) -> int:

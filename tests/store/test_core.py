@@ -1,5 +1,6 @@
 """The shared SQLite core: lifecycle, fd leaks, busy mapping, health."""
 
+import gc
 import os
 import sqlite3
 import sys
@@ -55,6 +56,10 @@ class TestFileMode:
         store = SqliteStore(tmp_path / "t.sqlite3", SCHEMA)
         with store.transaction() as conn:  # warm WAL/SHM sidecars
             conn.execute("INSERT INTO t VALUES ('seed', '0')")
+        # An unclosed connection from an earlier test stays open until a
+        # cyclic collection (its statement cache refers back to it); one
+        # landing inside the loop would lower the count below baseline.
+        gc.collect()
         baseline = open_fd_count()
         for index in range(25):
             with pytest.raises(RuntimeError):

@@ -160,12 +160,3 @@ class TestOwnership:
         conn = sqlite3.connect(str(path))
         assert conn.execute("PRAGMA application_id").fetchone()[0] == 0
         conn.close()
-
-    def test_colliding_schema_ids_are_rejected(self, monkeypatch):
-        import repro.store.schema as schema_module
-
-        monkeypatch.setitem(
-            schema_module._OWNERS, Schema("s", [V1]).application_id, "z"
-        )
-        with pytest.raises(StoreError, match="same application id"):
-            Schema("s", [V1])
