@@ -31,6 +31,21 @@ from repro.validation import simulate_system_availability
 
 CPU = "Data Center System/Server Box/CPU Module"
 OS = "Workgroup Server/Operating System"
+#: The 208-state block that perfbench's ``sweep_cold`` workload sweeps.
+SWEEP_CPU = "E10000 Server/CPU Module"
+
+
+def _sweep_block_model(mtbf_hours):
+    """The E10000 model with its CPU Module widened to 208 states."""
+    from repro.analysis import with_block_changes
+
+    return with_block_changes(
+        e10000_model(), SWEEP_CPU, min_required=30, mtbf_hours=mtbf_hours
+    )
+
+
+def _float_bytes(values):
+    return np.array(list(values), dtype=np.float64).tobytes()
 
 
 class TestCachedSolve:
@@ -98,15 +113,57 @@ class TestCachedSolve:
             cluster_availability(parameters), abs=0.0
         )
 
-    def test_persistent_layer_survives_engine_restart(self, tmp_path):
-        model = e10000_model()
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            datacenter_model,
+            e10000_model,
+            workgroup_model,
+            lambda: _sweep_block_model(50_000.0),
+            lambda: _sweep_block_model(73_519.25),
+        ],
+        ids=["datacenter", "e10000", "workgroup", "cpu208-a", "cpu208-b"],
+    )
+    def test_persistent_layer_survives_engine_restart(
+        self, tmp_path, factory
+    ):
+        """A disk hit answers exactly what a memory-only solve does."""
+        model = factory()
         Engine(cache_dir=tmp_path).solve(model)
         rewarmed = Engine(cache_dir=tmp_path)
         solution = rewarmed.solve(model)
         snapshot = rewarmed.stats_snapshot()
         assert snapshot.block_solves == 0
         assert snapshot.disk_hits > 0
+        reference = Engine().solve(model)
+        assert solution.availability == reference.availability
+        assert solution.failure_frequency == reference.failure_frequency
         assert solution.availability == translate(model).availability
+        assert list(solution.by_path) == list(reference.by_path)
+        for path, expected in reference.by_path.items():
+            actual = solution.by_path[path]
+            assert list(actual.steady_state) == list(expected.steady_state)
+            assert _float_bytes(actual.steady_state.values()) == (
+                _float_bytes(expected.steady_state.values())
+            ), path
+            if expected.chain is None:
+                assert actual.chain is None
+                continue
+            assert actual.chain.state_names == expected.chain.state_names
+            got, want = actual.chain.arcs(), expected.chain.arcs()
+            assert np.array_equal(got.sources, want.sources), path
+            assert np.array_equal(got.targets, want.targets), path
+            assert np.array_equal(got.rates, want.rates), path
+
+    def test_persistent_chain_solve_survives_engine_restart(self, tmp_path):
+        chain = cluster_chain(ClusterParameters())
+        Engine(cache_dir=tmp_path).solve_chain(chain)
+        rewarmed = Engine(cache_dir=tmp_path)
+        pi = rewarmed.solve_chain(cluster_chain(ClusterParameters()))
+        assert rewarmed.stats_snapshot().disk_hits == 1
+        reference = Engine().solve_chain(chain)
+        assert list(pi) == list(reference)
+        assert _float_bytes(pi.values()) == _float_bytes(reference.values())
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(SolverError):
