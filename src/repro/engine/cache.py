@@ -14,26 +14,55 @@ Three namespaces share one cache object:
   the system key they derive from.
 
 Block entries can additionally persist to disk (``~/.cache/rascad`` or
-an explicit ``cache_dir``) as pickle files named by their content
-digest, giving cold *processes* warm starts.  Entries are written
-atomically and validated on load; anything unreadable or from another
-cache format version is treated as a miss and deleted.  Cached objects
-are shared between callers and must be treated as immutable.
+an explicit ``cache_dir``), one file per content digest, giving cold
+*processes* warm starts.  A file holds a :class:`BlockRecord`: plain
+data in a fixed little-endian layout (format version
+:data:`CACHE_FORMAT_VERSION`), never a pickle, so reading a shared
+cache directory runs no code from it.  The record keeps a solve's
+scalars and its steady-state vector, not its chain: a chain is a pure
+function of the block's parameters, so the engine regenerates it on a
+disk hit (a template refill, see DESIGN.md §4) and pairs the stored
+vector with its state names.  The 208-state E10000 sweep block's
+record is about 1.7 KB.
+
+The cache itself only moves bytes: callers hand :meth:`put_block` an
+``encode`` and :meth:`get_block` a ``decode``.  Entries are written
+atomically; bytes that do not decode (truncated, another format
+version, or a vector that does not fit the regenerated chain) are a
+miss, and the file is deleted.  Files keep the ``.pkl`` suffix of
+format 2, so an upgraded directory's old entries sit at the same
+paths and are discarded on first read.  Cached objects are shared
+between callers and must be treated as immutable.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
+import struct
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Tuple, TypeVar, Union
+
+import numpy as np
 
 from ..lru import LRU
 from ..store import atomic_write_bytes
 
-#: Bumped whenever the pickled payload layout changes; mismatched disk
-#: entries are silently discarded.
-CACHE_FORMAT_VERSION = 2
+#: A block value, as an ``encode``/``decode`` pair sees it.
+T = TypeVar("T")
+
+#: Bumped whenever the record layout changes; a disk entry of another
+#: version is discarded.  Version 2 was a pickled ``ChainSolve``.
+CACHE_FORMAT_VERSION = 3
+
+#: A record's first bytes, so a file of another kind never decodes.
+RECORD_MAGIC = b"RSCB"
+
+#: The fixed record header: magic, format version, model type,
+#: availability, failure frequency, state count, operator nonzeros and
+#: the byte lengths of the backend and representation names.  The two
+#: ASCII names follow it, then the steady-state vector as ``n_states``
+#: little-endian float64 values in chain state order.
+_HEADER = struct.Struct("<4sHhddIQBB")
 
 #: Capacity of the in-memory measures namespace, in entries.  A
 #: measure set is eleven floats, so this bounds the namespace to a
@@ -56,6 +85,69 @@ def default_cache_dir() -> Path:
 def _state_weight(value: object) -> int:
     """A block entry's weight: its chain's state count (at least 1)."""
     return max(1, getattr(value, "n_states", 1))
+
+
+class BlockRecord(NamedTuple):
+    """The persisted form of one block solve: scalars and the π vector.
+
+    ``model_type`` is -1 for a raw chain solved by
+    :meth:`repro.engine.Engine.solve_chain`, which has no block type.
+    """
+
+    model_type: int
+    availability: float
+    failure_frequency: float
+    backend: str
+    representation: str
+    nnz: int
+    pi: np.ndarray
+
+    @property
+    def n_states(self) -> int:
+        return len(self.pi)
+
+    def to_bytes(self) -> bytes:
+        backend = self.backend.encode("ascii")
+        representation = self.representation.encode("ascii")
+        header = _HEADER.pack(
+            RECORD_MAGIC, CACHE_FORMAT_VERSION, self.model_type,
+            self.availability, self.failure_frequency, len(self.pi),
+            self.nnz, len(backend), len(representation),
+        )
+        vector = np.asarray(self.pi, dtype="<f8").tobytes()
+        return b"".join((header, backend, representation, vector))
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> Optional["BlockRecord"]:
+        """The record in ``data``, or None unless it is a whole record
+        of this format version."""
+        if len(data) < _HEADER.size:
+            return None
+        (
+            magic, version, model_type, availability, frequency,
+            n_states, nnz, backend_len, representation_len,
+        ) = _HEADER.unpack_from(data)
+        names_end = _HEADER.size + backend_len + representation_len
+        if (
+            magic != RECORD_MAGIC
+            or version != CACHE_FORMAT_VERSION
+            or len(data) != names_end + 8 * n_states
+        ):
+            return None
+        try:
+            backend = data[_HEADER.size:_HEADER.size + backend_len].decode(
+                "ascii"
+            )
+            representation = data[
+                _HEADER.size + backend_len:names_end
+            ].decode("ascii")
+        except UnicodeDecodeError:
+            return None
+        pi = np.frombuffer(data, dtype="<f8", offset=names_end)
+        return cls(
+            model_type, availability, frequency, backend, representation,
+            nnz, pi,
+        )
 
 
 class SolveCache:
@@ -89,24 +181,43 @@ class SolveCache:
     # ------------------------------------------------------------------
     # block namespace (memory + disk)
     # ------------------------------------------------------------------
-    def get_block(self, key: str) -> Tuple[Optional[object], str]:
+    def get_block(
+        self, key: str, decode: Callable[[bytes], Optional[T]]
+    ) -> Tuple[Optional[T], str]:
         """Look up a block solve; returns ``(value, layer)``.
 
         ``layer`` is ``"memory"``, ``"disk"`` or ``"miss"`` so the
-        engine can attribute hits in its stats.
+        engine can attribute hits in its stats.  A disk entry is
+        ``decode``-d and promoted to memory; one that decodes to None
+        is deleted and read as a miss.
         """
         value = self._blocks.get(key)
         if value is not None:
             return value, "memory"
-        value = self._disk_read(key)
-        if value is not None:
-            self._blocks.put(key, value)  # promote for next time
-            return value, "disk"
-        return None, "miss"
+        data = self._disk_read(key)
+        if data is None:
+            return None, "miss"
+        value = decode(data)
+        if value is None:
+            self._discard(self._block_path(key))
+            return None, "miss"
+        self._blocks.put(key, value)  # promote for next time
+        return value, "disk"
 
-    def put_block(self, key: str, value: object) -> None:
+    def put_block(
+        self, key: str, value: T, encode: Callable[[T], bytes]
+    ) -> None:
+        """Cache ``value``; with a disk layer, persist ``encode(value)``."""
         self._blocks.put(key, value)
-        self._disk_write(key, value)
+        path = self._block_path(key)
+        if path is None:
+            return
+        try:
+            atomic_write_bytes(path, encode(value))
+        except OSError:
+            # Persistence is best-effort: a full disk or an unwritable
+            # directory degrades to memory-only caching, never to failure.
+            pass
 
     # ------------------------------------------------------------------
     # system namespace (memory only)
@@ -202,46 +313,18 @@ class SolveCache:
             return []
         return sorted((self.cache_dir / "blocks").glob("*.pkl"))
 
-    def _disk_read(self, key: str) -> Optional[object]:
+    def _disk_read(self, key: str) -> Optional[bytes]:
         path = self._block_path(key)
         if path is None:
             return None
         try:
-            handle = path.open("rb")
+            with path.open("rb") as handle:
+                return handle.read()
         except OSError:
             # Never written, or not openable right now (permissions in a
             # shared cache dir, no free descriptors): a plain miss, and
             # nothing says the entry itself is damaged.
             return None
-        try:
-            with handle:
-                payload = pickle.load(handle)
-        except Exception:
-            # Unpickling arbitrary corrupt bytes can raise nearly any
-            # exception type; a damaged entry is always just a miss.
-            self._discard(path)
-            return None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("version") != CACHE_FORMAT_VERSION
-        ):
-            self._discard(path)
-            return None
-        return payload.get("value")
-
-    def _disk_write(self, key: str, value: object) -> None:
-        path = self._block_path(key)
-        if path is None:
-            return
-        payload = {"version": CACHE_FORMAT_VERSION, "value": value}
-        try:
-            atomic_write_bytes(
-                path, pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-            )
-        except (OSError, pickle.PicklingError):
-            # Persistence is best-effort: a full disk or an unpicklable
-            # payload degrades to memory-only caching, never to failure.
-            pass
 
     @staticmethod
     def _discard(path: Path) -> None:

@@ -53,6 +53,7 @@ from ..core.measures import (
     SystemMeasures,
     compute_measures,
 )
+from ..core.generator import generate_block_chain
 from ..core.parameters import BlockParameters, GlobalParameters
 from ..core.translator import (
     ChainSolve,
@@ -67,7 +68,7 @@ from ..markov.rewards import crossing_frequency
 from ..num import SolverOptions, as_options, solve_steady
 from ..obs.trace import get_tracer
 from ..units import MINUTES_PER_YEAR, availability_to_yearly_downtime_minutes
-from .cache import MeasuresKey, SolveCache, default_cache_dir
+from .cache import BlockRecord, MeasuresKey, SolveCache, default_cache_dir
 from .executor import run_batch
 from .keys import (
     DigestMemo,
@@ -161,7 +162,12 @@ class Engine:
                 key = digests.block(
                     effective, global_parameters, solve_options
                 )
-                value, layer = self.cache.get_block(key)
+                value, layer = self.cache.get_block(
+                    key,
+                    lambda data: _regenerated_solve(
+                        data, effective, global_parameters
+                    ),
+                )
                 if value is not None:
                     self.stats.increment("block_cache_hits")
                     if layer == "disk":
@@ -175,7 +181,7 @@ class Engine:
                     span,
                 )
                 span.set_attr("cache", "miss")
-                self.cache.put_block(key, solved)
+                self.cache.put_block(key, solved, _chain_solve_record)
                 return solved
 
         return solver
@@ -376,7 +382,9 @@ class Engine:
             chain_digest(chain, options) if self.cache is not None else None
         )
         if key is not None:
-            value, layer = self.cache.get_block(key)
+            value, layer = self.cache.get_block(
+                key, lambda data: _chain_steady_state(data, chain)
+            )
             if value is not None:
                 self.stats.increment("block_cache_hits")
                 if layer == "disk":
@@ -400,7 +408,16 @@ class Engine:
             options.steady_method, chain.n_states
         )
         if key is not None:
-            self.cache.put_block(key, pi)
+            self.cache.put_block(
+                key,
+                pi,
+                lambda value: BlockRecord(
+                    -1, value["__availability__"],
+                    value["__failure_frequency__"], options.steady_method,
+                    options.representation, 0,
+                    np.fromiter(value.values(), np.float64, chain.n_states),
+                ).to_bytes(),
+            )
         return pi
 
     # ------------------------------------------------------------------
@@ -585,6 +602,68 @@ class Engine:
         """Persist the current snapshot for ``rascad stats``."""
         target = directory if directory is not None else default_cache_dir()
         return save_stats(self.stats_snapshot(), target)
+
+
+# ----------------------------------------------------------------------
+# persisted block records
+# ----------------------------------------------------------------------
+def _chain_solve_record(solved: ChainSolve) -> bytes:
+    """The disk record of a block solve: its scalars and π vector."""
+    return BlockRecord(
+        solved.model_type,
+        solved.availability,
+        solved.failure_frequency,
+        solved.backend,
+        solved.representation,
+        solved.nnz,
+        np.fromiter(
+            solved.steady_state.values(), np.float64, solved.n_states
+        ),
+    ).to_bytes()
+
+
+def _regenerated_solve(
+    data: bytes,
+    effective: BlockParameters,
+    global_parameters: GlobalParameters,
+) -> Optional[ChainSolve]:
+    """The block solve a disk record holds, its chain regenerated.
+
+    The chain is a pure function of the parameters the record's key
+    digests, so it is generated again (a template refill once the
+    structure is known) rather than stored.  None for bytes that are
+    not a current record or whose π does not fit the chain.
+    """
+    record = BlockRecord.from_bytes(data)
+    if record is None:
+        return None
+    chain = generate_block_chain(effective, global_parameters)
+    if chain.n_states != record.n_states:
+        return None
+    return ChainSolve(
+        chain=chain,
+        model_type=record.model_type,
+        availability=record.availability,
+        failure_frequency=record.failure_frequency,
+        steady_state=dict(zip(chain.state_names, record.pi.tolist())),
+        backend=record.backend,
+        representation=record.representation,
+        n_states=chain.n_states,
+        nnz=record.nnz,
+    )
+
+
+def _chain_steady_state(
+    data: bytes, chain: MarkovChain
+) -> Optional[Dict[str, float]]:
+    """:meth:`Engine.solve_chain`'s answer from a disk record of it."""
+    record = BlockRecord.from_bytes(data)
+    if record is None or record.n_states != chain.n_states:
+        return None
+    pi = dict(zip(chain.state_names, record.pi.tolist()))
+    pi["__availability__"] = record.availability
+    pi["__failure_frequency__"] = record.failure_frequency
+    return pi
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.core import translate
 from repro.engine import Engine, SolveCache
+from repro.engine.cache import BlockRecord
 from repro.library import workgroup_model
 from repro.spec import model_to_spec, parse_spec
 
@@ -56,7 +57,7 @@ class TestConcurrentEngines:
         assert size > 0
         loaded = 0
         for path in reader._disk_entries():
-            value = reader._disk_read(path.stem)
+            value = BlockRecord.from_bytes(reader._disk_read(path.stem))
             assert value is not None, f"unreadable cache entry {path}"
             loaded += 1
         assert loaded == entries
@@ -64,11 +65,11 @@ class TestConcurrentEngines:
     def test_simultaneous_writes_of_one_key_last_wins(self, tmp_path):
         cache_dir = tmp_path / "samekey"
         writers = [SolveCache(cache_dir=cache_dir) for _ in range(4)]
-        payload = {"answer": 42.0}
+        payload = b"answer=42.0" * 100
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             futures = [
-                pool.submit(cache.put_block, "deadbeef", dict(payload))
+                pool.submit(cache.put_block, "deadbeef", payload, bytes)
                 for cache in writers
                 for _ in range(25)
             ]
@@ -76,7 +77,7 @@ class TestConcurrentEngines:
                 future.result()
 
         reader = SolveCache(cache_dir=cache_dir)
-        value, layer = reader.get_block("deadbeef")
+        value, layer = reader.get_block("deadbeef", bytes)
         assert layer == "disk"
         assert value == payload
 

@@ -1,6 +1,8 @@
 """Engine facade: cached solving, sweeps, uncertainty, simulation."""
 
 import dataclasses
+import os
+import pickle
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from repro.engine import (
     draw_variants,
     model_digest,
 )
+from repro.engine.cache import BlockRecord
 from repro.errors import SolverError
 from repro.library import (
     ClusterParameters,
@@ -46,6 +49,16 @@ def _sweep_block_model(mtbf_hours):
 
 def _float_bytes(values):
     return np.array(list(values), dtype=np.float64).tobytes()
+
+
+class _RunsOnUnpickle:
+    """Unpickling this creates the directory ``marker``."""
+
+    def __init__(self, marker):
+        self.marker = str(marker)
+
+    def __reduce__(self):
+        return os.mkdir, (self.marker,)
 
 
 class TestCachedSolve:
@@ -164,6 +177,58 @@ class TestCachedSolve:
         reference = Engine().solve_chain(chain)
         assert list(pi) == list(reference)
         assert _float_bytes(pi.values()) == _float_bytes(reference.values())
+
+    @pytest.mark.parametrize(
+        "kind", ["code", "truncated", "pi-length", "format-2"]
+    )
+    def test_a_bad_disk_entry_is_a_discarded_miss_and_never_unpickled(
+        self, tmp_path, monkeypatch, kind
+    ):
+        """Entries in a shared cache directory are data, never code."""
+        model = e10000_model()
+        cache_dir = tmp_path / "cache"
+        writer = Engine(cache_dir=cache_dir)
+        writer.solve(model)
+        entries = sorted((cache_dir / "blocks").iterdir())
+        marker = tmp_path / "marker"
+        for entry in entries:
+            record = BlockRecord.from_bytes(entry.read_bytes())
+            if kind == "code":
+                planted = pickle.dumps(
+                    {"version": 2, "value": _RunsOnUnpickle(marker)}
+                )
+            elif kind == "truncated":
+                planted = record.to_bytes()[:-3]
+            elif kind == "pi-length":
+                longer = np.append(record.pi, 0.0)
+                planted = record._replace(pi=longer).to_bytes()
+            else:  # the whole ChainSolve, pickled as format 2 wrote it
+                solved, _layer = writer.cache.get_block(entry.stem, bytes)
+                planted = pickle.dumps(
+                    {"version": 2, "value": solved}, pickle.HIGHEST_PROTOCOL
+                )
+            entry.write_bytes(planted)
+
+        unpickled = []
+        for name in ("load", "loads"):
+            real = getattr(pickle, name)
+
+            def recording(*args, _real=real, **kwargs):
+                unpickled.append(args)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(pickle, name, recording)
+        reader = Engine(cache_dir=cache_dir)
+        solution = reader.solve(model)
+        assert not marker.exists()
+        assert unpickled == []
+        assert solution.availability == translate(model).availability
+        snapshot = reader.stats_snapshot()
+        assert snapshot.disk_hits == 0
+        assert snapshot.block_solves == len(entries)
+        # Each discarded entry was replaced by a fresh, decodable record.
+        for entry in entries:
+            assert BlockRecord.from_bytes(entry.read_bytes()) is not None
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(SolverError):
