@@ -11,13 +11,18 @@ generation time (doubling the depth may grow it at most 2.8x).
 It also breaks one cold block solve of the 208-state CPU block that
 perfbench's ``sweep_cold`` workload sweeps into its stages (template
 fill, operator, steady solve, crossing frequency), times the one-off
-template build ("generate") beside them, and writes the breakdown to
-``BENCH_e7_state_scaling.json`` at the repository root.
+template build ("generate") and the engine's persistent layer below
+them ("persist": encode and atomic write of the block record;
+"disk_hit": read, decode and chain regeneration) beside them, and
+writes the breakdown to ``BENCH_e7_state_scaling.json`` at the
+repository root.
 """
 
+import itertools
 import json
 import os
 import platform
+import tempfile
 import time
 from pathlib import Path
 
@@ -27,6 +32,8 @@ import pytest
 from repro import BlockParameters, GlobalParameters, generate_block_chain
 from repro.core.generator import ChainTemplates
 from repro.core.translator import solve_block_chain
+from repro.engine import SolveCache, block_digest
+from repro.engine.engine import _chain_solve_record, _regenerated_solve
 from repro.markov import crossing_frequency, steady_state_availability
 from repro.num import GeneratorOperator, as_operator, as_options, solve_steady
 from tests.markov.test_arc_view import SWEEP_BLOCK, sweep_block
@@ -139,9 +146,13 @@ def bench_e7_block_solve_breakdown():
     point refills the block's cached chain template ("template fill"),
     so the one-off template build ("generate", on an empty template
     cache) is timed beside the stages and left out of the unattributed
-    remainder.  The operator, steady and crossing stages reuse one
-    generated chain, whose arc view generation has already built, as
-    in a real solve.
+    remainder.  So are the engine cache's disk stages, which a server
+    started with ``--cache-dir`` adds around a solve: "persist" encodes
+    the solve's record and writes it atomically to a new file, as each
+    unseen sweep point does, and "disk_hit" reads it back in a cold
+    cache, decodes it and regenerates the chain (a template refill).
+    The operator, steady and crossing stages reuse one generated chain,
+    whose arc view generation has already built, as in a real solve.
     Each steady solve wraps the CSR matrix in a fresh operator, so no
     densified copy is reused.  With more than one OpenBLAS thread, the
     threads spin after each solve and their CPU is charged to whichever
@@ -153,6 +164,18 @@ def bench_e7_block_solve_breakdown():
     chain = generate_block_chain(effective, g)
     op = as_operator(chain, representation=options.representation)
     pi = dict(zip(chain.state_names, solve_steady(op, options).tolist()))
+    solved = solve_block_chain(effective, g, options)
+    key = block_digest(effective, g, options)
+    scratch = tempfile.TemporaryDirectory()
+    cache = SolveCache(cache_dir=scratch.name)
+    cache.put_block(key, solved, _chain_solve_record)
+    fresh_keys = (f"{key}-{n}" for n in itertools.count())
+
+    def disk_hit():
+        _value, layer = SolveCache(cache_dir=scratch.name).get_block(
+            key, lambda data: _regenerated_solve(data, effective, g)
+        )
+        assert layer == "disk"
 
     stages = {
         "generate": lambda: ChainTemplates().chain(effective, g),
@@ -164,11 +187,21 @@ def bench_e7_block_solve_breakdown():
             GeneratorOperator(op.sparse()), options
         ),
         "crossing": lambda: crossing_frequency(chain, pi, up_to_down=True),
+        "persist": lambda: cache.put_block(
+            next(fresh_keys), solved, _chain_solve_record
+        ),
+        "disk_hit": disk_hit,
         "total": lambda: solve_block_chain(effective, g, options),
     }
-    seconds = dict(zip(stages, best_seconds(list(stages.values()))))
+    with scratch:
+        seconds = dict(zip(stages, best_seconds(list(stages.values()))))
+        entries, size = cache.disk_usage()
+    record_bytes = size // entries
     total = seconds.pop("total")
-    in_solve = sum(seconds.values()) - seconds["generate"]
+    beside = ("generate", "persist", "disk_hit")
+    in_solve = sum(
+        value for name, value in seconds.items() if name not in beside
+    )
     results = {
         "benchmark": "e7_state_scaling",
         "block_solve": {
@@ -178,6 +211,7 @@ def bench_e7_block_solve_breakdown():
             "n_arcs": chain.n_transitions,
             "representation": op.representation,
             "backend": options.steady_method,
+            "record_bytes": record_bytes,
             "stages_ms": {
                 name: round(value * 1e3, 3) for name, value in seconds.items()
             },
@@ -206,3 +240,4 @@ def bench_e7_block_solve_breakdown():
         json.dumps(results, indent=2, sort_keys=True) + "\n"
     )
     assert chain.n_states == 208
+    assert record_bytes <= 2048

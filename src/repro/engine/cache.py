@@ -90,8 +90,8 @@ def _state_weight(value: object) -> int:
 class BlockRecord(NamedTuple):
     """The persisted form of one block solve: scalars and the π vector.
 
-    ``model_type`` is -1 for a raw chain solved by
-    :meth:`repro.engine.Engine.solve_chain`, which has no block type.
+    ``model_type`` is -1 and ``nnz`` 0 for a raw chain solved by
+    :meth:`repro.engine.Engine.solve_chain`.
     """
 
     model_type: int

@@ -411,12 +411,9 @@ class Engine:
             self.cache.put_block(
                 key,
                 pi,
-                lambda value: BlockRecord(
-                    -1, value["__availability__"],
-                    value["__failure_frequency__"], options.steady_method,
-                    options.representation, 0,
-                    np.fromiter(value.values(), np.float64, chain.n_states),
-                ).to_bytes(),
+                lambda value: _steady_state_record(
+                    value, chain.n_states, options
+                ),
             )
         return pi
 
@@ -651,6 +648,26 @@ def _regenerated_solve(
         n_states=chain.n_states,
         nnz=record.nnz,
     )
+
+
+def _steady_state_record(
+    pi: Dict[str, float], n_states: int, options: SolverOptions
+) -> bytes:
+    """The disk record of :meth:`Engine.solve_chain`'s answer.
+
+    A raw chain has no block type (-1), and its nonzeros are not kept.
+    ``pi`` holds the state entries first, in chain order, then the two
+    derived ones, so the first ``n_states`` values are the vector.
+    """
+    return BlockRecord(
+        -1,
+        pi["__availability__"],
+        pi["__failure_frequency__"],
+        options.steady_method,
+        options.representation,
+        0,
+        np.fromiter(pi.values(), np.float64, n_states),
+    ).to_bytes()
 
 
 def _chain_steady_state(
