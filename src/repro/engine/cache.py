@@ -55,7 +55,7 @@ T = TypeVar("T")
 CACHE_FORMAT_VERSION = 3
 
 #: A record's first bytes, so a file of another kind never decodes.
-RECORD_MAGIC = b"RSCB"
+_MAGIC = b"RSCB"
 
 #: The fixed record header: magic, format version, model type,
 #: availability, failure frequency, state count, operator nonzeros and
@@ -110,7 +110,7 @@ class BlockRecord(NamedTuple):
         backend = self.backend.encode("ascii")
         representation = self.representation.encode("ascii")
         header = _HEADER.pack(
-            RECORD_MAGIC, CACHE_FORMAT_VERSION, self.model_type,
+            _MAGIC, CACHE_FORMAT_VERSION, self.model_type,
             self.availability, self.failure_frequency, len(self.pi),
             self.nnz, len(backend), len(representation),
         )
@@ -129,7 +129,7 @@ class BlockRecord(NamedTuple):
         ) = _HEADER.unpack_from(data)
         names_end = _HEADER.size + backend_len + representation_len
         if (
-            magic != RECORD_MAGIC
+            magic != _MAGIC
             or version != CACHE_FORMAT_VERSION
             or len(data) != names_end + 8 * n_states
         ):

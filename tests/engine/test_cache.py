@@ -45,10 +45,6 @@ def record(n_states=3, **changes):
     return BlockRecord(**fields)
 
 
-def decode_record(data: bytes) -> Optional[BlockRecord]:
-    return BlockRecord.from_bytes(data)
-
-
 def same_record(a: BlockRecord, b: BlockRecord) -> bool:
     return a._replace(pi=None) == b._replace(pi=None) and (
         a.pi.tobytes() == b.pi.tobytes()
@@ -204,10 +200,10 @@ class TestDiskLayer:
         writer.put_block("deadbeef", original, BlockRecord.to_bytes)
         # A brand-new cache (cold memory) must hit the disk layer...
         reader = SolveCache(cache_dir=tmp_path)
-        value, layer = reader.get_block("deadbeef", decode_record)
+        value, layer = reader.get_block("deadbeef", BlockRecord.from_bytes)
         assert same_record(value, original) and layer == "disk"
         # ...and promote the entry, so the next lookup is in memory.
-        value, layer = reader.get_block("deadbeef", decode_record)
+        value, layer = reader.get_block("deadbeef", BlockRecord.from_bytes)
         assert layer == "memory"
 
     def test_disk_usage_counts_entries(self, tmp_path):
@@ -232,7 +228,7 @@ class TestDiskLayer:
         target = tmp_path / "blocks" / "bad.pkl"
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_bytes(garbage)
-        assert cache.get_block("bad", decode_record) == (None, "miss")
+        assert cache.get_block("bad", BlockRecord.from_bytes) == (None, "miss")
         assert not target.exists()
 
     def test_missing_entry_is_a_miss_without_unlink(self, tmp_path, monkeypatch):
@@ -292,7 +288,7 @@ class TestDiskLayer:
         data = bytearray(record().to_bytes())
         struct.pack_into("<H", data, 4, CACHE_FORMAT_VERSION + 1)
         target.write_bytes(bytes(data))
-        assert cache.get_block("old", decode_record) == (None, "miss")
+        assert cache.get_block("old", BlockRecord.from_bytes) == (None, "miss")
         assert not target.exists()
 
     def test_memory_only_cache_never_touches_disk(self, tmp_path):
