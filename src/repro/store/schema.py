@@ -112,16 +112,8 @@ class Schema:
         predates the stamp: it is adopted when it holds one of this
         schema's tables, and refused otherwise.
         """
-        owner = int(conn.execute("PRAGMA application_id").fetchone()[0])
-        if owner == self.application_id:
+        if self._refuse_foreign(conn):
             return
-        if owner:
-            other = _OWNERS.get(owner, f"application id {owner}")
-            raise StoreError(
-                f"database belongs to schema {other!r}; refusing to "
-                f"open it as schema {self.name!r} (each store needs "
-                "its own file)"
-            )
         version = int(conn.execute("PRAGMA user_version").fetchone()[0])
         if version:
             found = _tables(conn)
@@ -134,14 +126,31 @@ class Schema:
                 )
         conn.execute(f"PRAGMA application_id = {self.application_id}")
 
+    def _refuse_foreign(self, conn: sqlite3.Connection) -> bool:
+        """Raise if another schema stamped the file; ``True`` if this
+        one did, ``False`` if it is unstamped."""
+        owner = int(conn.execute("PRAGMA application_id").fetchone()[0])
+        if owner and owner != self.application_id:
+            other = _OWNERS.get(owner, f"application id {owner}")
+            raise StoreError(
+                f"database belongs to schema {other!r}; refusing to "
+                f"open it as schema {self.name!r} (each store needs "
+                "its own file)"
+            )
+        return bool(owner)
+
     def apply(self, conn: sqlite3.Connection) -> int:
         """Bring ``conn``'s database to the current version.
 
         Returns the number of migrations applied.  Each step runs in
         its own immediate transaction; the ``user_version`` bump
         commits atomically with the step's statements, and the file
-        is :meth:`claim`-ed before and within every step.
+        is :meth:`claim`-ed before and within every step.  A file
+        another schema stamped is refused as such before its version
+        is read, so a newer foreign file is not mistaken for a newer
+        build's own.
         """
+        self._refuse_foreign(conn)
         steps = self.pending(conn)
         self.claim(conn)
         for migration in steps:
