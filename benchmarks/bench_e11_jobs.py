@@ -3,14 +3,15 @@
 Runs the same sweep job three ways on pristine stores and caches:
 
 * **uninterrupted** — submit, lease, execute to completion; the
-  baseline points/sec of checkpointed execution (checkpoint + SQLite
-  heartbeat every chunk).
+  baseline points/sec of checkpointed execution (one store
+  transaction writes the checkpoint and heartbeat every chunk).
 * **engine direct** — the identical points through
   ``Engine.sweep_block_field`` (the same point math the job planner
   calls) with no checkpoint/store machinery; the difference to
   the uninterrupted run is the durability overhead.
 * **interrupted + resumed** — preempt the job at the halfway
-  checkpoint (the SIGTERM path: checkpoint, release), then resume it
+  checkpoint (the SIGTERM path: stop at a checkpointed chunk
+  boundary, release), then resume it
   with a *fresh* engine.  The headline claims: the resumed payload is
   bit-identical (same ``result_digest``), only the tail re-solves
   (engine ``system_solves`` = points past the checkpoint), and resume
@@ -25,7 +26,7 @@ import time
 from pathlib import Path
 
 from repro.engine import Engine
-from repro.jobs import Checkpointer, JobSpec, JobStore, execute_job
+from repro.jobs import JobSpec, JobStore, execute_job
 from repro.library import e10000_model
 from repro.spec import model_to_spec
 
@@ -53,13 +54,12 @@ def _job_spec():
 
 def _uninterrupted(base):
     store = JobStore(base / "ref.sqlite3")
-    ckpt = Checkpointer(base / "ref-ckpt")
     engine = Engine(jobs=1, cache_dir=base / "ref-cache")
     record, _ = store.submit(_job_spec())
     leased = store.lease("bench")
     start = time.perf_counter()
     outcome = execute_job(
-        leased, store, engine, ckpt, checkpoint_every=CHECKPOINT_EVERY
+        leased, store, engine, checkpoint_every=CHECKPOINT_EVERY
     )
     elapsed = time.perf_counter() - start
     assert outcome == "succeeded"
@@ -81,7 +81,6 @@ def _engine_direct(base):
 
 def _interrupted_then_resumed(base):
     store = JobStore(base / "main.sqlite3")
-    ckpt = Checkpointer(base / "main-ckpt")
     engine = Engine(jobs=1, cache_dir=base / "main-cache")
     record, _ = store.submit(_job_spec())
     leased = store.lease("bench-first")
@@ -91,18 +90,18 @@ def _interrupted_then_resumed(base):
 
     start = time.perf_counter()
     outcome = execute_job(
-        leased, store, engine, ckpt, checkpoint_every=CHECKPOINT_EVERY,
+        leased, store, engine, checkpoint_every=CHECKPOINT_EVERY,
         should_stop=lambda: len(chunks) >= target or chunks.append(None),
     )
     first_leg = time.perf_counter() - start
     assert outcome == "released"
-    completed = len(ckpt.load(record.id).values)
+    completed = len(store.load_checkpoint(record.id).values)
 
     fresh = Engine(jobs=1, cache_dir=base / "resume-cache")
     resumed = store.lease("bench-second")
     start = time.perf_counter()
     outcome = execute_job(
-        resumed, store, fresh, ckpt, checkpoint_every=CHECKPOINT_EVERY
+        resumed, store, fresh, checkpoint_every=CHECKPOINT_EVERY
     )
     second_leg = time.perf_counter() - start
     assert outcome == "succeeded"

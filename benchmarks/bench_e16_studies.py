@@ -34,7 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from repro.cluster import ClusterConfig, Coordinator, Membership  # noqa: E402
 from repro.cluster.membership import worker_id_for  # noqa: E402
 from repro.engine import Engine  # noqa: E402
-from repro.jobs import Checkpointer, JobSpec, JobStore, execute_job  # noqa: E402
+from repro.jobs import JobSpec, JobStore, execute_job  # noqa: E402
 from repro.library import workgroup_model  # noqa: E402
 from repro.num import SolverOptions  # noqa: E402
 from repro.spec import model_to_spec, parse_spec  # noqa: E402
@@ -121,14 +121,12 @@ def preempted_job_run(quick, base):
         },
     )
     store = JobStore(base / "jobs.sqlite3")
-    checkpointer = Checkpointer(base / "ckpt")
     record, _ = store.submit(job)
 
     first = Engine(jobs=1, cache_dir=base / "w1-cache")
     chunks = []
     outcome = execute_job(
-        store.lease("w1"), store, first, checkpointer,
-        checkpoint_every=3,
+        store.lease("w1"), store, first, checkpoint_every=3,
         should_stop=lambda: len(chunks) >= 1 or chunks.append(None),
     )
     assert outcome == "released", outcome
@@ -137,7 +135,7 @@ def preempted_job_run(quick, base):
     # The successor process: fresh engine, no shared cache.
     fresh = Engine(jobs=1, cache_dir=base / "w2-cache")
     outcome = execute_job(
-        store.lease("w2"), store, fresh, checkpointer, checkpoint_every=3,
+        store.lease("w2"), store, fresh, checkpoint_every=3,
     )
     assert outcome == "succeeded", outcome
     result = store.get(record.id).result

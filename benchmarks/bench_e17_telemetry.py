@@ -31,12 +31,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.engine import Engine  # noqa: E402
-from repro.jobs import (  # noqa: E402
-    Checkpointer,
-    JobSpec,
-    JobStore,
-    execute_job,
-)
+from repro.jobs import JobSpec, JobStore, execute_job  # noqa: E402
 from repro.library import e10000_model  # noqa: E402
 from repro.spec import model_to_spec  # noqa: E402
 from repro.telemetry import (  # noqa: E402
@@ -93,29 +88,25 @@ def preempted_calibration(window, base):
     record, _ = ref_store.submit(spec)
     execute_job(
         ref_store.lease("ref"), ref_store,
-        Engine(jobs=1, cache_dir=base / "ref-cache"),
-        Checkpointer(base / "ref-ckpt"), checkpoint_every=1,
+        Engine(jobs=1, cache_dir=base / "ref-cache"), checkpoint_every=1,
     )
     reference = ref_store.get(record.id).result
 
     store = JobStore(base / "jobs.sqlite3")
-    checkpointer = Checkpointer(base / "ckpt")
     record, _ = store.submit(spec)
     chunks = []
     outcome = execute_job(
         store.lease("w1"), store,
-        Engine(jobs=1, cache_dir=base / "w1-cache"),
-        checkpointer, checkpoint_every=1,
+        Engine(jobs=1, cache_dir=base / "w1-cache"), checkpoint_every=1,
         should_stop=lambda: len(chunks) >= 2 or chunks.append(None),
     )
     assert outcome == "released", outcome
-    killed_after = len(checkpointer.load(record.id).values)
+    killed_after = len(store.load_checkpoint(record.id).values)
 
     start = time.perf_counter()
     outcome = execute_job(
         store.lease("w2"), store,
-        Engine(jobs=1, cache_dir=base / "w2-cache"),
-        checkpointer, checkpoint_every=1,
+        Engine(jobs=1, cache_dir=base / "w2-cache"), checkpoint_every=1,
     )
     resume_seconds = time.perf_counter() - start
     assert outcome == "succeeded", outcome

@@ -471,7 +471,7 @@ def _cmd_trace_summary(args: argparse.Namespace) -> int:
 
 
 def _jobs_open(args: argparse.Namespace):
-    """The (store, checkpointer) pair the jobs subcommands share."""
+    """The job store the jobs subcommands share."""
     from .jobs import open_store
 
     return open_store(
@@ -532,7 +532,7 @@ def _cmd_jobs_submit(args: argparse.Namespace) -> int:
         priority=args.priority,
         max_attempts=args.max_attempts,
     )
-    store, _ = _jobs_open(args)
+    store = _jobs_open(args)
     record, created = store.submit(job)
     verb = "submitted" if created else "already queued (deduplicated)"
     print(f"{record.id} {verb}")
@@ -541,13 +541,13 @@ def _cmd_jobs_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_jobs_status(args: argparse.Namespace) -> int:
-    store, _ = _jobs_open(args)
+    store = _jobs_open(args)
     _print_job(store.get(args.id), verbose=True)
     return 0
 
 
 def _cmd_jobs_list(args: argparse.Namespace) -> int:
-    store, _ = _jobs_open(args)
+    store = _jobs_open(args)
     records = store.list_jobs(
         state=args.state, kind=args.kind, limit=args.limit
     )
@@ -563,7 +563,7 @@ def _cmd_jobs_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_jobs_cancel(args: argparse.Namespace) -> int:
-    store, _ = _jobs_open(args)
+    store = _jobs_open(args)
     record = store.cancel(args.id)
     print(f"{record.id} -> {record.state}"
           + (" (cancellation requested)"
@@ -575,12 +575,11 @@ def _cmd_jobs_worker(args: argparse.Namespace) -> int:
     from .jobs import Worker, WorkerConfig
 
     _configure_obs(args)
-    store, checkpointer = _jobs_open(args)
+    store = _jobs_open(args)
     engine = _engine_from_args(args)
     worker = Worker(
         store,
         engine,
-        checkpointer,
         WorkerConfig(
             poll_interval=args.poll,
             lease_timeout=args.lease_timeout,
@@ -1352,7 +1351,7 @@ def _cmd_calibrate_run(args: argparse.Namespace) -> int:
     if drift:
         params["drift"] = drift
     job = JobSpec(kind="calibration", spec=spec_doc, params=params)
-    store, _ = _jobs_open(args)
+    store = _jobs_open(args)
     record, created = store.submit(job)
     verb = "submitted" if created else "already queued (deduplicated)"
     print(f"{record.id} {verb}")

@@ -9,7 +9,8 @@ not hold an HTTP connection open.  This package runs those workloads as
 * :mod:`.types` — job/checkpoint/result dataclasses and content-digest
   job ids (resubmitting an identical spec dedups to the original job).
 * :mod:`.store` — the SQLite-backed job store: state machine,
-  priorities, attempt budgets, heartbeat leases.
+  priorities, attempt budgets, heartbeat leases, and each job's
+  checkpoint in its own row.
 * :mod:`.retry` — permanent/transient failure classification over the
   :mod:`repro.errors` hierarchy; exponential backoff with
   deterministic jitter.
@@ -18,14 +19,13 @@ not hold an HTTP connection open.  This package runs those workloads as
   or SIGTERM with bit-identical results.
 
 Semantics are **at-least-once**: a job may execute partially more than
-once (a crash between a checkpoint and the store update re-runs the
-tail), but checkpoints make re-execution cheap and the result is
+once (a crash mid-chunk re-runs the points past its last checkpoint),
+but checkpoints make re-execution cheap and the result is
 deterministic, so duplicated work is invisible in the output.
 """
 
 from .retry import backoff_delay, classify, is_permanent
 from .runner import (
-    Checkpointer,
     Plan,
     Worker,
     WorkerConfig,
@@ -69,7 +69,6 @@ __all__ = [
     "JobStore",
     "JobNotFoundError",
     "JOBS_DB_FILENAME",
-    "Checkpointer",
     "Plan",
     "Worker",
     "WorkerConfig",

@@ -6,7 +6,8 @@ simulation replications), each a pure function of the job spec and the
 point index.  The runner solves points in chunks through the existing
 :class:`repro.engine.Engine` (fanning out over its process pool when
 ``jobs > 1``), and after every chunk durably records the completed
-prefix as a :class:`~repro.jobs.types.Checkpoint` via temp-file+rename.
+prefix as a :class:`~repro.jobs.types.Checkpoint` in the job's row, in
+the same store transaction as its heartbeat.
 
 Because points are pure and the final aggregation is a pure function of
 the *complete* value list, a run that crashes (SIGKILL) or is preempted
@@ -41,6 +42,7 @@ import numpy as np
 from ..core.block import DiagramBlockModel
 from ..engine import (
     Engine,
+    default_cache_dir,
     draw_variants,
     sweep_payload,
     sweep_points,
@@ -51,9 +53,8 @@ from ..errors import SolverError, SpecError, StoreBusyError
 from ..num import SolverOptions, as_options
 from ..obs import get_logger, get_tracer
 from ..spec import parse_spec
-from ..store import atomic_write_text
 from .retry import backoff_delay, classify, is_permanent
-from .store import JobStore
+from .store import JOBS_DB_FILENAME, JobStore
 from .types import (
     Checkpoint,
     JobRecord,
@@ -65,41 +66,6 @@ from .types import (
 
 #: Points solved between durable checkpoints (and heartbeats).
 DEFAULT_CHECKPOINT_EVERY = 25
-
-
-class Checkpointer:
-    """Atomic per-job checkpoint files under one directory."""
-
-    def __init__(self, directory: Union[str, Path]) -> None:
-        self.directory = Path(directory).expanduser()
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def path(self, job_id: str) -> Path:
-        return self.directory / f"{job_id}.ckpt.json"
-
-    def save(self, checkpoint: Checkpoint) -> Path:
-        """Write-then-rename, so a crash mid-write never corrupts the
-        previous checkpoint."""
-        target = self.path(checkpoint.job_id)
-        atomic_write_text(target, checkpoint.to_json(), prefix=".ckpt-")
-        return target
-
-    def load(self, job_id: str) -> Optional[Checkpoint]:
-        """The last durable checkpoint, or ``None`` (missing/corrupt)."""
-        try:
-            text = self.path(job_id).read_text()
-            checkpoint = Checkpoint.from_json(text)
-        except (OSError, ValueError, KeyError):
-            return None
-        if checkpoint.job_id != job_id:
-            return None
-        return checkpoint
-
-    def clear(self, job_id: str) -> None:
-        try:
-            self.path(job_id).unlink()
-        except OSError:
-            pass
 
 
 #: One worker ``POST``: ``call(path, payload)`` answers the JSON body.
@@ -582,7 +548,6 @@ def execute_job(
     record: JobRecord,
     store: JobStore,
     engine: Engine,
-    checkpointer: Checkpointer,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     should_stop: Optional[Callable[[], bool]] = None,
 ) -> str:
@@ -590,15 +555,17 @@ def execute_job(
 
     Raises on failure — the caller (the worker loop) owns the retry
     bookkeeping.  Between chunks the runner checks for a stop request
-    (graceful preemption: checkpoint, release the lease, exit) and for
-    cancellation; after every chunk it checkpoints and heartbeats.
+    (graceful preemption: release the lease, whose last chunk is
+    already checkpointed, and exit) and for cancellation; after every
+    chunk one store transaction checkpoints, heartbeats and reads the
+    cancel flag.
     """
     spec = record.spec
     model = parse_spec(dict(spec.spec), database=store.database)
     plan = plan_job(spec, model, engine)
     stats = engine.stats
 
-    checkpoint = checkpointer.load(record.id)
+    checkpoint = store.load_checkpoint(record.id)
     if checkpoint is not None and (
         checkpoint.kind != spec.kind or checkpoint.total != plan.total
     ):
@@ -625,21 +592,16 @@ def execute_job(
                 "total": plan.total, "resumed": len(values),
             },
         )
+        cancel = record.cancel_requested
         with stats.timer("jobs"):
             while len(values) < plan.total:
                 if should_stop is not None and should_stop():
-                    checkpointer.save(
-                        Checkpoint(
-                            record.id, spec.kind, plan.total, values
-                        )
-                    )
                     store.release(record.id)
                     stats.increment("jobs_released")
                     job_span.set_attr("outcome", RELEASED)
                     return RELEASED
-                if store.cancel_requested(record.id):
+                if cancel:
                     store.mark_cancelled(record.id)
-                    checkpointer.clear(record.id)
                     stats.increment("jobs_cancelled")
                     job_span.set_attr("outcome", CANCELLED)
                     return CANCELLED
@@ -652,16 +614,14 @@ def execute_job(
                     "jobs.chunk", job_id=record.id, lo=lo, hi=hi
                 ):
                     values.extend(plan.solve_range(lo, hi))
-                checkpointer.save(
+                cancel = store.save_checkpoint(
                     Checkpoint(record.id, spec.kind, plan.total, values)
                 )
-                store.heartbeat(record.id)
                 stats.increment("jobs_points_completed", hi - lo)
 
         payload = plan.aggregate(values)
         payload["result_digest"] = result_digest(payload)
         store.succeed(record.id, payload)
-        checkpointer.clear(record.id)
         stats.increment("jobs_succeeded")
         job_span.set_attr("outcome", SUCCEEDED)
         log.info(
@@ -704,17 +664,15 @@ class Worker:
         self,
         store: JobStore,
         engine: Engine,
-        checkpointer: Checkpointer,
         config: Optional[WorkerConfig] = None,
     ) -> None:
         self.store = store
         self.engine = engine
-        self.checkpointer = checkpointer
         self.config = config or WorkerConfig()
         self._stop = False
 
     def request_stop(self) -> None:
-        """Finish the current chunk, checkpoint, release, and exit."""
+        """Finish and checkpoint the current chunk, release, and exit."""
         self._stop = True
 
     def install_signal_handlers(self) -> None:
@@ -735,7 +693,6 @@ class Worker:
                 record,
                 self.store,
                 self.engine,
-                self.checkpointer,
                 checkpoint_every=self.config.checkpoint_every,
                 should_stop=lambda: self._stop,
             )
@@ -797,31 +754,17 @@ class Worker:
         return processed
 
 
-def default_jobs_dir(
-    cache_dir: Optional[Union[str, Path]] = None
-) -> Path:
-    """Where the job database and checkpoints live by default."""
-    from ..engine import default_cache_dir
-
-    base = Path(cache_dir).expanduser() if cache_dir else default_cache_dir()
-    return base
-
-
 def open_store(
     db_path: Optional[Union[str, Path]] = None,
     cache_dir: Optional[Union[str, Path]] = None,
     database=None,
-) -> "tuple[JobStore, Checkpointer]":
-    """The (store, checkpointer) pair the CLI and service share.
+) -> JobStore:
+    """The job store the CLI and service share.
 
-    Defaults to ``<cache-dir>/jobs.sqlite3`` with checkpoints under
-    ``<cache-dir>/checkpoints/`` so CLI workers and the HTTP service
-    coordinate through the same files out of the box.
+    Defaults to ``<cache-dir>/jobs.sqlite3`` so CLI workers and the
+    HTTP service coordinate through the same file out of the box.
     """
-    from .store import JOBS_DB_FILENAME
-
-    base = default_jobs_dir(cache_dir)
-    path = Path(db_path).expanduser() if db_path else base / JOBS_DB_FILENAME
-    store = JobStore(path, database=database)
-    checkpointer = Checkpointer(path.parent / "checkpoints")
-    return store, checkpointer
+    if db_path:
+        return JobStore(Path(db_path).expanduser(), database=database)
+    base = Path(cache_dir).expanduser() if cache_dir else default_cache_dir()
+    return JobStore(base / JOBS_DB_FILENAME, database=database)

@@ -15,10 +15,13 @@ State machine (enforced here, not in callers)::
     queued/running --cancel--> cancelled (running jobs observe the
                                flag at their next checkpoint)
 
-Leases double as crash detection: a worker heartbeats while executing,
-and :meth:`JobStore.lease` requeues any running job whose heartbeat is
-older than the lease timeout — the recovery path behind the
-SIGKILL-and-resume guarantee.
+Leases double as crash detection: a worker checkpoints (and so
+heartbeats) while executing, and :meth:`JobStore.lease` requeues any
+running job whose heartbeat is older than the lease timeout — the
+recovery path behind the SIGKILL-and-resume guarantee.
+
+A job's checkpoint lives in its own row, so every statement that makes
+a job terminal clears it: no checkpoint outlives its job.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .types import (
     QUEUED,
     RUNNING,
     SUCCEEDED,
+    Checkpoint,
     JobRecord,
     JobSpec,
     job_digest,
@@ -73,7 +77,22 @@ CREATE INDEX IF NOT EXISTS idx_jobs_claim
 
 #: The jobs database schema, versioned via ``PRAGMA user_version``.
 JOBS_SCHEMA = Schema(
-    "jobs", [Migration(1, "jobs table and claim index", _SCHEMA)]
+    "jobs",
+    [
+        Migration(1, "jobs table and claim index", _SCHEMA),
+        Migration(
+            2,
+            "checkpoint column",
+            "ALTER TABLE jobs ADD COLUMN checkpoint TEXT",
+        ),
+    ],
+)
+
+#: Every column but ``checkpoint``: record reads never fetch it.
+_RECORD = (
+    "SELECT id, kind, state, priority, attempts, max_attempts, "
+    "submitted_at, updated_at, started_at, finished_at, heartbeat_at, "
+    "not_before, cancel_requested, worker, error, spec, result FROM jobs"
 )
 
 
@@ -132,14 +151,14 @@ class JobStore:
             )
             created = cursor.rowcount == 1
             row = conn.execute(
-                "SELECT * FROM jobs WHERE id = ?", (job_id,)
+                f"{_RECORD} WHERE id = ?", (job_id,)
             ).fetchone()
         return _record(row), created
 
     def get(self, job_id: str) -> JobRecord:
         with self.db.connection() as conn:
             row = conn.execute(
-                "SELECT * FROM jobs WHERE id = ?", (job_id,)
+                f"{_RECORD} WHERE id = ?", (job_id,)
             ).fetchone()
         if row is None:
             raise JobNotFoundError(f"no job with id {job_id!r}")
@@ -166,7 +185,7 @@ class JobStore:
         where = f"WHERE {' AND '.join(clauses)}" if clauses else ""
         with self.db.connection() as conn:
             rows = conn.execute(
-                f"SELECT * FROM jobs {where} "
+                f"{_RECORD} {where} "
                 "ORDER BY submitted_at DESC LIMIT ?",
                 (*args, int(limit)),
             ).fetchall()
@@ -213,7 +232,7 @@ class JobStore:
             conn.execute(
                 """
                 UPDATE jobs SET state = ?, worker = NULL, updated_at = ?,
-                       finished_at = ?,
+                       finished_at = ?, checkpoint = NULL,
                        error = 'lease expired with no attempts left'
                 WHERE state = ? AND heartbeat_at < ?
                 """,
@@ -240,20 +259,41 @@ class JobStore:
                 (RUNNING, worker, now, now, now, row["id"]),
             )
             claimed = conn.execute(
-                "SELECT * FROM jobs WHERE id = ?", (row["id"],)
+                f"{_RECORD} WHERE id = ?", (row["id"],)
             ).fetchone()
         return _record(claimed)
 
-    def heartbeat(
-        self, job_id: str, now: Optional[float] = None
-    ) -> None:
+    def save_checkpoint(
+        self, checkpoint: Checkpoint, now: Optional[float] = None
+    ) -> bool:
+        """Record a running job's checkpoint and heartbeat it.
+
+        One transaction writes both and reads back whether a cancel
+        was requested, so the runner needs nothing else per chunk.
+        A job that is no longer running is left alone (``False``).
+        """
         now = time.time() if now is None else now
         with self.db.transaction() as conn:
-            conn.execute(
-                "UPDATE jobs SET heartbeat_at = ?, updated_at = ? "
-                "WHERE id = ? AND state = ?",
-                (now, now, job_id, RUNNING),
-            )
+            row = conn.execute(
+                """
+                UPDATE jobs SET checkpoint = ?, heartbeat_at = ?,
+                       updated_at = ?
+                WHERE id = ? AND state = ?
+                RETURNING cancel_requested
+                """,
+                (checkpoint.to_json(), now, now, checkpoint.job_id, RUNNING),
+            ).fetchone()
+        return bool(row and row["cancel_requested"])
+
+    def load_checkpoint(self, job_id: str) -> Optional[Checkpoint]:
+        """The job's last checkpoint, or ``None``."""
+        with self.db.connection() as conn:
+            row = conn.execute(
+                "SELECT checkpoint FROM jobs WHERE id = ?", (job_id,)
+            ).fetchone()
+        if row is None or row["checkpoint"] is None:
+            return None
+        return Checkpoint.from_json(row["checkpoint"])
 
     def succeed(
         self,
@@ -266,7 +306,8 @@ class JobStore:
             conn.execute(
                 """
                 UPDATE jobs SET state = ?, result = ?, finished_at = ?,
-                       updated_at = ?, error = NULL, worker = NULL
+                       updated_at = ?, error = NULL, worker = NULL,
+                       checkpoint = NULL
                 WHERE id = ? AND state = ?
                 """,
                 (
@@ -286,7 +327,8 @@ class JobStore:
         """Record a failed attempt; returns the resulting state.
 
         A retryable failure with budget left requeues the job gated by
-        ``not_before = now + backoff``; anything else is terminal.
+        ``not_before = now + backoff`` and keeps its checkpoint;
+        anything else is terminal and clears it.
         """
         now = time.time() if now is None else now
         with self.db.transaction(immediate=True) as conn:
@@ -302,13 +344,15 @@ class JobStore:
             conn.execute(
                 """
                 UPDATE jobs SET state = ?, error = ?, updated_at = ?,
-                       worker = NULL, not_before = ?, finished_at = ?
+                       worker = NULL, not_before = ?, finished_at = ?,
+                       checkpoint = CASE WHEN ? THEN checkpoint END
                 WHERE id = ?
                 """,
                 (
                     state, error, now,
                     now + backoff if retry else 0.0,
                     None if retry else now,
+                    retry,
                     job_id,
                 ),
             )
@@ -317,8 +361,9 @@ class JobStore:
     def release(self, job_id: str, now: Optional[float] = None) -> None:
         """Return a running job to the queue without spending an attempt.
 
-        The graceful-preemption path (SIGTERM): the worker checkpoints,
-        releases, and exits; a later lease resumes from the checkpoint.
+        The graceful-preemption path (SIGTERM): the worker stops at a
+        chunk boundary, whose checkpoint is already in the row, releases,
+        and exits; a later lease resumes from that checkpoint.
         """
         now = time.time() if now is None else now
         with self.db.transaction() as conn:
@@ -347,7 +392,7 @@ class JobStore:
             conn.execute(
                 """
                 UPDATE jobs SET state = ?, finished_at = ?, updated_at = ?,
-                       cancel_requested = 1, worker = NULL
+                       cancel_requested = 1, worker = NULL, checkpoint = NULL
                 WHERE id = ? AND state = ?
                 """,
                 (CANCELLED, now, now, job_id, QUEUED),
@@ -359,9 +404,6 @@ class JobStore:
             )
         return self.get(job_id)
 
-    def cancel_requested(self, job_id: str) -> bool:
-        return self.get(job_id).cancel_requested
-
     def mark_cancelled(
         self, job_id: str, now: Optional[float] = None
     ) -> None:
@@ -371,7 +413,7 @@ class JobStore:
             conn.execute(
                 """
                 UPDATE jobs SET state = ?, finished_at = ?, updated_at = ?,
-                       worker = NULL
+                       worker = NULL, checkpoint = NULL
                 WHERE id = ? AND state = ?
                 """,
                 (CANCELLED, now, now, job_id, RUNNING),

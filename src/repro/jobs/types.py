@@ -237,12 +237,12 @@ class JobRecord:
 class Checkpoint:
     """A durable prefix of a job's computed point values.
 
-    Written atomically (temp file + rename) every ``checkpoint_every``
-    points, so after a crash the runner re-solves only points past the
-    last checkpoint.  ``values`` is positional: index ``i`` holds point
-    ``i``'s scalar result, and the aggregation over the *complete* list
-    is a pure function — a resumed run is bit-identical to an
-    uninterrupted one.
+    Stored in the job's row every ``checkpoint_every`` points, in the
+    transaction that heartbeats the job, so after a crash the runner
+    re-solves only points past the last checkpoint.  ``values`` is
+    positional: index ``i`` holds point ``i``'s scalar result, and the
+    aggregation over the *complete* list is a pure function — a resumed
+    run is bit-identical to an uninterrupted one.
     """
 
     job_id: str

@@ -170,11 +170,10 @@ class Server:
             return None
         from ..jobs import open_store
 
-        store, _ = open_store(
+        return open_store(
             db_path=self.config.jobs_db,
             cache_dir=self.config.cache_dir,
         )
-        return store
 
     def _build_coordinator(self):
         """The cluster coordinator, or ``None`` (not coordinating).

@@ -34,7 +34,6 @@ from .atomic import (
     JsonlAppender,
     atomic_write_bytes,
     atomic_write_json,
-    atomic_write_text,
 )
 from .core import SqliteStore, is_busy_error
 from .schema import Migration, Schema
@@ -48,7 +47,6 @@ __all__ = [
     "StoreError",
     "atomic_write_bytes",
     "atomic_write_json",
-    "atomic_write_text",
     "db_backup",
     "db_check",
     "db_status",

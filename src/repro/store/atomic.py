@@ -1,15 +1,14 @@
 """Crash-safe file writes: atomic replace and append-only JSONL.
 
-Two disciplines, previously copied into five modules (engine disk
-cache, engine stats, jobs checkpointer, telemetry hub, studies store;
-span exporter for the append side), now defined once:
+Two disciplines, each defined once.  The engine's disk cache and
+stats file replace atomically; the span exporter appends:
 
-* :func:`atomic_write_bytes` / ``_text`` / ``_json`` — write to a
-  temp file in the *same directory* (so the rename cannot cross
-  filesystems), then ``os.replace``.  A reader — or a process killed
-  mid-write — observes either the old content or the new, never a
-  truncated file.  The temp file is unlinked on any failure,
-  including KeyboardInterrupt.
+* :func:`atomic_write_bytes` / ``_json`` — write to a temp file in the
+  *same directory* (so the rename cannot cross filesystems), then
+  ``os.replace``.  A reader — or a process killed mid-write —
+  observes either the old content or the new, never a truncated
+  file.  The temp file is unlinked on any failure, including
+  KeyboardInterrupt.
 * :class:`JsonlAppender` — a single ``os.write`` on an ``O_APPEND``
   descriptor per record.  POSIX guarantees the append offset is
   atomic, so concurrent writers interleave whole lines; a kill
@@ -51,14 +50,6 @@ def atomic_write_bytes(
     return target
 
 
-def atomic_write_text(
-    path: Union[str, Path], text: str, *, prefix: str = ".atomic-"
-) -> Path:
-    return atomic_write_bytes(
-        path, text.encode("utf-8"), prefix=prefix
-    )
-
-
 def atomic_write_json(
     path: Union[str, Path],
     document: object,
@@ -67,9 +58,9 @@ def atomic_write_json(
     prefix: str = ".atomic-",
 ) -> Path:
     """Atomically write ``document`` as sorted-key JSON."""
-    return atomic_write_text(
+    return atomic_write_bytes(
         path,
-        json.dumps(document, indent=indent, sort_keys=True),
+        json.dumps(document, indent=indent, sort_keys=True).encode("utf-8"),
         prefix=prefix,
     )
 

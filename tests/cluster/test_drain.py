@@ -17,7 +17,6 @@ from repro.cluster.merge import merge_points
 from repro.cluster.sharding import plan_shards
 from repro.engine import Engine
 from repro.jobs import (
-    Checkpointer,
     JobSpec,
     JobStore,
     Worker,
@@ -34,20 +33,20 @@ FIELD = "mtbf_hours"
 VALUES = [1e5 + 1e5 * i for i in range(8)]
 
 
-class SigtermAfterFirstChunk(Checkpointer):
+class SigtermAfterFirstChunk(JobStore):
     """Delivers a real SIGTERM right after the first durable chunk —
     the deterministic stand-in for an operator draining the node."""
 
-    def __init__(self, directory):
-        super().__init__(directory)
+    def __init__(self, path):
+        super().__init__(path)
         self.fired = False
 
-    def save(self, checkpoint):
-        path = super().save(checkpoint)
+    def save_checkpoint(self, checkpoint, now=None):
+        cancel = super().save_checkpoint(checkpoint, now)
         if not self.fired:
             self.fired = True
             signal.raise_signal(signal.SIGTERM)
-        return path
+        return cancel
 
 
 @pytest.fixture
@@ -80,7 +79,7 @@ def test_drained_shard_is_released_and_finished_elsewhere(
     # Node A leases the first shard and starts it as a jobs run.
     first = shards[0]
     assert shard_store.lease(first.id, "node-a:8100") == 1
-    job_store = JobStore(tmp_path / "jobs.sqlite3")
+    job_store = SigtermAfterFirstChunk(tmp_path / "jobs.sqlite3")
     job_spec = JobSpec(
         kind="sweep",
         spec=model_to_spec(e10000_model()),
@@ -91,11 +90,9 @@ def test_drained_shard_is_released_and_finished_elsewhere(
         },
     )
     record, _ = job_store.submit(job_spec)
-    checkpointer = SigtermAfterFirstChunk(tmp_path / "checkpoints")
     worker_a = Worker(
         job_store,
         Engine(jobs=1, cache_dir=tmp_path / "cache-a"),
-        checkpointer,
         WorkerConfig(name="node-a", once=True, checkpoint_every=1),
     )
     worker_a.install_signal_handlers()
@@ -103,8 +100,8 @@ def test_drained_shard_is_released_and_finished_elsewhere(
 
     # The SIGTERM landed mid-job: the run stopped at a chunk boundary
     # with a durable checkpoint, well short of the full shard.
-    assert checkpointer.fired
-    checkpoint = checkpointer.load(record.id)
+    assert job_store.fired
+    checkpoint = job_store.load_checkpoint(record.id)
     assert checkpoint is not None
     assert 0 < len(checkpoint.values) < first.size
     assert job_store.get(record.id).state == "queued"  # released
@@ -120,10 +117,7 @@ def test_drained_shard_is_released_and_finished_elsewhere(
     engine_b = Engine(jobs=1, cache_dir=tmp_path / "cache-b")
     resumed = job_store.lease("node-b")
     assert resumed.id == record.id
-    assert execute_job(
-        resumed, job_store, engine_b,
-        Checkpointer(tmp_path / "checkpoints"),
-    ) == "succeeded"
+    assert execute_job(resumed, job_store, engine_b) == "succeeded"
     finished = [
         point["availability"]
         for point in job_store.get(record.id).result["points"]

@@ -83,17 +83,15 @@ def _run_job(kind: str, jobs: int, root: Path) -> Dict[str, object]:
     """One uninterrupted run plus one preempted after its first chunk."""
     from repro.engine import Engine
     from repro.ident import content_digest
-    from repro.jobs import Checkpointer, JobStore, execute_job
+    from repro.jobs import JobStore, execute_job
 
     tag = f"{kind}-{jobs}"
     store = JobStore(root / f"{tag}.sqlite3")
-    checkpointer = Checkpointer(root / f"{tag}-ckpt")
     engine = Engine(jobs=jobs, cache_dir=root / f"{tag}-cache")
     record, _ = store.submit(_job_spec(kind))
     leased = store.lease("golden")
     outcome = execute_job(
-        leased, store, engine, checkpointer,
-        checkpoint_every=CHECKPOINT_EVERY,
+        leased, store, engine, checkpoint_every=CHECKPOINT_EVERY,
     )
     result = store.get(record.id).result
     entry: Dict[str, object] = {
@@ -105,7 +103,6 @@ def _run_job(kind: str, jobs: int, root: Path) -> Dict[str, object]:
 
     # The same job, preempted once its first chunk is checkpointed.
     stop_store = JobStore(root / f"{tag}-stop.sqlite3")
-    stop_checkpointer = Checkpointer(root / f"{tag}-stop-ckpt")
     stop_store.submit(_job_spec(kind))
     leased = stop_store.lease("golden")
     calls = {"n": 0}
@@ -117,11 +114,13 @@ def _run_job(kind: str, jobs: int, root: Path) -> Dict[str, object]:
     execute_job(
         leased, stop_store,
         Engine(jobs=jobs, cache_dir=root / f"{tag}-stop-cache"),
-        stop_checkpointer,
         checkpoint_every=CHECKPOINT_EVERY,
         should_stop=should_stop,
     )
-    text = stop_checkpointer.path(record.id).read_text()
+    with stop_store.db.connection() as conn:
+        (text,) = conn.execute(
+            "SELECT checkpoint FROM jobs WHERE id = ?", (record.id,)
+        ).fetchone()
     entry["checkpoint_digest"] = content_digest(json.loads(text))
     return entry
 

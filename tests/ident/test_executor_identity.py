@@ -28,7 +28,7 @@ from ._golden_outputs import (
 def job_results(tmp_path_factory):
     """Each kind's ``rascad jobs`` result, as the job store holds it."""
     from repro.engine import Engine
-    from repro.jobs import Checkpointer, JobStore, execute_job
+    from repro.jobs import JobStore, execute_job
 
     root = tmp_path_factory.mktemp("jobs")
     store = JobStore(root / "jobs.sqlite3")
@@ -38,7 +38,6 @@ def job_results(tmp_path_factory):
         execute_job(
             store.lease("identity"), store,
             Engine(jobs=1, cache_dir=root / f"{kind}-cache"),
-            Checkpointer(root / "checkpoints"),
             checkpoint_every=CHECKPOINT_EVERY,
         )
         results[kind] = store.get(record.id).result

@@ -7,7 +7,6 @@ import pytest
 from repro.engine import Engine
 from repro.jobs import (
     Checkpoint,
-    Checkpointer,
     JobSpec,
     JobStore,
     Worker,
@@ -22,9 +21,8 @@ from repro.spec import model_to_spec, parse_spec
 @pytest.fixture
 def harness(tmp_path):
     store = JobStore(tmp_path / "jobs.sqlite3")
-    checkpointer = Checkpointer(tmp_path / "checkpoints")
     engine = Engine(jobs=1, cache_dir=tmp_path / "cache")
-    return store, checkpointer, engine
+    return store, engine
 
 
 def sweep_spec(count=8, **overrides):
@@ -44,47 +42,18 @@ def sweep_spec(count=8, **overrides):
     )
 
 
-def run_once(spec, store, checkpointer, engine, **kwargs):
+def run_once(spec, store, engine, **kwargs):
     record, _ = store.submit(spec)
     leased = store.lease("test-worker")
-    outcome = execute_job(leased, store, engine, checkpointer, **kwargs)
+    outcome = execute_job(leased, store, engine, **kwargs)
     return outcome, store.get(record.id)
-
-
-class TestCheckpointer:
-    def test_save_load_round_trip(self, tmp_path):
-        ckpt = Checkpointer(tmp_path)
-        saved = Checkpoint("job-a", "sweep", 4, [0.9, 0.99])
-        ckpt.save(saved)
-        assert ckpt.load("job-a") == saved
-
-    def test_missing_checkpoint_is_none(self, tmp_path):
-        assert Checkpointer(tmp_path).load("job-missing") is None
-
-    def test_corrupt_checkpoint_is_none(self, tmp_path):
-        ckpt = Checkpointer(tmp_path)
-        ckpt.path("job-a").write_text("{not json")
-        assert ckpt.load("job-a") is None
-
-    def test_mismatched_id_is_none(self, tmp_path):
-        ckpt = Checkpointer(tmp_path)
-        ckpt.path("job-b").write_text(
-            Checkpoint("job-a", "sweep", 4, []).to_json()
-        )
-        assert ckpt.load("job-b") is None
-
-    def test_clear_removes_the_file(self, tmp_path):
-        ckpt = Checkpointer(tmp_path)
-        ckpt.save(Checkpoint("job-a", "sweep", 1, [1.0]))
-        ckpt.clear("job-a")
-        assert ckpt.load("job-a") is None
 
 
 class TestSweepExecution:
     def test_sweep_matches_the_engine_sweep(self, harness):
-        store, checkpointer, engine = harness
+        store, engine = harness
         spec = sweep_spec(count=4)
-        outcome, record = run_once(spec, store, checkpointer, engine)
+        outcome, record = run_once(spec, store, engine)
         assert outcome == "succeeded"
         expected = engine.sweep_block_field(
             e10000_model(),
@@ -97,12 +66,12 @@ class TestSweepExecution:
         assert record.result["result_digest"]
 
     def test_sweep_over_min_required_succeeds(self, harness):
-        store, checkpointer, engine = harness
+        store, engine = harness
         block = "E10000 Server/CPU Module"
         spec = sweep_spec(params={
             "field": "min_required", "block": block, "values": [62, 63],
         })
-        outcome, record = run_once(spec, store, checkpointer, engine)
+        outcome, record = run_once(spec, store, engine)
         assert outcome == "succeeded", record.error
         expected = engine.sweep_block_field(
             e10000_model(), block, "min_required", [62, 63]
@@ -111,22 +80,20 @@ class TestSweepExecution:
         assert got == [p.availability for p in expected]
 
     def test_checkpoint_cleared_after_success(self, harness):
-        store, checkpointer, engine = harness
-        _, record = run_once(sweep_spec(count=3), store, checkpointer,
-                             engine)
-        assert checkpointer.load(record.id) is None
+        store, engine = harness
+        _, record = run_once(sweep_spec(count=3), store, engine)
+        assert store.load_checkpoint(record.id) is None
 
 
 class TestResume:
     def test_preempted_job_resumes_bit_identically(self, harness, tmp_path):
-        store, checkpointer, engine = harness
+        store, engine = harness
         spec = sweep_spec(count=9)
 
         # The uninterrupted reference run, on its own store and cache.
         ref_store = JobStore(tmp_path / "ref.sqlite3")
-        ref_ckpt = Checkpointer(tmp_path / "ref-checkpoints")
         ref_engine = Engine(jobs=1, cache_dir=tmp_path / "ref-cache")
-        _, reference = run_once(spec, ref_store, ref_ckpt, ref_engine,
+        _, reference = run_once(spec, ref_store, ref_engine,
                                 checkpoint_every=3)
 
         # Interrupted run: stop after two 3-point chunks.
@@ -134,11 +101,11 @@ class TestResume:
         leased = store.lease("w1")
         chunks = []
         outcome = execute_job(
-            leased, store, engine, checkpointer, checkpoint_every=3,
+            leased, store, engine, checkpoint_every=3,
             should_stop=lambda: len(chunks) >= 2 or chunks.append(None),
         )
         assert outcome == "released"
-        checkpoint = checkpointer.load(record.id)
+        checkpoint = store.load_checkpoint(record.id)
         assert len(checkpoint.values) == 6  # two chunks durably recorded
 
         # Resume with a *fresh* engine (new process after the crash):
@@ -146,7 +113,7 @@ class TestResume:
         fresh = Engine(jobs=1, cache_dir=tmp_path / "fresh-cache")
         resumed = store.lease("w2")
         assert execute_job(
-            resumed, store, fresh, checkpointer, checkpoint_every=3
+            resumed, store, fresh, checkpoint_every=3
         ) == "succeeded"
         assert fresh.stats.snapshot().system_solves == 3
 
@@ -158,51 +125,43 @@ class TestResume:
         )
 
     def test_stale_checkpoint_is_discarded(self, harness):
-        store, checkpointer, engine = harness
+        store, engine = harness
         spec = sweep_spec(count=4)
         record, _ = store.submit(spec)
-        # A checkpoint from an older submission shape: wrong total.
-        checkpointer.save(Checkpoint(record.id, "sweep", 99, [0.5]))
         leased = store.lease("w1")
-        assert execute_job(
-            leased, store, engine, checkpointer
-        ) == "succeeded"
+        # A checkpoint from an older submission shape: wrong total.
+        store.save_checkpoint(Checkpoint(record.id, "sweep", 99, [0.5]))
+        assert execute_job(leased, store, engine) == "succeeded"
         assert len(store.get(record.id).result["points"]) == 4
 
 
 class TestCancellation:
     def test_cancel_mid_run_stops_at_chunk_boundary(self, harness):
-        store, checkpointer, engine = harness
+        store, engine = harness
         record, _ = store.submit(sweep_spec(count=6))
         leased = store.lease("w1")
         store.cancel(record.id)
-        outcome = execute_job(
-            leased, store, engine, checkpointer, checkpoint_every=2
-        )
+        outcome = execute_job(leased, store, engine, checkpoint_every=2)
         assert outcome == "cancelled"
         assert store.get(record.id).state == "cancelled"
-        assert checkpointer.load(record.id) is None
+        assert store.load_checkpoint(record.id) is None
 
 
 class TestWorker:
     def test_worker_drains_the_queue(self, harness):
-        store, checkpointer, engine = harness
+        store, engine = harness
         a, _ = store.submit(sweep_spec(count=2))
         b, _ = store.submit(sweep_spec(count=3))
-        worker = Worker(
-            store, engine, checkpointer, WorkerConfig(once=True)
-        )
+        worker = Worker(store, engine, WorkerConfig(once=True))
         assert worker.run() == 2
         assert store.get(a.id).state == "succeeded"
         assert store.get(b.id).state == "succeeded"
 
     def test_permanent_failure_does_not_retry(self, harness):
-        store, checkpointer, engine = harness
+        store, engine = harness
         spec = sweep_spec(params={"block": "E10000 Server/NoSuchBlock"})
         record, _ = store.submit(spec)
-        worker = Worker(
-            store, engine, checkpointer, WorkerConfig(once=True)
-        )
+        worker = Worker(store, engine, WorkerConfig(once=True))
         worker.run()
         failed = store.get(record.id)
         assert failed.state == "failed"
@@ -210,10 +169,10 @@ class TestWorker:
         assert "permanent" in failed.error
 
     def test_transient_failure_requeues_with_backoff(self, harness):
-        store, checkpointer, engine = harness
+        store, engine = harness
         record, _ = store.submit(sweep_spec(count=2))
         leased = store.lease("w1")
-        worker = Worker(store, engine, checkpointer)
+        worker = Worker(store, engine)
 
         original = execute_job
 
@@ -237,7 +196,7 @@ class TestWorker:
 
 class TestPlans:
     def test_uncertainty_matches_the_engine(self, harness):
-        store, checkpointer, engine = harness
+        store, engine = harness
         spec = JobSpec(
             kind="uncertainty",
             spec=model_to_spec(e10000_model()),
@@ -253,7 +212,7 @@ class TestPlans:
                 "seed": 42,
             },
         )
-        outcome, record = run_once(spec, store, checkpointer, engine,
+        outcome, record = run_once(spec, store, engine,
                                    checkpoint_every=2)
         assert outcome == "succeeded"
 
@@ -273,13 +232,13 @@ class TestPlans:
         assert record.result["downtime_p50"] == expected.downtime_p50
 
     def test_validate_reports_agreement(self, harness):
-        store, checkpointer, engine = harness
+        store, engine = harness
         spec = JobSpec(
             kind="validate",
             spec=model_to_spec(e10000_model()),
             params={"replications": 4, "horizon": 2_000.0, "seed": 7},
         )
-        outcome, record = run_once(spec, store, checkpointer, engine,
+        outcome, record = run_once(spec, store, engine,
                                    checkpoint_every=2)
         assert outcome == "succeeded"
         result = record.result
@@ -295,7 +254,7 @@ class TestPlans:
         ],
     )
     def test_sweep_requires_field(self, harness, params, match):
-        _, _, engine = harness
+        _, engine = harness
         spec = JobSpec(
             kind="sweep",
             spec=model_to_spec(e10000_model()),
@@ -311,7 +270,7 @@ class TestPlans:
         from repro.jobs.types import workload_digest
         from repro.num import as_options
 
-        _, _, engine = harness
+        _, engine = harness
         spec = sweep_spec(count=4)
         plan = plan_job(spec, e10000_model(), engine)
         assert plan.digest == workload_digest({
@@ -327,7 +286,7 @@ class TestPlans:
     def test_sweep_fleet_range_sends_the_value_slice(self, harness):
         from repro.num import as_options
 
-        _, _, engine = harness
+        _, engine = harness
         spec = sweep_spec(count=4, params={"method": "gth"})
         plan = plan_job(spec, e10000_model(), engine)
         local = plan.solve_range(1, 3)
@@ -355,7 +314,7 @@ class TestPlans:
     ):
         from repro.errors import SpecError
 
-        _, _, engine = harness
+        _, engine = harness
         plan = plan_job(sweep_spec(count=4), e10000_model(), engine)
         with pytest.raises(SpecError, match=f"returned {count} points"):
             plan.fleet_range(lambda path, payload: body, 1, 3)
@@ -399,7 +358,7 @@ class TestMalformedParams:
             spec=model_to_spec(e10000_model()),
             params={**base, **params},
         )
-        _, _, engine = harness
+        _, engine = harness
         with pytest.raises(SpecError, match=next(iter(params))) as info:
             plan_job(spec, e10000_model(), engine)
         assert classify(info.value) == "permanent"
@@ -411,14 +370,11 @@ class TestStageTiming:
         import time
 
         store = JobStore(tmp_path / "jobs.sqlite3")
-        checkpointer = Checkpointer(tmp_path / "checkpoints")
         engine = Engine(jobs=2, cache=False)
         record, _ = store.submit(sweep_spec(count=8))
         leased = store.lease("w1")
         start = time.perf_counter()
-        outcome = execute_job(
-            leased, store, engine, checkpointer, checkpoint_every=2
-        )
+        outcome = execute_job(leased, store, engine, checkpoint_every=2)
         wall = time.perf_counter() - start
         assert outcome == "succeeded"
         assert engine.stats_snapshot().stage_seconds["jobs"] <= wall

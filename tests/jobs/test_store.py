@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import RascadError
-from repro.jobs import JobNotFoundError, JobSpec, JobStore
+from repro.jobs import Checkpoint, JobNotFoundError, JobSpec, JobStore
 from repro.library import e10000_model, workgroup_model
 from repro.spec import model_to_spec
 
@@ -134,6 +134,71 @@ class TestRelease:
         store.lease("w1")
         store.release(record.id)
         assert store.lease("w2").id == record.id
+
+
+class TestCheckpoint:
+    def test_save_load_round_trip(self, store):
+        record, _ = store.submit(sweep_spec())
+        store.lease("w1")
+        saved = Checkpoint(record.id, "sweep", 4, [0.9, 0.99])
+        assert store.save_checkpoint(saved) is False
+        assert store.load_checkpoint(record.id) == saved
+
+    def test_missing_checkpoint_is_none(self, store):
+        record, _ = store.submit(sweep_spec())
+        assert store.load_checkpoint(record.id) is None
+        assert store.load_checkpoint("job-missing") is None
+
+    def test_save_heartbeats_the_job(self, store):
+        record, _ = store.submit(sweep_spec())
+        store.lease("w1", now=100.0)
+        store.save_checkpoint(Checkpoint(record.id, "sweep", 2, [1.0]),
+                              now=150.0)
+        beaten = store.get(record.id)
+        assert beaten.heartbeat_at == beaten.updated_at == 150.0
+        # The fresh heartbeat keeps the lease alive past the old one.
+        assert store.lease("w2", lease_timeout=60.0, now=161.0) is None
+
+    def test_save_reports_a_cancel_request(self, store):
+        record, _ = store.submit(sweep_spec())
+        store.lease("w1")
+        store.cancel(record.id)
+        checkpoint = Checkpoint(record.id, "sweep", 2, [1.0])
+        assert store.save_checkpoint(checkpoint) is True
+        assert store.load_checkpoint(record.id) == checkpoint
+
+    def test_save_ignores_a_job_that_is_not_running(self, store):
+        record, _ = store.submit(sweep_spec())
+        assert store.save_checkpoint(
+            Checkpoint(record.id, "sweep", 2, [1.0])
+        ) is False
+        assert store.load_checkpoint(record.id) is None
+
+    def test_retry_and_release_keep_it_success_clears_it(self, store):
+        record, _ = store.submit(sweep_spec())
+        checkpoint = Checkpoint(record.id, "sweep", 2, [1.0])
+        store.lease("w1")
+        store.save_checkpoint(checkpoint)
+        assert store.fail(record.id, "flaky", retryable=True) == "queued"
+        assert store.load_checkpoint(record.id) == checkpoint
+        store.lease("w1")
+        store.release(record.id)
+        assert store.load_checkpoint(record.id) == checkpoint
+        store.lease("w1")
+        store.succeed(record.id, {"ok": True})
+        assert store.load_checkpoint(record.id) is None
+
+    def test_record_reads_never_decode_it(self, store):
+        record, _ = store.submit(sweep_spec())
+        leased = store.lease("w1")
+        with store.db.transaction() as conn:
+            conn.execute(
+                "UPDATE jobs SET checkpoint = '{not json' WHERE id = ?",
+                (record.id,),
+            )
+        assert store.get(record.id) == leased
+        assert store.list_jobs() == [leased]
+        assert store.counts()["running"] == 1
 
 
 class TestCancel:

@@ -51,9 +51,9 @@ def jobs_dir(tmp_path):
 
 @pytest.fixture
 def harness(jobs_dir, tmp_path):
-    store, checkpointer = open_store(cache_dir=jobs_dir)
+    store = open_store(cache_dir=jobs_dir)
     engine = Engine(jobs=1, cache_dir=tmp_path / "cache")
-    return store, checkpointer, engine
+    return store, engine
 
 
 def leftovers(jobs_dir):
@@ -61,46 +61,48 @@ def leftovers(jobs_dir):
     return sorted(
         str(path.relative_to(jobs_dir))
         for path in jobs_dir.rglob("*")
-        if path.is_file() and not path.name.startswith("jobs.sqlite3")
+        if not path.name.startswith("jobs.sqlite3")
     )
 
 
-@pytest.mark.xfail(strict=True, reason="fail() leaves the checkpoint")
+def assert_no_checkpoint(store, job_id, jobs_dir):
+    assert store.load_checkpoint(job_id) is None
+    assert leftovers(jobs_dir) == []
+
+
 def test_permanent_failure_after_one_chunk(harness, jobs_dir):
-    store, checkpointer, engine = harness
+    store, engine = harness
     values = good_values(3) + [-1.0] + good_values(2)
     record, _ = store.submit(sweep_spec(values))
     worker = Worker(
-        store, engine, checkpointer,
-        WorkerConfig(once=True, checkpoint_every=3),
+        store, engine, WorkerConfig(once=True, checkpoint_every=3)
     )
     assert worker.run() == 1
     failed = store.get(record.id)
     assert failed.state == "failed"
     assert "permanent" in failed.error
     assert engine.stats.snapshot().counters["jobs_points_completed"] == 3
-    assert leftovers(jobs_dir) == []
+    assert_no_checkpoint(store, record.id, jobs_dir)
 
 
-@pytest.mark.xfail(strict=True, reason="cancel() leaves the checkpoint")
 def test_released_then_cancelled_while_queued(harness, jobs_dir):
-    store, checkpointer, engine = harness
+    store, engine = harness
     record, _ = store.submit(sweep_spec(good_values()))
     chunks = []
     outcome = execute_job(
-        store.lease("w1"), store, engine, checkpointer,
+        store.lease("w1"), store, engine,
         checkpoint_every=2,
         should_stop=lambda: len(chunks) >= 1 or chunks.append(None),
     )
     assert outcome == "released"
     assert store.get(record.id).state == "queued"
+    assert len(store.load_checkpoint(record.id).values) == 2
     assert store.cancel(record.id).state == "cancelled"
-    assert leftovers(jobs_dir) == []
+    assert_no_checkpoint(store, record.id, jobs_dir)
 
 
-@pytest.mark.xfail(strict=True, reason="lease expiry leaves the checkpoint")
 def test_lease_expiry_with_no_attempts_left(harness, jobs_dir):
-    store, checkpointer, engine = harness
+    store, engine = harness
     record, _ = store.submit(sweep_spec(good_values(), max_attempts=1))
     chunks = []
 
@@ -112,48 +114,45 @@ def test_lease_expiry_with_no_attempts_left(harness, jobs_dir):
 
     with pytest.raises(Crash):
         execute_job(
-            store.lease("w1"), store, engine, checkpointer,
+            store.lease("w1"), store, engine,
             checkpoint_every=2, should_stop=crash_after_one_chunk,
         )
     assert store.get(record.id).state == "running"
+    assert len(store.load_checkpoint(record.id).values) == 2
     assert store.lease("w2", lease_timeout=1.0, now=time.time() + 60) is None
     expired = store.get(record.id)
     assert expired.state == "failed"
     assert "lease expired" in expired.error
-    assert leftovers(jobs_dir) == []
+    assert_no_checkpoint(store, record.id, jobs_dir)
 
 
 def test_success(harness, jobs_dir):
-    store, checkpointer, engine = harness
+    store, engine = harness
     record, _ = store.submit(sweep_spec(good_values()))
     assert execute_job(
-        store.lease("w1"), store, engine, checkpointer, checkpoint_every=2
+        store.lease("w1"), store, engine, checkpoint_every=2
     ) == "succeeded"
     assert store.get(record.id).state == "succeeded"
-    assert leftovers(jobs_dir) == []
+    assert_no_checkpoint(store, record.id, jobs_dir)
 
 
-def test_cancel_mid_run(harness, jobs_dir):
-    store, checkpointer, engine = harness
+def test_cancel_mid_run(harness, jobs_dir, monkeypatch):
+    store, engine = harness
     record, _ = store.submit(sweep_spec(good_values()))
-    chunks = []
+    solve = engine.sweep_availabilities
 
-    def cancel_after_one_chunk():
-        if not chunks:
-            chunks.append(None)
-        elif len(chunks) == 1:
-            chunks.append(None)
-            store.cancel(record.id)
-        return False
+    def cancel_while_solving(*args, **kwargs):
+        store.cancel(record.id)
+        return solve(*args, **kwargs)
 
+    monkeypatch.setattr(engine, "sweep_availabilities", cancel_while_solving)
     assert execute_job(
-        store.lease("w1"), store, engine, checkpointer,
-        checkpoint_every=2, should_stop=cancel_after_one_chunk,
+        store.lease("w1"), store, engine, checkpoint_every=2
     ) == "cancelled"
     cancelled = store.get(record.id)
     assert cancelled.state == "cancelled"
     assert engine.stats.snapshot().counters["jobs_points_completed"] == 2
-    assert leftovers(jobs_dir) == []
+    assert_no_checkpoint(store, record.id, jobs_dir)
 
 
 #: The version-1 jobs schema, as files written before the checkpoint
@@ -182,17 +181,13 @@ CREATE INDEX idx_jobs_claim ON jobs (state, priority DESC, submitted_at);
 """
 
 
-@pytest.mark.xfail(strict=True, reason="jobs schema is still version 1")
 def test_v1_database_upgrades_and_runs_from_point_zero(tmp_path):
     spec = sweep_spec(good_values(5))
     reference_store = JobStore(tmp_path / "ref" / "jobs.sqlite3")
     reference_store.submit(spec)
-    from repro.jobs import Checkpointer
-
     assert execute_job(
         reference_store.lease("ref"), reference_store,
-        Engine(jobs=1, cache=False), Checkpointer(tmp_path / "ref-ckpt"),
-        checkpoint_every=2,
+        Engine(jobs=1, cache=False), checkpoint_every=2,
     ) == "succeeded"
     reference = reference_store.list_jobs()[0].result
 
@@ -221,7 +216,7 @@ def test_v1_database_upgrades_and_runs_from_point_zero(tmp_path):
     }, sort_keys=True))
     old_bytes = old.read_bytes()
 
-    store, checkpointer = open_store(cache_dir=jobs_dir)
+    store = open_store(cache_dir=jobs_dir)
     assert store.db.user_version() == 2
     [record] = store.list_jobs()
     assert (record.id, record.state, record.submitted_at) == (
@@ -229,7 +224,7 @@ def test_v1_database_upgrades_and_runs_from_point_zero(tmp_path):
     )
     engine = Engine(jobs=1, cache=False)
     assert execute_job(
-        store.lease("w1"), store, engine, checkpointer, checkpoint_every=2
+        store.lease("w1"), store, engine, checkpoint_every=2
     ) == "succeeded"
     assert "jobs_points_resumed" not in engine.stats.snapshot().counters
     assert engine.stats.snapshot().system_solves == 5

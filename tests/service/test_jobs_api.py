@@ -217,11 +217,11 @@ class TestMetrics:
 
 class TestOpenStore:
     def test_open_store_defaults_into_cache_dir(self, tmp_path):
-        store, checkpointer = open_store(cache_dir=tmp_path)
+        store = open_store(cache_dir=tmp_path)
         assert store.path == tmp_path / "jobs.sqlite3"
-        assert checkpointer.directory == tmp_path / "checkpoints"
+        assert not (tmp_path / "checkpoints").exists()
 
     def test_open_store_explicit_db_path(self, tmp_path):
-        store, checkpointer = open_store(db_path=tmp_path / "q.db")
+        store = open_store(db_path=tmp_path / "q.db")
         assert store.path == tmp_path / "q.db"
-        assert checkpointer.directory == tmp_path / "checkpoints"
+        assert not (tmp_path / "checkpoints").exists()

@@ -9,7 +9,6 @@ from repro.store import (
     JsonlAppender,
     atomic_write_bytes,
     atomic_write_json,
-    atomic_write_text,
 )
 
 
@@ -21,8 +20,8 @@ class TestAtomicWrite:
 
     def test_replace_leaves_no_temp_files(self, tmp_path):
         target = tmp_path / "file.txt"
-        atomic_write_text(target, "one")
-        atomic_write_text(target, "two")
+        atomic_write_bytes(target, b"one")
+        atomic_write_bytes(target, b"two")
         assert target.read_text() == "two"
         assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
 

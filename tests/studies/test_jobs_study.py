@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine import Engine
 from repro.errors import SpecError
-from repro.jobs import Checkpointer, JobSpec, JobStore, execute_job
+from repro.jobs import JobSpec, JobStore, execute_job
 from repro.library import workgroup_model
 from repro.spec import model_to_spec
 from repro.studies import run_study, parse_study
@@ -42,24 +42,23 @@ def reference_result(**extra):
 
 def run_once(spec, tmp_path, tag, **kwargs):
     store = JobStore(tmp_path / f"{tag}.sqlite3")
-    checkpointer = Checkpointer(tmp_path / f"{tag}-ckpt")
     engine = Engine(jobs=1, cache_dir=tmp_path / f"{tag}-cache")
     record, _ = store.submit(spec)
     leased = store.lease(tag)
-    outcome = execute_job(leased, store, engine, checkpointer, **kwargs)
-    return outcome, store.get(record.id), store, checkpointer
+    outcome = execute_job(leased, store, engine, **kwargs)
+    return outcome, store.get(record.id)
 
 
 class TestStudyJob:
     def test_study_job_matches_run_study(self, tmp_path):
-        outcome, record, _, _ = run_once(study_job(), tmp_path, "w")
+        outcome, record = run_once(study_job(), tmp_path, "w")
         assert outcome == "succeeded"
         assert record.result == reference_result()
 
     def test_direct_service_and_job_paths_share_one_digest(
         self, tmp_path
     ):
-        _, record, _, _ = run_once(study_job(), tmp_path, "w")
+        _, record = run_once(study_job(), tmp_path, "w")
         assert (
             record.result["result_digest"]
             == reference_result()["result_digest"]
@@ -90,29 +89,28 @@ class TestResume:
         payload of an uninterrupted run — the checkpointed scalar
         prefix plus generator replay is the whole story."""
         spec = study_job()
-        _, reference, _, _ = run_once(
+        _, reference = run_once(
             spec, tmp_path, "ref", checkpoint_every=3
         )
 
         store = JobStore(tmp_path / "jobs.sqlite3")
-        checkpointer = Checkpointer(tmp_path / "ckpt")
         engine = Engine(jobs=1, cache_dir=tmp_path / "cache")
         record, _ = store.submit(spec)
         leased = store.lease("w1")
         chunks = []
         outcome = execute_job(
-            leased, store, engine, checkpointer, checkpoint_every=3,
+            leased, store, engine, checkpoint_every=3,
             should_stop=lambda: len(chunks) >= 2 or chunks.append(None),
         )
         assert outcome == "released"
-        checkpoint = checkpointer.load(record.id)
+        checkpoint = store.load_checkpoint(record.id)
         assert 0 < len(checkpoint.values) < reference.result["evaluated"]
 
         # A fresh engine stands in for the post-crash process.
         fresh = Engine(jobs=1, cache_dir=tmp_path / "fresh-cache")
         resumed = store.lease("w2")
         assert execute_job(
-            resumed, store, fresh, checkpointer, checkpoint_every=3
+            resumed, store, fresh, checkpoint_every=3
         ) == "succeeded"
         final = store.get(record.id)
         assert final.result == reference.result
@@ -126,8 +124,8 @@ class TestResume:
         # checkpoint_every larger than a descent round: chunks clamp
         # to round boundaries and the digest still matches.
         spec = study_job(options={"rounds": 2})
-        _, reference, _, _ = run_once(spec, tmp_path, "ref")
-        _, chunked, _, _ = run_once(
+        _, reference = run_once(spec, tmp_path, "ref")
+        _, chunked = run_once(
             spec, tmp_path, "chunked", checkpoint_every=5
         )
         assert chunked.result == reference.result
@@ -137,14 +135,10 @@ class TestResume:
 
         spec = study_job()
         store = JobStore(tmp_path / "jobs.sqlite3")
-        checkpointer = Checkpointer(tmp_path / "ckpt")
         record, _ = store.submit(spec)
-        checkpointer.save(
+        leased = store.lease("w1")
+        store.save_checkpoint(
             Checkpoint(record.id, "study", 99, [0.5, 0.6])
         )
-        leased = store.lease("w1")
-        engine = Engine()
-        assert execute_job(
-            leased, store, engine, checkpointer
-        ) == "succeeded"
+        assert execute_job(leased, store, Engine()) == "succeeded"
         assert store.get(record.id).result == reference_result()

@@ -5,7 +5,6 @@ import pytest
 from repro.engine import Engine
 from repro.errors import SpecError
 from repro.jobs import (
-    Checkpointer,
     JobSpec,
     JobStore,
     execute_job,
@@ -21,9 +20,8 @@ BOOT_DISK = "E10000 Server/Boot Disk"
 @pytest.fixture
 def harness(tmp_path):
     store = JobStore(tmp_path / "jobs.sqlite3")
-    checkpointer = Checkpointer(tmp_path / "checkpoints")
     engine = Engine(jobs=1, cache_dir=tmp_path / "cache")
-    return store, checkpointer, engine
+    return store, engine
 
 
 def calibration_spec(chunk_events=8, **params):
@@ -44,16 +42,16 @@ def calibration_spec(chunk_events=8, **params):
     )
 
 
-def run_once(spec, store, checkpointer, engine, **kwargs):
+def run_once(spec, store, engine, **kwargs):
     record, _ = store.submit(spec)
     leased = store.lease("test-worker")
-    outcome = execute_job(leased, store, engine, checkpointer, **kwargs)
+    outcome = execute_job(leased, store, engine, **kwargs)
     return outcome, store.get(record.id)
 
 
 class TestPlanning:
     def test_plan_chunks_the_event_stream(self, harness):
-        _, _, engine = harness
+        _, engine = harness
         plan = plan_job(
             calibration_spec(chunk_events=8), e10000_model(), engine
         )
@@ -66,7 +64,7 @@ class TestPlanning:
         assert plan.total == (len(events) + 7) // 8
 
     def test_unknown_source_kind_is_a_spec_error(self, harness):
-        _, _, engine = harness
+        _, engine = harness
         with pytest.raises(SpecError, match="source"):
             plan_job(
                 calibration_spec(source={"kind": "carrier-pigeon"}),
@@ -75,7 +73,7 @@ class TestPlanning:
             )
 
     def test_out_of_order_event_source_fails_at_submission(self, harness):
-        _, _, engine = harness
+        _, engine = harness
         events = [
             FieldEvent(BOOT_DISK, "u#0", "failure", 100.0).to_dict(),
             FieldEvent(BOOT_DISK, "u#0", "repair", 50.0).to_dict(),
@@ -90,7 +88,7 @@ class TestPlanning:
             )
 
     def test_invalid_drift_params_are_a_spec_error(self, harness):
-        _, _, engine = harness
+        _, engine = harness
         with pytest.raises(SpecError, match="shift"):
             plan_job(
                 calibration_spec(drift={"shift": 0.5}),
@@ -101,9 +99,9 @@ class TestPlanning:
 
 class TestExecution:
     def test_calibration_job_publishes_a_drift_proposal(self, harness):
-        store, checkpointer, engine = harness
+        store, engine = harness
         outcome, record = run_once(
-            calibration_spec(), store, checkpointer, engine
+            calibration_spec(), store, engine
         )
         assert outcome == "succeeded"
         result = record.result
@@ -115,7 +113,7 @@ class TestExecution:
         assert proposal["provenance"]["source"] == "calibration"
 
     def test_explicit_event_source_round_trips(self, harness):
-        store, checkpointer, engine = harness
+        store, engine = harness
         events = [
             event.to_dict()
             for event in synthetic_field_events(
@@ -128,7 +126,6 @@ class TestExecution:
         outcome, record = run_once(
             calibration_spec(source={"kind": "events", "events": events}),
             store,
-            checkpointer,
             engine,
         )
         assert outcome == "succeeded"
@@ -139,15 +136,14 @@ class TestResume:
     def test_preempted_calibration_resumes_bit_identically(
         self, harness, tmp_path
     ):
-        store, checkpointer, engine = harness
+        store, engine = harness
         spec = calibration_spec(chunk_events=8)
 
         # The uninterrupted reference run, on its own store and cache.
         ref_store = JobStore(tmp_path / "ref.sqlite3")
-        ref_ckpt = Checkpointer(tmp_path / "ref-checkpoints")
         ref_engine = Engine(jobs=1, cache_dir=tmp_path / "ref-cache")
         _, reference = run_once(
-            spec, ref_store, ref_ckpt, ref_engine, checkpoint_every=1
+            spec, ref_store, ref_engine, checkpoint_every=1
         )
 
         # Interrupted run: stop after two one-chunk checkpoints.
@@ -155,18 +151,18 @@ class TestResume:
         leased = store.lease("w1")
         chunks = []
         outcome = execute_job(
-            leased, store, engine, checkpointer, checkpoint_every=1,
+            leased, store, engine, checkpoint_every=1,
             should_stop=lambda: len(chunks) >= 2 or chunks.append(None),
         )
         assert outcome == "released"
-        checkpoint = checkpointer.load(record.id)
+        checkpoint = store.load_checkpoint(record.id)
         assert len(checkpoint.values) == 2
 
-        # Resume in a "new process": fresh engine, same checkpointer.
+        # Resume in a "new process": fresh engine, same store.
         fresh = Engine(jobs=1, cache_dir=tmp_path / "fresh-cache")
         resumed = store.lease("w2")
         assert execute_job(
-            resumed, store, fresh, checkpointer, checkpoint_every=1
+            resumed, store, fresh, checkpoint_every=1
         ) == "succeeded"
 
         final = store.get(record.id)

@@ -11,6 +11,7 @@ import pytest
 
 from repro import datacenter_model, save_spec, workgroup_model
 from repro.cli import main
+from repro.jobs.store import JOBS_SCHEMA
 
 
 @pytest.fixture(scope="module")
@@ -627,7 +628,7 @@ class TestDbCli:
         ]) == 0
         statuses = json.loads(capsys.readouterr().out)
         by_name = {status["name"]: status for status in statuses}
-        assert by_name["jobs"]["user_version"] == 1
+        assert by_name["jobs"]["user_version"] == JOBS_SCHEMA.version
         assert by_name["studies"]["tables"]["studies"] == 1
 
     def test_status_explicit_path(self, cache_dir, capsys):

@@ -7,14 +7,15 @@ Exercises the durability guarantees end to end, with real processes:
    the uninterrupted reference result.
 2. Submit the identical job to a second store and start a real
    ``rascad jobs worker`` subprocess on it.
-3. SIGKILL the worker as soon as it has durably checkpointed some
-   progress (no graceful shutdown, no atexit — the hard-crash path).
+3. SIGKILL the worker as soon as the job's row holds a checkpoint
+   (no graceful shutdown, no atexit — the hard-crash path).
 4. Start a fresh worker with a short lease timeout: it reclaims the
    stale lease and resumes from the checkpoint.
 5. Assert the resumed result payload — including its
    ``result_digest`` — is byte-identical to the reference, and that
    the resumed worker re-solved *only* the points past the checkpoint
-   (via its engine's ``system_solves`` count).
+   (via its engine's ``system_solves`` count).  No checkpoint file
+   or ``checkpoints/`` directory is written anywhere along the way.
 
 Run from the repository root::
 
@@ -36,7 +37,6 @@ from _smoke_common import subprocess_env
 from repro.analysis import expand_values  # noqa: E402
 from repro.engine import Engine  # noqa: E402
 from repro.jobs import (  # noqa: E402
-    Checkpointer,
     JobSpec,
     JobStore,
     Worker,
@@ -69,7 +69,6 @@ def reference_run(base: Path) -> dict:
     worker = Worker(
         store,
         Engine(jobs=1, cache_dir=base / "ref-cache"),
-        Checkpointer(base / "ref-checkpoints"),
         WorkerConfig(once=True, checkpoint_every=CHECKPOINT_EVERY),
     )
     worker.run()
@@ -86,7 +85,6 @@ def main() -> int:
     print(f"reference digest: {reference['result_digest']}")
 
     store = JobStore(base / "jobs.sqlite3")
-    checkpointer = Checkpointer(base / "checkpoints")
     record, _ = store.submit(job_spec())
 
     env = subprocess_env()
@@ -104,10 +102,10 @@ def main() -> int:
     )
 
     # Wait for durable progress, then kill without ceremony.
-    ckpt_path = checkpointer.path(record.id)
     deadline = time.monotonic() + 120.0
     while time.monotonic() < deadline:
-        if ckpt_path.exists():
+        checkpoint = store.load_checkpoint(record.id)
+        if checkpoint is not None:
             break
         if worker.poll() is not None:
             print("FAIL: worker exited before checkpointing")
@@ -119,8 +117,7 @@ def main() -> int:
     worker.send_signal(signal.SIGKILL)
     worker.wait()
 
-    checkpoint = checkpointer.load(record.id)
-    assert checkpoint is not None
+    checkpoint = store.load_checkpoint(record.id)
     completed = len(checkpoint.values)
     print(f"SIGKILLed worker after {completed}/{POINTS} durable points")
     assert 0 < completed < POINTS, completed
@@ -159,6 +156,10 @@ def main() -> int:
     solves = stats["system_solves"]
     print(f"resume re-solved {solves} points (tail was {tail})")
     assert solves == tail, (solves, tail)
+
+    assert store.load_checkpoint(record.id) is None
+    strays = sorted(str(path) for path in base.rglob("checkpoints"))
+    assert not strays, strays
 
     print(
         "PASS: resumed run is bit-identical "

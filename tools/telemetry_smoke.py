@@ -37,7 +37,6 @@ from _smoke_common import Fleet, cli, get_json, post_json, subprocess_env
 
 from repro.engine import Engine  # noqa: E402
 from repro.jobs import (  # noqa: E402
-    Checkpointer,
     JobSpec,
     JobStore,
     Worker,
@@ -80,7 +79,6 @@ def reference_run(base: Path, spec: dict) -> dict:
     Worker(
         store,
         Engine(jobs=1, cache_dir=base / "ref-cache"),
-        Checkpointer(base / "ref-checkpoints"),
         WorkerConfig(once=True, checkpoint_every=1),
     ).run()
     done = store.get(record.id)
@@ -90,7 +88,6 @@ def reference_run(base: Path, spec: dict) -> dict:
 
 def crash_and_resume(base: Path, spec: dict, reference: dict) -> None:
     store = JobStore(base / "jobs.sqlite3")
-    checkpointer = Checkpointer(base / "checkpoints")
     record, _ = store.submit(calibration_job_spec(spec))
     env = subprocess_env()
 
@@ -106,10 +103,9 @@ def crash_and_resume(base: Path, spec: dict, reference: dict) -> None:
     )
 
     # Wait for a few durable chunks, then kill without ceremony.
-    ckpt_path = checkpointer.path(record.id)
     deadline = time.monotonic() + 120.0
     while time.monotonic() < deadline:
-        checkpoint = checkpointer.load(record.id) if ckpt_path.exists() else None
+        checkpoint = store.load_checkpoint(record.id)
         if checkpoint is not None and len(checkpoint.values) >= 5:
             break
         if worker.poll() is not None:
@@ -120,7 +116,7 @@ def crash_and_resume(base: Path, spec: dict, reference: dict) -> None:
     worker.send_signal(signal.SIGKILL)
     worker.wait()
 
-    completed = len(checkpointer.load(record.id).values)
+    completed = len(store.load_checkpoint(record.id).values)
     total = reference["events_total"]
     print(f"SIGKILLed worker after {completed}/{total} durable chunks")
     assert 0 < completed < total, completed
