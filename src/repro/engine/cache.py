@@ -40,7 +40,15 @@ from __future__ import annotations
 import os
 import struct
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Tuple, TypeVar, Union
+from typing import (
+    Callable,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 import numpy as np
 
@@ -262,9 +270,9 @@ class SolveCache:
             self.clear_disk()
 
     def clear_disk(self) -> None:
-        for path in self._disk_entries():
+        for entry in self._disk_entries():
             try:
-                path.unlink()
+                os.unlink(entry.path)
             except OSError:
                 pass
 
@@ -292,11 +300,11 @@ class SolveCache:
         """``(entry count, total bytes)`` of the persistent layer."""
         count = 0
         total = 0
-        for path in self._disk_entries():
+        for entry in self._disk_entries():
             try:
-                total += path.stat().st_size
+                total += entry.stat().st_size
             except OSError:
-                continue
+                continue  # removed since the walk listed it
             count += 1
         return count, total
 
@@ -308,10 +316,17 @@ class SolveCache:
             return None
         return self.cache_dir / "blocks" / f"{key}.pkl"
 
-    def _disk_entries(self):
+    def _disk_entries(self) -> Iterator[os.DirEntry]:
+        """The persistent layer's ``*.pkl`` files, in directory order."""
         if self.cache_dir is None:
-            return []
-        return sorted((self.cache_dir / "blocks").glob("*.pkl"))
+            return
+        try:
+            with os.scandir(self.cache_dir / "blocks") as entries:
+                for entry in entries:
+                    if entry.name.endswith(".pkl") and entry.is_file():
+                        yield entry
+        except FileNotFoundError:
+            return
 
     def _disk_read(self, key: str) -> Optional[bytes]:
         path = self._block_path(key)

@@ -1,5 +1,6 @@
 """Solve-cache behaviour: LRU order, persistence, invalidation, records."""
 
+import os
 import pickle
 import struct
 from dataclasses import dataclass
@@ -212,6 +213,28 @@ class TestDiskLayer:
         cache.put_block("k1", b"1", bytes)
         cache.put_block("k2", b"22", bytes)
         assert cache.disk_usage() == (2, 3)
+        # A leftover temp file and a subdirectory are not entries.
+        (tmp_path / "blocks" / ".atomic-x.tmp").write_bytes(b"4444")
+        (tmp_path / "blocks" / "nested.pkl").mkdir()
+        (tmp_path / "blocks" / "nested.pkl" / "k3.pkl").write_bytes(b"5")
+        assert cache.disk_usage() == (2, 3)
+
+    def test_disk_usage_skips_an_entry_removed_mid_walk(
+        self, tmp_path, monkeypatch
+    ):
+        cache = SolveCache(cache_dir=tmp_path)
+        cache.put_block("k1", b"1", bytes)
+        cache.put_block("k2", b"22", bytes)
+        walk = cache._disk_entries
+
+        def racing_walk():
+            for entry in walk():
+                if entry.name == "k1.pkl":
+                    os.unlink(entry.path)
+                yield entry
+
+        monkeypatch.setattr(cache, "_disk_entries", racing_walk)
+        assert cache.disk_usage() == (1, 2)
 
     @pytest.mark.parametrize(
         "garbage",

@@ -56,9 +56,10 @@ class TestConcurrentEngines:
         assert entries > 0
         assert size > 0
         loaded = 0
-        for path in reader._disk_entries():
-            value = BlockRecord.from_bytes(reader._disk_read(path.stem))
-            assert value is not None, f"unreadable cache entry {path}"
+        for entry in reader._disk_entries():
+            key = entry.name[: -len(".pkl")]
+            value = BlockRecord.from_bytes(reader._disk_read(key))
+            assert value is not None, f"unreadable cache entry {entry.path}"
             loaded += 1
         assert loaded == entries
 
