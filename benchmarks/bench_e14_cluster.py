@@ -7,10 +7,11 @@ processes and real sockets:
   worker processes by an in-process :class:`repro.cluster.Coordinator`
   (static membership, fresh in-memory shard table per fleet, every
   fleet on pristine no-cache workers, so nothing is amortized across
-  runs).  On a machine with at least 2 CPUs the 2-worker fleet must
-  clear a 1.7x speedup over the 1-worker fleet; on a single-CPU
-  machine the ratio is reported but not asserted (there is no
-  parallelism to win).
+  runs).  Where the process may use at least 3 CPUs (two workers
+  plus the in-process coordinator) the 2-worker fleet must clear a
+  1.7x speedup over the 1-worker fleet; with fewer, the workers and
+  the coordinator share CPUs, so the ratio is reported as unmeasured
+  and not asserted.
 * **Bit-identity** — every fleet's merged payload carries the same
   ``result_digest`` as the single-process engine run, whatever the
   placement did.
@@ -48,6 +49,16 @@ FIELD = "mtbf_hours"
 FLEETS = [1, 2, 4]
 QUICK_FLEETS = [1, 2]
 SPEEDUP_FLOOR = 1.7
+#: CPUs the floor needs: two workers plus the in-process coordinator.
+FLOOR_CPUS = 3
+
+
+def _usable_cpus():
+    """CPUs this process may run on: its affinity mask, not the host's."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 def _values(points):
@@ -118,7 +129,7 @@ def main():
 
     points = QUICK_POINTS if args.quick else POINTS
     fleets = QUICK_FLEETS if args.quick else FLEETS
-    cpus = os.cpu_count() or 1
+    cpus = _usable_cpus()
     spec = model_to_spec(datacenter_model())
     values = _values(points)
 
@@ -152,13 +163,20 @@ def main():
             print(f"  speedup x{workers} workers: {speedup:.2f}")
 
     # The parallelism claim only holds where parallelism exists.
-    if cpus >= 2 and 2 in speedups:
+    asserted = cpus >= FLOOR_CPUS and 2 in speedups
+    reason = None
+    if asserted:
         assert speedups[2] >= SPEEDUP_FLOOR, (
             f"2-worker speedup {speedups[2]:.2f} below "
-            f"{SPEEDUP_FLOOR} on a {cpus}-CPU machine"
+            f"{SPEEDUP_FLOOR} with {cpus} usable CPUs"
         )
     elif 2 in speedups:
-        print(f"  (single CPU: {SPEEDUP_FLOOR}x floor not asserted)")
+        reason = (
+            f"{cpus} usable CPU(s); two workers plus the coordinator "
+            f"need {FLOOR_CPUS}"
+        )
+        print(f"  speedup unmeasured, {SPEEDUP_FLOOR}x floor not "
+              f"asserted: {reason}")
 
     RESULT_PATH.write_text(json.dumps({
         "benchmark": "e14_cluster_speedup",
@@ -169,7 +187,8 @@ def main():
         "fleets": rows,
         "speedups": {str(k): v for k, v in speedups.items()},
         "speedup_floor": SPEEDUP_FLOOR,
-        "speedup_asserted": cpus >= 2,
+        "speedup_asserted": asserted,
+        "speedup_unasserted_reason": reason,
         "result_digest": reference,
     }, indent=2, sort_keys=True) + "\n")
     print(f"wrote {RESULT_PATH}")
