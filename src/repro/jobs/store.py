@@ -80,11 +80,8 @@ JOBS_SCHEMA = Schema(
     "jobs",
     [
         Migration(1, "jobs table and claim index", _SCHEMA),
-        Migration(
-            2,
-            "checkpoint column",
-            "ALTER TABLE jobs ADD COLUMN checkpoint TEXT",
-        ),
+        Migration(2, "checkpoint column",
+                  "ALTER TABLE jobs ADD COLUMN checkpoint TEXT"),
     ],
 )
 
