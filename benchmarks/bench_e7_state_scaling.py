@@ -153,10 +153,10 @@ def bench_e7_block_solve_breakdown():
     cache, decodes it and regenerates the chain (a template refill).
     The operator, steady and crossing stages reuse one generated chain,
     whose arc view generation has already built, as in a real solve.
-    Each steady solve wraps the CSR matrix in a fresh operator, so no
-    densified copy is reused.  With more than one OpenBLAS thread, the
-    threads spin after each solve and their CPU is charged to whichever
-    stage runs next; ``OPENBLAS_NUM_THREADS=1`` gives a clean split.
+    Each steady solve wraps the CSR matrix in a fresh operator.  At 208
+    states the default backend runs as ``sparse-direct`` (SuperLU), the
+    backend the record names, so no threaded LAPACK factorisation
+    leaves BLAS threads spinning into the next stage.
     """
     parameters, g = sweep_block()
     effective = parameters.with_changes(mtbf_hours=50_000.01)
@@ -173,7 +173,7 @@ def bench_e7_block_solve_breakdown():
 
     def disk_hit():
         _value, layer = SolveCache(cache_dir=scratch.name).get_block(
-            key, lambda data: _regenerated_solve(data, effective, g)
+            key, lambda data: _regenerated_solve(data, effective, g, options)
         )
         assert layer == "disk"
 
@@ -210,7 +210,7 @@ def bench_e7_block_solve_breakdown():
             "n_states": chain.n_states,
             "n_arcs": chain.n_transitions,
             "representation": op.representation,
-            "backend": options.steady_method,
+            "backend": solved.backend,
             "record_bytes": record_bytes,
             "stages_ms": {
                 name: round(value * 1e3, 3) for name, value in seconds.items()

@@ -38,6 +38,7 @@ from ..num import (
     SolverOptions,
     as_operator,
     as_options,
+    resolve_steady,
     solve_steady,
     transient_grid,
 )
@@ -123,6 +124,9 @@ class ChainSolve:
     depends only on the effective parameters, the globals, and the
     solver method — never on where in the hierarchy the block sits.
     That makes it the unit of caching for :mod:`repro.engine`.
+    ``backend`` and ``representation`` name the backend that ran and
+    the storage it read (see :func:`repro.num.resolve_steady`), not the
+    ones the options asked for.
     """
 
     chain: MarkovChain
@@ -152,7 +156,8 @@ def solve_block_chain(
     """Generate and solve the CTMC for one block's effective parameters."""
     options = as_options(method)
     chain = generate_block_chain(effective, global_parameters)
-    op = as_operator(chain, representation=options.representation)
+    backend, op = resolve_steady(chain, options)
+    # The resolved operator resolves to the same backend again.
     pi_vector = solve_steady(op, options)
     pi = dict(zip(chain.state_names, pi_vector.tolist()))
     availability = sum(
@@ -165,7 +170,7 @@ def solve_block_chain(
         availability=availability,
         failure_frequency=frequency,
         steady_state=pi,
-        backend=options.steady_method,
+        backend=backend.name,
         representation=op.representation,
         n_states=chain.n_states,
         nnz=op.nnz,

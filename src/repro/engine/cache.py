@@ -28,10 +28,11 @@ record is about 1.7 KB.
 The cache itself only moves bytes: callers hand :meth:`put_block` an
 ``encode`` and :meth:`get_block` a ``decode``.  Entries are written
 atomically; bytes that do not decode (truncated, another format
-version, or a vector that does not fit the regenerated chain) are a
-miss, and the file is deleted.  Files keep the ``.pkl`` suffix of
-format 2, so an upgraded directory's old entries sit at the same
-paths and are discarded on first read.  Cached objects are shared
+version, a backend other than the one the block resolves to now — see
+:func:`current_record` — or a vector that does not fit the regenerated
+chain) are a miss, and the file is deleted.  Files keep the ``.pkl``
+suffix of format 2, so an upgraded directory's old entries sit at the
+same paths and are discarded on first read.  Cached objects are shared
 between callers and must be treated as immutable.
 """
 
@@ -53,6 +54,7 @@ from typing import (
 import numpy as np
 
 from ..lru import LRU
+from ..num import SolverOptions, steady_backend_for
 from ..store import atomic_write_bytes
 
 #: A block value, as an ``encode``/``decode`` pair sees it.
@@ -156,6 +158,26 @@ class BlockRecord(NamedTuple):
             model_type, availability, frequency, backend, representation,
             nnz, pi,
         )
+
+
+def current_record(
+    data: bytes, options: SolverOptions
+) -> Optional[BlockRecord]:
+    """The record in ``data`` if a solve under ``options`` would write it.
+
+    None unless ``data`` is a whole record of this format version whose
+    backend is the one its chain resolves to now
+    (:func:`repro.num.steady_backend_for`).  A record written before
+    the default ``dense-direct`` solve moved to ``sparse-direct`` at
+    :data:`~repro.num.SPARSE_STATE_FLOOR` states keeps its key, so this
+    check is what stops its dense-LAPACK bits from answering.
+    """
+    record = BlockRecord.from_bytes(data)
+    if record is None or record.backend != steady_backend_for(
+        record.n_states, options
+    ):
+        return None
+    return record
 
 
 class SolveCache:

@@ -65,10 +65,16 @@ from ..core.translator import (
 from ..errors import SolverError
 from ..markov.chain import MarkovChain
 from ..markov.rewards import crossing_frequency
-from ..num import SolverOptions, as_options, solve_steady
+from ..num import SolverOptions, as_options, resolve_steady, solve_steady
 from ..obs.trace import get_tracer
 from ..units import MINUTES_PER_YEAR, availability_to_yearly_downtime_minutes
-from .cache import BlockRecord, MeasuresKey, SolveCache, default_cache_dir
+from .cache import (
+    BlockRecord,
+    MeasuresKey,
+    SolveCache,
+    current_record,
+    default_cache_dir,
+)
 from .executor import run_batch
 from .keys import (
     DigestMemo,
@@ -165,7 +171,7 @@ class Engine:
                 value, layer = self.cache.get_block(
                     key,
                     lambda data: _regenerated_solve(
-                        data, effective, global_parameters
+                        data, effective, global_parameters, solve_options
                     ),
                 )
                 if value is not None:
@@ -383,15 +389,16 @@ class Engine:
         )
         if key is not None:
             value, layer = self.cache.get_block(
-                key, lambda data: _chain_steady_state(data, chain)
+                key, lambda data: _chain_steady_state(data, chain, options)
             )
             if value is not None:
                 self.stats.increment("block_cache_hits")
                 if layer == "disk":
                     self.stats.increment("disk_hits")
                 return value
+        backend, op = resolve_steady(chain, options)
         pi = dict(
-            zip(chain.state_names, solve_steady(chain, options).tolist())
+            zip(chain.state_names, solve_steady(op, options).tolist())
         )
         # Derive the failure frequency from the distribution already in
         # hand (the solve is deterministic, so this matches what a
@@ -404,15 +411,13 @@ class Engine:
         )
         pi["__failure_frequency__"] = frequency
         self.stats.increment("block_solves")
-        self.stats.record_backend_solve(
-            options.steady_method, chain.n_states
-        )
+        self.stats.record_backend_solve(backend.name, chain.n_states)
         if key is not None:
             self.cache.put_block(
                 key,
                 pi,
                 lambda value: _steady_state_record(
-                    value, chain.n_states, options
+                    value, chain.n_states, backend.name, op.representation
                 ),
             )
         return pi
@@ -623,15 +628,17 @@ def _regenerated_solve(
     data: bytes,
     effective: BlockParameters,
     global_parameters: GlobalParameters,
+    options: SolverOptions,
 ) -> Optional[ChainSolve]:
     """The block solve a disk record holds, its chain regenerated.
 
     The chain is a pure function of the parameters the record's key
     digests, so it is generated again (a template refill once the
     structure is known) rather than stored.  None for bytes that are
-    not a current record or whose π does not fit the chain.
+    not a current record (see :func:`~repro.engine.cache.current_record`)
+    or whose π does not fit the chain.
     """
-    record = BlockRecord.from_bytes(data)
+    record = current_record(data, options)
     if record is None:
         return None
     chain = generate_block_chain(effective, global_parameters)
@@ -651,7 +658,7 @@ def _regenerated_solve(
 
 
 def _steady_state_record(
-    pi: Dict[str, float], n_states: int, options: SolverOptions
+    pi: Dict[str, float], n_states: int, backend: str, representation: str
 ) -> bytes:
     """The disk record of :meth:`Engine.solve_chain`'s answer.
 
@@ -663,18 +670,18 @@ def _steady_state_record(
         -1,
         pi["__availability__"],
         pi["__failure_frequency__"],
-        options.steady_method,
-        options.representation,
+        backend,
+        representation,
         0,
         np.fromiter(pi.values(), np.float64, n_states),
     ).to_bytes()
 
 
 def _chain_steady_state(
-    data: bytes, chain: MarkovChain
+    data: bytes, chain: MarkovChain, options: SolverOptions
 ) -> Optional[Dict[str, float]]:
     """:meth:`Engine.solve_chain`'s answer from a disk record of it."""
-    record = BlockRecord.from_bytes(data)
+    record = current_record(data, options)
     if record is None or record.n_states != chain.n_states:
         return None
     pi = dict(zip(chain.state_names, record.pi.tolist()))

@@ -4,7 +4,8 @@
 generator construction and validation (:class:`GeneratorOperator`,
 :func:`as_operator`, :func:`validate_generator`), solver configuration
 (:class:`SolverOptions`, :func:`as_options`), the steady-state backend
-registry (:func:`solve_steady`, :func:`get_backend`,
+registry (:func:`solve_steady`, :func:`resolve_steady`,
+:func:`steady_backend_for`, :func:`get_backend`,
 :func:`backend_names`) and the shared uniformization core
 (:func:`transient_grid`, :func:`transient_distribution`,
 :func:`interval_reward_value`).  It is the only solver code: the
@@ -24,7 +25,9 @@ from .backends import (
     get_backend,
     power_iteration,
     register_backend,
+    resolve_steady,
     solve_steady,
+    steady_backend_for,
     steady_backends,
 )
 from .operator import (
@@ -77,9 +80,11 @@ __all__ = [
     "poisson_truncation",
     "power_iteration",
     "register_backend",
+    "resolve_steady",
     "solve_steady",
-    "stiffness",
+    "steady_backend_for",
     "steady_backends",
+    "stiffness",
     "transient_distribution",
     "transient_grid",
     "uniformized",

@@ -7,8 +7,9 @@ needed — capability-based dispatch instead of per-module method-string
 
 ``dense-direct``
     Replace one balance equation with the normalisation constraint and
-    solve with LAPACK.  The production path; numerically bit-identical
-    to the pre-registry ``"direct"`` method.
+    solve with LAPACK.  The default; on ``auto`` storage it runs as
+    ``sparse-direct`` from :data:`~repro.num.SPARSE_STATE_FLOOR` states
+    on (see :func:`steady_backend_for`).
 ``gth``
     Grassmann-Taksar-Heyman elimination — subtraction-free, so immune
     to cancellation on stiff generators.  Dense only.
@@ -17,7 +18,8 @@ needed — capability-based dispatch instead of per-module method-string
     representation and serves as the independent validation oracle.
 ``sparse-direct``
     The same normalised system factorised by ``scipy.sparse.linalg.spsolve``
-    (SuperLU) on CSR storage — the large-model production path.
+    (SuperLU) on CSR storage — the large-model production path, whose
+    bits do not depend on the BLAS thread count.
 ``sparse-iterative``
     GMRES with a diagonal (Jacobi) preconditioner on the same system;
     for models too large to factorise.
@@ -37,7 +39,7 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, gmres, spsolve
 
 from ..errors import SolverError, UnknownBackendError
-from .operator import GeneratorOperator, as_operator
+from .operator import SPARSE_STATE_FLOOR, GeneratorOperator, as_operator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..markov.chain import MarkovChain
@@ -200,12 +202,33 @@ def _solve_power(op: GeneratorOperator, options: "SolverOptions") -> np.ndarray:
 
 def _normalised_system(
     op: GeneratorOperator,
-) -> Tuple[sparse.csr_matrix, np.ndarray]:
-    """``A x = b`` with one balance row swapped for normalisation, in CSR."""
-    n = op.n
-    qt = op.sparse().transpose().tocsr()
-    ones_row = sparse.csr_matrix(np.ones((1, n)))
-    a = sparse.vstack([qt[:-1, :], ones_row], format="csr")
+) -> Tuple[sparse.csc_matrix, np.ndarray]:
+    """``A x = b`` with one balance row swapped for normalisation, in CSC.
+
+    ``A`` is ``Q^T`` with its last row replaced by ones.  Q's CSR arrays
+    are ``Q^T``'s CSC arrays, so ``A`` is built from them directly: each
+    column drops its last-row entry (the last one, indices being sorted)
+    and gains a 1 there.  No transpose, stack or format conversion runs.
+    """
+    q = op.sparse()
+    if not q.has_canonical_format:
+        q = q.copy()
+        q.sum_duplicates()
+    n = q.shape[0]
+    indptr, indices = q.indptr, q.indices
+    keep = indices != n - 1
+    dropped = np.concatenate(([0], np.cumsum(~keep)))[indptr]
+    a_indptr = indptr - dropped + np.arange(n + 1, dtype=indptr.dtype)
+    last = a_indptr[1:] - 1
+    kept = np.ones(a_indptr[-1], dtype=bool)
+    kept[last] = False
+    a_data = np.empty(a_indptr[-1])
+    a_data[kept] = q.data[keep]
+    a_data[last] = 1.0
+    a_indices = np.empty(a_indptr[-1], dtype=indices.dtype)
+    a_indices[kept] = indices[keep]
+    a_indices[last] = n - 1
+    a = sparse.csc_matrix((a_data, a_indices, a_indptr), shape=(n, n))
     b = np.zeros(n)
     b[-1] = 1.0
     return a, b
@@ -221,7 +244,7 @@ def _solve_sparse_direct(
         # A singular (reducible) generator makes SuperLU warn and return
         # NaNs; the finite check below turns that into a SolverError.
         warnings.simplefilter("ignore", sparse.linalg.MatrixRankWarning)
-        pi = spsolve(a.tocsc(), b)
+        pi = spsolve(a, b)
     return _finish(np.asarray(pi, dtype=float), "sparse direct steady-state solve")
 
 
@@ -232,6 +255,7 @@ def _solve_sparse_iterative(
     if n == 1:
         return np.array([1.0])
     a, b = _normalised_system(op)
+    a = a.tocsr()
     diag = a.diagonal()
     inv_diag = 1.0 / np.where(diag == 0.0, 1.0, diag)
     preconditioner = LinearOperator((n, n), matvec=lambda v: inv_diag * v)
@@ -286,6 +310,51 @@ register_backend(SteadyBackend(
 # ----------------------------------------------------------------------
 # dispatch
 # ----------------------------------------------------------------------
+def steady_backend_for(n: int, options: "SolverOptions") -> str:
+    """The backend that solves an ``n``-state chain under ``options``.
+
+    The default ``dense-direct`` on ``auto`` storage runs as
+    ``sparse-direct`` from :data:`~repro.num.SPARSE_STATE_FLOOR` states
+    on: LAPACK factorises such a system on several threads, so its bits
+    would depend on the host's BLAS thread count, while SuperLU's do
+    not.  Asking for ``representation="dense"`` keeps dense LAPACK.
+    """
+    if (
+        options.steady_method == "dense-direct"
+        and options.representation == "auto"
+        and n >= SPARSE_STATE_FLOOR
+    ):
+        return "sparse-direct"
+    return options.steady_method
+
+
+def resolve_steady(
+    model: Union["MarkovChain", GeneratorOperator, np.ndarray],
+    options: Union[None, str, "SolverOptions"] = None,
+) -> Tuple[SteadyBackend, GeneratorOperator]:
+    """The backend :func:`solve_steady` runs and the operator it reads.
+
+    A chain or sparse generator goes to :func:`steady_backend_for`'s
+    backend; a prebuilt dense matrix or operator keeps the backend
+    ``options`` names.  The operator is coerced to the representation
+    the backend requires.
+    """
+    from .options import as_options
+
+    opts = as_options(options)
+    op = as_operator(model, representation=opts.representation)
+    name = opts.steady_method
+    if not (
+        isinstance(model, (GeneratorOperator, np.ndarray))
+        and op.representation == "dense"
+    ):
+        name = steady_backend_for(op.n, opts)
+    backend = get_backend(name)
+    if backend.representation != "any" and backend.representation != op.representation:
+        op = op.with_representation(backend.representation)
+    return backend, op
+
+
 def solve_steady(
     model: Union["MarkovChain", GeneratorOperator, np.ndarray],
     options: Union[None, str, "SolverOptions"] = None,
@@ -293,15 +362,12 @@ def solve_steady(
     """Solve ``pi Q = 0, sum(pi) = 1`` with the configured backend.
 
     ``model`` may be a chain, a raw generator or a pre-built operator;
-    the operator is coerced to the representation the backend requires.
+    :func:`resolve_steady` picks the backend and coerces the operator.
     """
     from .options import as_options
 
     opts = as_options(options)
-    backend = get_backend(opts.steady_method)
-    op = as_operator(model, representation=opts.representation)
-    if backend.representation != "any" and backend.representation != op.representation:
-        op = op.with_representation(backend.representation)
+    backend, op = resolve_steady(model, opts)
     return backend.solve(op, opts)
 
 

@@ -26,8 +26,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Auto-selection thresholds: sparse storage is chosen when the chain
 #: has at least this many states *and* the generator is at most this
-#: dense.  Below the state floor, dense BLAS wins regardless of fill.
-SPARSE_STATE_FLOOR = 200
+#: dense.  The same floor sends the default ``dense-direct`` solve on
+#: auto storage to ``sparse-direct`` (see
+#: :func:`repro.num.steady_backend_for`): OpenBLAS factorises on several
+#: threads once ``m * n`` reaches 10 000, and a threaded factorisation's
+#: bits depend on the thread count.  Below the floor, dense LAPACK runs
+#: on one thread and wins regardless of fill.
+SPARSE_STATE_FLOOR = 100
 SPARSE_DENSITY_CEILING = 0.25
 
 

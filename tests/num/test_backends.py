@@ -2,19 +2,23 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.errors import SolverError
 from repro.gmb import MarkovBuilder
 from repro.num import (
+    SPARSE_STATE_FLOOR,
     SolverOptions,
     absorption_times,
     as_operator,
     backend_names,
     get_backend,
+    resolve_steady,
     solve_steady,
+    steady_backend_for,
     steady_backends,
 )
-from repro.num.backends import UnknownBackendError
+from repro.num.backends import UnknownBackendError, _normalised_system
 
 EXPECTED_BACKENDS = (
     "dense-direct",
@@ -99,6 +103,118 @@ class TestBackendsAgree:
         op = as_operator(two_state(), representation="sparse")
         pi = solve_steady(op, SolverOptions(steady_method="dense-direct"))
         assert pi.sum() == pytest.approx(1.0)
+
+
+class TestThreadInvariantRouting:
+    """The default backend leaves dense LAPACK at the state floor."""
+
+    def test_the_floor_sits_between_library_blocks_and_threaded_lapack(self):
+        # Library blocks have at most 28 states; OpenBLAS factorises on
+        # several threads from m * n = 10 000, i.e. 100 states.
+        assert 28 < SPARSE_STATE_FLOOR <= 100
+
+    @pytest.mark.parametrize(
+        "n, options, expected",
+        [
+            (SPARSE_STATE_FLOOR - 1, SolverOptions(), "dense-direct"),
+            (SPARSE_STATE_FLOOR, SolverOptions(), "sparse-direct"),
+            (
+                SPARSE_STATE_FLOOR,
+                SolverOptions(representation="dense"),
+                "dense-direct",
+            ),
+            (
+                SPARSE_STATE_FLOOR,
+                SolverOptions(representation="sparse"),
+                "dense-direct",
+            ),
+            (10_000, SolverOptions(steady_method="gth"), "gth"),
+            (10_000, SolverOptions(steady_method="power"), "power"),
+        ],
+    )
+    def test_steady_backend_for(self, n, options, expected):
+        assert steady_backend_for(n, options) == expected
+
+    def test_a_large_chain_resolves_to_sparse_direct(self):
+        chain = birth_death(SPARSE_STATE_FLOOR)
+        backend, op = resolve_steady(chain, SolverOptions())
+        assert (backend.name, op.representation) == ("sparse-direct", "sparse")
+        explicit = SolverOptions(steady_method="sparse-direct")
+        assert np.array_equal(
+            solve_steady(chain, SolverOptions()),
+            solve_steady(chain, explicit),
+        )
+
+    def test_a_small_chain_keeps_dense_direct(self):
+        backend, op = resolve_steady(birth_death(12), SolverOptions())
+        assert (backend.name, op.representation) == ("dense-direct", "dense")
+
+    def test_prebuilt_dense_operators_and_matrices_keep_dense_lapack(self):
+        chain = birth_death(SPARSE_STATE_FLOOR)
+        dense_op = as_operator(chain, representation="dense")
+        for model in (dense_op, dense_op.dense()):
+            backend, op = resolve_steady(model, SolverOptions())
+            assert (backend.name, op.representation) == (
+                "dense-direct", "dense"
+            )
+        sparse_op = as_operator(chain, representation="sparse")
+        backend, _op = resolve_steady(sparse_op, SolverOptions())
+        assert backend.name == "sparse-direct"
+
+    def test_dense_storage_opts_out(self):
+        chain = birth_death(SPARSE_STATE_FLOOR)
+        options = SolverOptions(representation="dense")
+        backend, op = resolve_steady(chain, options)
+        assert (backend.name, op.representation) == ("dense-direct", "dense")
+        np.testing.assert_allclose(
+            solve_steady(chain, options),
+            solve_steady(chain, SolverOptions()),
+            atol=1e-12,
+        )
+
+
+def _stacked_normalised_system(op):
+    """The normalised system built the long way: transpose, then stack."""
+    qt = op.sparse().transpose().tocsr()
+    ones_row = sparse.csr_matrix(np.ones((1, op.n)))
+    return sparse.vstack([qt[:-1, :], ones_row], format="csr").tocsc()
+
+
+class TestNormalisedSystem:
+    @pytest.mark.parametrize(
+        "chain",
+        [two_state(), birth_death(12), birth_death(150)],
+        ids=["2", "12", "150"],
+    )
+    def test_the_csc_arrays_match_the_stacked_transpose(self, chain):
+        op = as_operator(chain, representation="sparse")
+        a, b = _normalised_system(op)
+        reference = _stacked_normalised_system(op)
+        assert sparse.isspmatrix_csc(a)
+        assert np.array_equal(a.indptr, reference.indptr)
+        assert np.array_equal(a.indices, reference.indices)
+        assert np.array_equal(a.data, reference.data)
+        assert b.tolist() == [0.0] * (op.n - 1) + [1.0]
+
+    def test_a_generator_in_non_canonical_csr_is_canonicalised(self):
+        # Row 0 lists its columns out of order, and row 2 holds its
+        # exit rate as two duplicate diagonal entries.
+        q = sparse.csr_matrix(
+            (
+                np.array([2.0, -3.0, 1.0, 1.0, -1.0, 4.0, -2.0, -2.0]),
+                np.array([1, 0, 2, 0, 1, 1, 2, 2]),
+                np.array([0, 3, 5, 8]),
+            ),
+            shape=(3, 3),
+        )
+        assert not q.has_canonical_format
+        op = as_operator(q, validate=False)
+        a, _b = _normalised_system(op)
+        dense = op.dense().T.copy()
+        dense[-1, :] = 1.0
+        np.testing.assert_array_equal(a.toarray(), dense)
+        pi = solve_steady(op, SolverOptions(steady_method="sparse-direct"))
+        np.testing.assert_allclose(pi @ op.dense(), 0.0, atol=1e-12)
 
 
 class TestFailureModes:
