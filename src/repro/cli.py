@@ -1869,15 +1869,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     jobs_commands = jobs.add_subparsers(dest="jobs_command", required=True)
 
-    def add_db_flag(subparser: argparse.ArgumentParser) -> None:
-        subparser.add_argument(
-            "--db", default=None, metavar="PATH",
-            help="job store database "
-                 "(default: ~/.cache/rascad/jobs.sqlite3)",
-        )
+    # Every jobs subcommand finds the store the same way: --db, else
+    # jobs.sqlite3 inside --cache-dir (the worker's --cache-dir comes
+    # with its engine flags).
+    jobs_db = argparse.ArgumentParser(add_help=False)
+    jobs_db.add_argument(
+        "--db", default=None, metavar="PATH",
+        help="job store database (default: jobs.sqlite3 inside "
+             "--cache-dir, else ~/.cache/rascad/jobs.sqlite3)",
+    )
+    jobs_store = argparse.ArgumentParser(add_help=False, parents=[jobs_db])
+    jobs_store.add_argument(
+        "--cache-dir", default=None, metavar="DIR",
+        help="use the job store in DIR, as 'jobs worker --cache-dir DIR' "
+             "and 'serve --cache-dir DIR' do",
+    )
 
     submit = jobs_commands.add_parser(
-        "submit", help="enqueue a sweep/uncertainty/validate/study job"
+        "submit", parents=[jobs_store],
+        help="enqueue a sweep/uncertainty/validate/study job",
     )
     submit.add_argument("spec", help="model spec file")
     submit.add_argument(
@@ -1916,15 +1926,17 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--priority", type=int, default=0,
                         help="higher runs first (default: 0)")
     submit.add_argument("--max-attempts", type=int, default=3)
-    add_db_flag(submit)
     submit.set_defaults(handler=_cmd_jobs_submit)
 
-    status = jobs_commands.add_parser("status", help="one job's state")
+    status = jobs_commands.add_parser(
+        "status", parents=[jobs_store], help="one job's state"
+    )
     status.add_argument("id")
-    add_db_flag(status)
     status.set_defaults(handler=_cmd_jobs_status)
 
-    jlist = jobs_commands.add_parser("list", help="recent jobs")
+    jlist = jobs_commands.add_parser(
+        "list", parents=[jobs_store], help="recent jobs"
+    )
     jlist.add_argument("--state", default=None,
                        choices=["queued", "running", "succeeded",
                                 "failed", "cancelled"])
@@ -1932,18 +1944,17 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["sweep", "uncertainty", "validate",
                                 "study", "calibration"])
     jlist.add_argument("--limit", type=int, default=50)
-    add_db_flag(jlist)
     jlist.set_defaults(handler=_cmd_jobs_list)
 
-    cancel = jobs_commands.add_parser("cancel", help="cancel a job")
+    cancel = jobs_commands.add_parser(
+        "cancel", parents=[jobs_store], help="cancel a job"
+    )
     cancel.add_argument("id")
-    add_db_flag(cancel)
     cancel.set_defaults(handler=_cmd_jobs_cancel)
 
     worker = jobs_commands.add_parser(
-        "worker", help="run a job worker loop"
+        "worker", parents=[jobs_db], help="run a job worker loop"
     )
-    add_db_flag(worker)
     add_engine_flags(worker)
     worker.add_argument(
         "--once", action="store_true",
@@ -2347,7 +2358,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     crun = calibrate_commands.add_parser(
-        "run",
+        "run", parents=[jobs_store],
         help="submit a checkpointed calibration job "
              "(execute with: rascad jobs worker)",
     )
@@ -2379,10 +2390,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="drift-detection window width (default: 168)",
     )
     add_drift_flags(crun)
-    add_db_flag(crun)
     add_obs_flags(crun)
-    crun.add_argument("--cache-dir", default=None, metavar="DIR",
-                      help="cache directory holding jobs.sqlite3")
     crun.set_defaults(handler=_cmd_calibrate_run)
 
     cstatus = calibrate_commands.add_parser(

@@ -462,6 +462,29 @@ class TestJobsCli:
         assert "succeeded" in status
         assert "result_digest" in status
 
+    def test_cache_dir_names_the_store_a_worker_uses(
+        self, spec_path, tmp_path, capsys
+    ):
+        cache = str(tmp_path / "cache")
+        assert main([
+            "jobs", "submit", spec_path,
+            "--kind", "sweep",
+            "--block", "Workgroup Server/Operating System",
+            "--field", "mtbf_hours",
+            "--values", "20000:40000:3",
+            "--cache-dir", cache,
+        ]) == 0
+        job_id = capsys.readouterr().out.split()[0]
+        assert (tmp_path / "cache" / "jobs.sqlite3").is_file()
+        assert main(["jobs", "list", "--cache-dir", cache]) == 0
+        assert job_id in capsys.readouterr().out
+        assert main(["jobs", "worker", "--once", "--cache-dir", cache]) == 0
+        assert "exiting after 1 job(s)" in capsys.readouterr().out
+        assert main(["jobs", "status", job_id, "--cache-dir", cache]) == 0
+        assert "succeeded" in capsys.readouterr().out
+        assert main(["jobs", "cancel", job_id, "--cache-dir", cache]) == 0
+        assert f"{job_id} -> succeeded" in capsys.readouterr().out
+
     def test_worker_parser_defaults(self):
         from repro.cli import build_parser
 
