@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import socket
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
@@ -23,6 +25,26 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from repro.service.client import call  # noqa: E402
+
+
+def run_in_workdir(name: str, smoke: Callable[[Path], int]) -> int:
+    """Run ``smoke`` in a fresh ``rascad-<name>-smoke-*`` temp directory.
+
+    The directory is removed when the smoke passes (returns 0) and kept,
+    its path printed again, when it fails or raises, so its logs and
+    stores can be read afterwards.  Returns the smoke's exit code.
+    """
+    base = Path(tempfile.mkdtemp(prefix=f"rascad-{name}-smoke-"))
+    print(f"workdir: {base}")
+    code = 1
+    try:
+        code = smoke(base)
+    finally:
+        if code == 0:
+            shutil.rmtree(base, ignore_errors=True)
+        else:
+            print(f"workdir kept for inspection: {base}")
+    return code
 
 
 def free_port() -> int:

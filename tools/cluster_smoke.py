@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import signal
 import sys
-import tempfile
 import threading
 import time
 from pathlib import Path
 
-from _smoke_common import Fleet, free_port, subprocess_env
+from _smoke_common import Fleet, free_port, run_in_workdir, subprocess_env
 
 from repro.analysis import expand_values  # noqa: E402
 from repro.cluster import CoordinatorClient  # noqa: E402
@@ -65,10 +64,7 @@ def reference_payload(base: Path, spec: dict, values: list) -> dict:
     return payload
 
 
-def main() -> int:
-    base = Path(tempfile.mkdtemp(prefix="rascad-cluster-smoke-"))
-    print(f"workdir: {base}")
-
+def smoke(base: Path) -> int:
     spec = model_to_spec(e10000_model())
     values = expand_values([f"1e5:1e6:{POINTS}"])
     reference = reference_payload(base, spec, values)
@@ -210,6 +206,10 @@ def main() -> int:
             f"{totals['shards_retried']} shard retries)"
         )
         return 0
+
+
+def main() -> int:
+    return run_in_workdir("cluster", smoke)
 
 
 if __name__ == "__main__":

@@ -28,11 +28,10 @@ import json
 import signal
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
-from _smoke_common import subprocess_env
+from _smoke_common import run_in_workdir, subprocess_env
 
 from repro.analysis import expand_values  # noqa: E402
 from repro.engine import Engine  # noqa: E402
@@ -77,10 +76,7 @@ def reference_run(base: Path) -> dict:
     return done.result
 
 
-def main() -> int:
-    base = Path(tempfile.mkdtemp(prefix="rascad-jobs-smoke-"))
-    print(f"workdir: {base}")
-
+def smoke(base: Path) -> int:
     reference = reference_run(base)
     print(f"reference digest: {reference['result_digest']}")
 
@@ -167,6 +163,10 @@ def main() -> int:
         f"{completed} checkpointed + {tail} re-solved points)"
     )
     return 0
+
+
+def main() -> int:
+    return run_in_workdir("jobs", smoke)
 
 
 if __name__ == "__main__":

@@ -26,11 +26,10 @@ import re
 import signal
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
-from _smoke_common import get_json
+from _smoke_common import get_json, run_in_workdir
 
 from repro.obs.export import read_spans  # noqa: E402
 from repro.service.client import call  # noqa: E402
@@ -54,11 +53,9 @@ def wait_for_port(log_path: Path, process: subprocess.Popen) -> str:
     raise AssertionError("server did not start within 60 s")
 
 
-def main() -> int:
-    base = Path(tempfile.mkdtemp(prefix="rascad-obs-smoke-"))
+def smoke(base: Path) -> int:
     trace_dir = base / "traces"
     log_path = base / "serve.log"
-    print(f"workdir: {base}")
 
     with log_path.open("wb") as log:
         server = subprocess.Popen(
@@ -140,6 +137,10 @@ def main() -> int:
         f"{len(engine_children)} engine spans)"
     )
     return 0
+
+
+def main() -> int:
+    return run_in_workdir("obs", smoke)
 
 
 if __name__ == "__main__":

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import json
 import sys
-import tempfile
 from pathlib import Path
 
-from _smoke_common import Fleet, cli, request, subprocess_env
+from _smoke_common import Fleet, cli, request, run_in_workdir, subprocess_env
 
 from repro.library import workgroup_model  # noqa: E402
 from repro.spec import model_to_spec  # noqa: E402
@@ -36,9 +35,7 @@ BLOCK = "Workgroup Server/Operating System"
 SWEEP_VALUES = [1e5 + 1.8e4 * i for i in range(50)]
 
 
-def main() -> int:
-    base = Path(tempfile.mkdtemp(prefix="rascad-registry-smoke-"))
-    print(f"workdir: {base}")
+def smoke(base: Path) -> int:
     registry_db = base / "registry.sqlite3"
     cache_dir = base / "cache"
 
@@ -156,6 +153,10 @@ def main() -> int:
             f"{points}-point ref sweep byte-identical to inline"
         )
         return 0
+
+
+def main() -> int:
+    return run_in_workdir("registry", smoke)
 
 
 if __name__ == "__main__":

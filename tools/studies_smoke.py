@@ -24,10 +24,16 @@ Run from the repository root::
 from __future__ import annotations
 
 import sys
-import tempfile
 from pathlib import Path
 
-from _smoke_common import Fleet, cli, free_port, get_json, post_json
+from _smoke_common import (
+    Fleet,
+    cli,
+    free_port,
+    get_json,
+    post_json,
+    run_in_workdir,
+)
 
 from repro.cluster import wait_until_healthy  # noqa: E402
 from repro.engine import Engine  # noqa: E402
@@ -51,9 +57,7 @@ def study_document() -> dict:
     }
 
 
-def main() -> int:
-    base = Path(tempfile.mkdtemp(prefix="rascad-studies-smoke-"))
-    print(f"workdir: {base}")
+def smoke(base: Path) -> int:
     cache_dir = base / "coordinator-cache"
     registry_db = base / "registry.sqlite3"
 
@@ -169,6 +173,10 @@ def main() -> int:
 
     print("PASS: clustered study bit-identical, deduplicated, published")
     return 0
+
+
+def main() -> int:
+    return run_in_workdir("studies", smoke)
 
 
 if __name__ == "__main__":

@@ -29,11 +29,17 @@ import json
 import signal
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
-from _smoke_common import Fleet, cli, get_json, post_json, subprocess_env
+from _smoke_common import (
+    Fleet,
+    cli,
+    get_json,
+    post_json,
+    run_in_workdir,
+    subprocess_env,
+)
 
 from repro.engine import Engine  # noqa: E402
 from repro.jobs import (  # noqa: E402
@@ -164,10 +170,7 @@ def ingest_output(trace_path: Path, url: str) -> str:
     return done.stdout
 
 
-def main() -> int:
-    base = Path(tempfile.mkdtemp(prefix="rascad-telemetry-smoke-"))
-    print(f"workdir: {base}")
-
+def smoke(base: Path) -> int:
     spec = model_to_spec(e10000_model())
     spec_path = base / "model.json"
     spec_path.write_text(json.dumps(spec))
@@ -286,6 +289,10 @@ def main() -> int:
         "proposal digests agree on every path, gate enforced"
     )
     return 0
+
+
+def main() -> int:
+    return run_in_workdir("telemetry", smoke)
 
 
 if __name__ == "__main__":
